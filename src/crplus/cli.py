@@ -1,7 +1,8 @@
 """Command-line front end: dist, cond, mc and compare.
 
-Exit codes: 0 success, 2 input/validation error, 3 numerical-tolerance
-failure (truncated support cannot honor the requested tail tolerance).
+Exit codes: 0 success, 2 input/validation error, 3 numerical failure
+(truncated support cannot honor the requested tail tolerance, or a Panjer
+start value underflows).
 Every JSON output carries a metadata block (tool version, input digest,
 config echo) so runs can be reproduced byte for byte.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, conditional, engine as eng, mc, pmf as pm, portfolio as pf
-from .pmf import TruncationError
+from .pmf import TruncationError, UnderflowError
 from .portfolio import PortfolioError
 
 EXIT_OK = 0
@@ -81,9 +82,6 @@ def _load(args):
         port = pf.parse_portfolio(text)
     except PortfolioError as exc:
         raise CliError(str(exc), EXIT_INPUT) from exc
-    diagnostics = pf.validate(port)
-    if diagnostics:
-        raise CliError("invalid portfolio: " + "; ".join(diagnostics), EXIT_INPUT)
     digest = hashlib.sha256(text.encode()).hexdigest()
     return port, digest
 
@@ -288,7 +286,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except TruncationError as exc:
+    except (TruncationError, UnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except PortfolioError as exc:

@@ -3,20 +3,22 @@
 Conditioning on defaults turns into a weighted mean of stressed portfolio
 loss distributions: each mixture component is the loss pmf with some sector
 exponents incremented, convolved with the severity pmf(s) of the defaulted
-obligor(s).  The write-off variant zeroes the defaulted severities and
-recomposes the sector severity mixtures before evaluating the components,
-so that occurred losses are excluded from the forward-looking metrics.
+obligor(s).  Since every stressed pmf is the base convolved with a product
+of sector kernels, the mean is the base convolved once with the weighted
+mean of those kernel products.  The write-off variant zeroes the defaulted
+severities and recomposes the sector severity mixtures before evaluating
+the components, so that occurred losses are excluded from the
+forward-looking metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine as eng
 from . import pmf as pm
-from .engine import LossEngine
 from .pmf import Pmf
 from .portfolio import ZERO_SEVERITY, PortfolioError
 
@@ -93,73 +95,93 @@ def _double_weights(w1, w2, alphas, n):
 
 
 def _mixture(engine, weights, shift_pmfs, normalizer):
-    """Sum of weighted stressed pmfs, each convolved with the shift severities."""
-    limit = engine.system.limit
-    acc = np.zeros(limit + 1)
-    tail = 0.0
+    """Weighted mean of stressed pmfs, each convolved with the shift severities.
+
+    Every component is base (*) K_c with K_c the engine's stress kernel, so
+    the mean is base (*) K (*) shifts with K = sum_c w_c K_c / normalizer.
+    Component c's tail beyond L is 1 - sum_j K_c[j] P[base <= L - j], which
+    is held to the engine's tail tolerance as the stressed pmf itself is.
+    """
+    base = engine.loss_distribution()
+    base_cdf_rev = base.cdf()[::-1]
+    acc = np.zeros(engine.system.limit + 1)
     for weight, stress in weights.values():
-        comp = engine.loss_distribution(stress)
-        for shift in shift_pmfs:
-            comp = pm.convolve(comp, shift)
-        acc += weight * comp.probs
-        tail += weight * comp.tail_mass
-    return Pmf(acc / normalizer, tail_mass=max(tail / normalizer, 0.0))
+        kernel = engine.stress_kernel(stress)
+        engine.check_tail(1.0 - np.dot(kernel.probs, base_cdf_rev))
+        acc += weight * kernel.probs
+    acc /= normalizer
+    out = pm.convolve(base, Pmf(acc, tail_mass=max(1.0 - acc.sum(), 0.0)))
+    for shift in shift_pmfs:
+        out = pm.convolve(out, shift)
+    return out
 
 
 def _writeoff_engine(engine, portfolio, obligor_ids):
-    """Rebuild the sector system with the scenario severities set to 0.
+    """Engine of the portfolio with the scenario severities set to 0.
 
-    The sector intensities mu_k are unchanged (pds do not move); the sector
-    severity mixtures gain mass at 0 and are recomposed from scratch.
+    The sector intensities mu_k are unchanged (pds do not move); the
+    severity mixtures of the sectors the defaulted obligors load on gain
+    mass at 0, and only those sectors are recomputed: the others keep the
+    parent engine's sector pmfs and kernels.
     """
     stripped = portfolio
     for oid in obligor_ids:
         stripped = stripped.with_severity(oid, ZERO_SEVERITY)
-    system = eng.assemble(stripped, engine.system.limit)
-    return stripped, LossEngine(system, tail_tol=engine.tail_tol)
+    return engine.derive(eng.assemble(stripped, engine.system.limit))
 
 
-def cond_default_intensity(engine, portfolio, obligor_id, x):
-    """Approximate conditional default probability E[D_A | X = x].
+def _scenario(engine, portfolio, ids, writeoff=False):
+    """Mixture weights, normalizer and conditional pmf given the default of ``ids``."""
+    obligors = [portfolio.obligor(oid) for oid in ids]
+    system = engine.system
+    if len(obligors) == 1:
+        weights = _single_weights(obligors[0].weights, system.n_sectors)
+        normalizer = 1.0
+    else:
+        w1, w2 = obligors[0].weights, obligors[1].weights
+        weights = _double_weights(w1, w2, system.alphas, system.n_sectors)
+        normalizer = 1.0 + float(np.sum(w1[1:] * w2[1:] / system.alphas))
+    if writeoff:
+        used, shift = _writeoff_engine(engine, portfolio, ids), []
+    else:
+        used, shift = engine, [_severity_pmf(engine, o) for o in obligors]
+    return weights, normalizer, _mixture(used, weights, shift, normalizer)
 
-    Requires P[X = x] > 0 at the unstressed parameters.
-    """
-    o = portfolio.obligor(obligor_id)
+
+def _check_level(engine, x):
+    """P[X = x] at the unstressed parameters; raises where it is 0 or undefined."""
     base = engine.loss_distribution()
     if x < 0 or x > engine.system.limit:
         raise ValueError(f"loss level {x} outside the truncated support")
     if base[x] <= 0.0:
         raise ValueError(f"P[X={x}] = 0: conditional intensity undefined")
+    return base[x]
+
+
+def cond_default_intensity(engine, portfolio, obligor_id, x):
+    """Approximate conditional default probability E[D_A | X = x].
+
+    E[D_A | X = x] = p_A P[X = x | A] / P[X = x]; requires P[X = x] > 0 at
+    the unstressed parameters.
+    """
+    o = portfolio.obligor(obligor_id)
+    p_x = _check_level(engine, x)
     if o.pd == 0.0:
         return 0.0
-    sev = _severity_pmf(engine, o)
-    weights = _single_weights(o.weights, engine.system.n_sectors)
-    num = 0.0
-    for weight, stress in weights.values():
-        comp = pm.convolve(engine.loss_distribution(stress), sev)
-        num += weight * comp[x]
-    return o.pd * num / base[x]
+    _, _, cond = _scenario(engine, portfolio, [obligor_id])
+    return o.pd * cond[x] / p_x
 
 
 def loss_given_one_default(engine, portfolio, obligor_id, writeoff=False,
                            thetas=DEFAULT_THETAS):
     """Portfolio loss distribution conditional on one obligor's default."""
-    o = portfolio.obligor(obligor_id)
-    if writeoff:
-        _, eng_w = _writeoff_engine(engine, portfolio, [obligor_id])
-        shift = []
-        used = eng_w
-    else:
-        shift = [_severity_pmf(engine, o)]
-        used = engine
-    weights = _single_weights(o.weights, engine.system.n_sectors)
-    cond = _mixture(used, weights, shift, normalizer=1.0)
+    weights, normalizer, cond = _scenario(engine, portfolio, [obligor_id], writeoff)
     return ScenarioReport(
         scenario=(obligor_id,),
         writeoff=writeoff,
         conditional_pmf=cond,
         mixture_weights={k: w for k, (w, _) in weights.items()},
-        normalizer=1.0,
+        normalizer=normalizer,
         risk=eng.risk_report(cond, thetas),
     )
 
@@ -174,25 +196,19 @@ def joint_default_intensity(portfolio, system, id1, id2):
 
 
 def joint_cond_intensity(engine, portfolio, id1, id2, x):
-    """Approximate conditional joint default probability E[D_1 D_2 | X = x]."""
+    """Approximate conditional joint default probability E[D_1 D_2 | X = x].
+
+    E[D_1 D_2 | X = x] = p_1 p_2 c P[X = x | 1, 2] / P[X = x] with c the
+    two-default normalizer 1 + sum_k w1k w2k / alpha_k.
+    """
     if id1 == id2:
         raise PortfolioError(f"obligors must differ, got {id1!r} twice")
     o1, o2 = portfolio.obligor(id1), portfolio.obligor(id2)
-    base = engine.loss_distribution()
-    if x < 0 or x > engine.system.limit:
-        raise ValueError(f"loss level {x} outside the truncated support")
-    if base[x] <= 0.0:
-        raise ValueError(f"P[X={x}] = 0: conditional intensity undefined")
+    p_x = _check_level(engine, x)
     if o1.pd == 0.0 or o2.pd == 0.0:
         return 0.0
-    sev1, sev2 = _severity_pmf(engine, o1), _severity_pmf(engine, o2)
-    weights = _double_weights(o1.weights, o2.weights, engine.system.alphas,
-                              engine.system.n_sectors)
-    num = 0.0
-    for weight, stress in weights.values():
-        comp = pm.convolve(pm.convolve(engine.loss_distribution(stress), sev1), sev2)
-        num += weight * comp[x]
-    return o1.pd * o2.pd * num / base[x]
+    _, normalizer, cond = _scenario(engine, portfolio, [id1, id2])
+    return o1.pd * o2.pd * normalizer * cond[x] / p_x
 
 
 def loss_given_two_defaults(engine, portfolio, id1, id2, writeoff=False,
@@ -200,17 +216,7 @@ def loss_given_two_defaults(engine, portfolio, id1, id2, writeoff=False,
     """Portfolio loss distribution conditional on two obligors' joint default."""
     if id1 == id2:
         raise PortfolioError(f"obligors must differ, got {id1!r} twice")
-    o1, o2 = portfolio.obligor(id1), portfolio.obligor(id2)
-    system = engine.system
-    normalizer = 1.0 + float(np.sum(o1.weights[1:] * o2.weights[1:] / system.alphas))
-    if writeoff:
-        _, used = _writeoff_engine(engine, portfolio, [id1, id2])
-        shift = []
-    else:
-        shift = [_severity_pmf(engine, o1), _severity_pmf(engine, o2)]
-        used = engine
-    weights = _double_weights(o1.weights, o2.weights, system.alphas, system.n_sectors)
-    cond = _mixture(used, weights, shift, normalizer=normalizer)
+    weights, normalizer, cond = _scenario(engine, portfolio, [id1, id2], writeoff)
     return ScenarioReport(
         scenario=(id1, id2),
         writeoff=writeoff,

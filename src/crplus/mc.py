@@ -8,7 +8,7 @@ given (seed, config) pair reproduces tallies exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

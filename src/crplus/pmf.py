@@ -2,7 +2,8 @@
 
 All distributions in the engine are carried as dense vectors on {0, ..., L}
 with the probability mass beyond L tracked explicitly as ``tail_mass``.
-Compound distributions are built with the (a, b, 0) Panjer recursion.
+Compound distributions are built with the (a, b, 0) Panjer recursion;
+convolutions run direct or, for long inputs, through the FFT.
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ import numpy as np
 # smaller ones as round-off and clipped to 0.
 _NEG_TOL = 1e-12
 
+# Shorter trimmed input length from which convolve uses the FFT.  Measured
+# with one BLAS thread on a 2-core x86 host (numpy 2.4): direct convolution
+# of two n-point vectors wins below n = 400-500 (n = 400: 31 us direct, 43 us
+# FFT; n = 1000: 144 us vs 69 us; n = 8000: 12.6 ms vs 0.58 ms), and an
+# 8001-point vector times an m-point one stays about even up to m = 800.
+FFT_MIN_SIZE = 500
+
 
 class TruncationError(ValueError):
     """Truncated support {0..L} cannot carry the requested probability mass."""
@@ -22,6 +30,23 @@ class TruncationError(ValueError):
     def __init__(self, message, tail_mass=None):
         super().__init__(message)
         self.tail_mass = tail_mass
+
+
+class UnderflowError(ArithmeticError):
+    """A Panjer start value g_0 is below the smallest normal double.
+
+    Every later term of the recursion is a multiple of g_0, so the pmf would
+    come back as zeros (or as subnormal numbers with few significant bits)
+    whatever the truncation limit.
+    """
+
+
+def _check_start(g0, formula, params):
+    if g0 < np.finfo(float).tiny:
+        raise UnderflowError(
+            f"Panjer start value g0 = {formula} = {g0:g} underflows ({params}); "
+            "the recursion cannot represent this sector's loss distribution"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,15 +123,34 @@ def convolve(a, b):
 
     Mass pushed beyond L, together with the inputs' own tail masses,
     accrues to the result's tail_mass.
+
+    Both inputs are first trimmed to their last non-zero entry.  When the
+    shorter one has at least ``FFT_MIN_SIZE`` points the product is taken
+    with a zero-padded real FFT (O(n log n)), otherwise with direct
+    ``np.convolve`` (O(n m)).  The FFT error is absolute, not relative: it
+    stays below eps * log2(n) * |a|_2 * |b|_2 (observed: under 0.13 of that
+    bound, 1e-19 to 1e-17 per entry for pmfs summing to 1).  On the
+    criterion-12 base times one kernel at L = 50 000 the FFT result differed
+    from direct convolution by at most 1.7e-18 absolute and 1.6e-7 relative
+    where p > 1e-12, with identical 0.95 / 0.99 / 0.999 quantiles.  Entries
+    below that level, structural zeros (impossible loss levels) included,
+    come back as round-off noise; negative noise is clipped to 0.
     """
     if a.truncation_limit != b.truncation_limit:
         raise ValueError(
             f"mismatched truncation limits {a.truncation_limit} != {b.truncation_limit}"
         )
     limit = a.truncation_limit
-    full = np.convolve(_trimmed(a.probs), _trimmed(b.probs))
+    x, y = _trimmed(a.probs), _trimmed(b.probs)
+    n = min(x.size + y.size - 1, limit + 1)
+    if min(x.size, y.size) < FFT_MIN_SIZE:
+        full = np.convolve(x, y)
+    else:
+        # Padding to the full linear length keeps the circular product free
+        # of wrap-around in the first n entries.
+        size = 1 << (x.size + y.size - 2).bit_length()
+        full = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
     kept = np.zeros(limit + 1)
-    n = min(full.size, limit + 1)
     kept[:n] = full[:n]
     tail = 1.0 - kept.sum()
     return Pmf(kept, tail_mass=max(tail, 0.0))
@@ -123,6 +167,7 @@ def compound_poisson(intensity, severity, limit):
     q = _trimmed(severity.probs)
     g = np.zeros(limit + 1)
     g[0] = np.exp(intensity * (q[0] - 1.0))
+    _check_start(g[0], "exp(intensity * (q0 - 1))", f"intensity {intensity:g}, q0 {q[0]:g}")
     if intensity > 0 and q.size > 1:
         jq = np.arange(q.size) * q
         m = q.size - 1
@@ -147,6 +192,9 @@ def compound_negbin(alpha, delta, severity, limit):
     q = _trimmed(severity.probs)
     g = np.zeros(limit + 1)
     g[0] = ((1.0 - delta) / (1.0 - delta * q[0])) ** alpha
+    _check_start(g[0], "((1 - delta) / (1 - delta * q0)) ** alpha",
+                 f"intensity {alpha * delta / (1.0 - delta):g}, alpha {alpha:g}, "
+                 f"delta {delta:g}, q0 {q[0]:g}")
     if q.size > 1:
         a, b = delta, (alpha - 1.0) * delta
         scale = 1.0 / (1.0 - a * q[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crplus import pmf as pm
-from crplus import serialize_portfolio
+from crplus import Obligor, Portfolio, SeverityDist, serialize_portfolio
 from crplus.cli import main
 
 from conftest import make_reference_portfolio
@@ -44,6 +44,20 @@ def test_dist_truncation_failure(portfolio_file, tmp_path, capsys):
                 "--out", tmp_path / "o"])
     assert code == 3
     assert "tail" in capsys.readouterr().err
+
+
+def test_dist_panjer_underflow_names_its_cause(tmp_path, capsys):
+    # mu_0 = 800: g0 = exp(-800) underflows whatever L is, so raising L
+    # (what a tail-tolerance message suggests) cannot help.
+    port = Portfolio((), tuple(Obligor(f"o{i}", 0.5, [1.0], SeverityDist({1: 1.0}))
+                               for i in range(1600)))
+    path = tmp_path / "big.json"
+    path.write_text(serialize_portfolio(port))
+    code = run(["dist", "--portfolio", path, "--max-loss", "auto", "--out", tmp_path / "o"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "g0 = exp" in err and "underflows" in err and "intensity 800" in err
+    assert "tail tolerance" not in err
 
 
 def test_dist_invalid_theta(portfolio_file, tmp_path):

@@ -7,6 +7,7 @@ from crplus import conditional as cd
 from crplus import engine as eng
 from crplus import pmf as pm
 from crplus.engine import LossEngine
+from crplus.pmf import TruncationError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
 
@@ -261,6 +262,22 @@ def test_two_defaults_writeoff(reference_portfolio, reference_engine):
     plain = cd.loss_given_two_defaults(reference_engine, reference_portfolio, "A", "C")
     # write-off removes the occurred-loss socket: strictly smaller mean
     assert pm.mean(rep.conditional_pmf) < pm.mean(plain.conditional_pmf)
+
+
+def test_component_tail_gate(reference_portfolio):
+    # A's components are the base and the +e_1 stress; the stressed one has
+    # the heavier tail, and the gate sits exactly at its tail mass.
+    system = eng.assemble(reference_portfolio, 60)
+    free = LossEngine(system)
+    base_tail = free.loss_distribution().tail_mass
+    stressed_tail = free.loss_distribution((1, 0)).tail_mass
+    assert 1e-12 < base_tail < 0.9 * stressed_tail
+    below = LossEngine(system, tail_tol=stressed_tail * (1 - 1e-6))
+    with pytest.raises(TruncationError) as exc:
+        cd.loss_given_one_default(below, reference_portfolio, "A")
+    assert exc.value.tail_mass == pytest.approx(stressed_tail, rel=1e-9)
+    above = LossEngine(system, tail_tol=stressed_tail * (1 + 1e-6))
+    cd.loss_given_one_default(above, reference_portfolio, "A")
 
 
 def test_two_defaults_rejects_same_obligor(reference_portfolio, reference_engine):

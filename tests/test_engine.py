@@ -151,6 +151,58 @@ def test_cached_equals_cache_free(reference_engine):
         np.testing.assert_allclose(cached.probs, fresh.probs, atol=1e-13)
 
 
+def panjer_fold(system, stress):
+    """Stressed pmf from Panjer run at alpha_k + s_k in every sector: the reference."""
+    out = eng.sector_loss(system, 0)
+    for k, s in enumerate(stress, start=1):
+        out = pm.convolve(out, eng.sector_loss(system, k, s))
+    return out
+
+
+@pytest.mark.parametrize("stress", [(1, 0), (0, 2), (1, 1), (2, 2)])
+def test_stressed_distribution_matches_panjer_fold(reference_engine, stress):
+    out = reference_engine.loss_distribution(stress)
+    ref = panjer_fold(reference_engine.system, stress)
+    np.testing.assert_allclose(out.probs, ref.probs, rtol=0, atol=1e-15)
+    assert out.tail_mass == pytest.approx(ref.tail_mass, abs=1e-14)
+
+
+def test_stressed_distribution_matches_panjer_fold_above_fft_crossover():
+    sectors = (Sector("s1", 0.7), Sector("s2", 2.0), Sector("s3", 1.2))
+    obligors = tuple(
+        Obligor(f"o{i}", 0.05 + 0.01 * (i % 7),
+                [0.3, 0.7 * (i % 3 == 0), 0.7 * (i % 3 == 1), 0.7 * (i % 3 == 2)],
+                SeverityDist({1 + i % 29: 0.5, 31 + (7 * i) % 31: 0.5}))
+        for i in range(60)
+    )
+    system = eng.assemble(Portfolio(sectors, obligors), 1200)
+    engine = LossEngine(system)
+    assert system.limit >= 2 * pm.FFT_MIN_SIZE
+    assert engine.kernel(2)[system.limit] > 0  # full-length kernel: the FFT path
+    stress = (2, 1, 0)
+    out = engine.loss_distribution(stress)
+    ref = panjer_fold(system, stress)
+    np.testing.assert_allclose(out.probs, ref.probs, rtol=0, atol=1e-15)
+    assert pm.quantile(out, 0.999) == pm.quantile(ref, 0.999)
+
+
+def test_derive_reuses_only_unchanged_sectors(reference_portfolio):
+    engine = LossEngine(eng.assemble(reference_portfolio, 200))
+    engine.loss_distribution((1, 1))
+    # C loads on s2 only: the idiosyncratic sector and s1 are untouched.
+    stripped = reference_portfolio.with_severity("C", SeverityDist({0: 1.0}))
+    derived = engine.derive(eng.assemble(stripped, 200))
+    assert derived.sector_loss(0) is engine.sector_loss(0)
+    assert derived.sector_loss(1) is engine.sector_loss(1)
+    assert derived.kernel(1) is engine.kernel(1)
+    assert derived.sector_loss(2) is not engine.sector_loss(2)
+    assert derived.kernel(2) is not engine.kernel(2)
+    fresh = LossEngine(eng.assemble(stripped, 200))
+    for stress in [(0, 0), (1, 1), (0, 2)]:
+        np.testing.assert_array_equal(derived.loss_distribution(stress).probs,
+                                      fresh.loss_distribution(stress).probs)
+
+
 def test_stress_vector_validation(reference_engine):
     with pytest.raises(ValueError, match="length"):
         reference_engine.loss_distribution((1,))

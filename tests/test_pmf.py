@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from crplus import pmf as pm
-from crplus.pmf import Pmf, TruncationError
+from crplus.pmf import Pmf, TruncationError, UnderflowError
 
 
 def pmf_of(d, limit):
@@ -67,6 +67,28 @@ def test_convolve_associative(a, b, c):
 def test_convolve_mass_conserved(a, b):
     out = pm.convolve(a, b)
     assert abs(out.probs.sum() + out.tail_mass - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("shape", ["negbin", "geometric"])
+def test_convolve_fft_matches_direct_at_large_limit(shape):
+    limit = 8000
+    x = np.arange(limit + 1)
+    if shape == "negbin":
+        a = stats.nbinom.pmf(x, 20, 20 / 1520)  # mean 1500
+        b = stats.nbinom.pmf(x, 50, 50 / 2550)  # mean 2500
+    else:
+        a = 0.002 * 0.998**x  # long geometric tail, 1e-7 left beyond L
+        b = stats.nbinom.pmf(x, 3, 3 / 603)
+    a, b = (Pmf(v, tail_mass=max(1.0 - v.sum(), 0.0)) for v in (a, b))
+    assert min(np.flatnonzero(v.probs)[-1] + 1 for v in (a, b)) >= pm.FFT_MIN_SIZE
+    out = pm.convolve(a, b)
+    direct = np.convolve(a.probs, b.probs)[: limit + 1]
+    assert np.max(np.abs(out.probs - direct)) <= 1e-15
+    assert out.probs.sum() == pytest.approx(direct.sum(), abs=1e-13)
+    assert abs(out.probs.sum() + out.tail_mass - 1.0) < 1e-12
+    ref = Pmf(direct, tail_mass=max(1.0 - direct.sum(), 0.0))
+    for theta in (0.95, 0.99, 0.999):
+        assert pm.quantile(out, theta) == pm.quantile(ref, theta)
 
 
 # ------------------------------------------------------- compound Poisson
@@ -145,6 +167,17 @@ def test_compound_negbin_parameter_checks():
         pm.compound_negbin(1.0, 1.0, sev, 5)
     with pytest.raises(ValueError, match="alpha"):
         pm.compound_negbin(0.0, 0.5, sev, 5)
+
+
+def test_panjer_start_value_underflow_is_reported():
+    # g0 = exp(-800) and 0.5**2000 are below the smallest normal double:
+    # the recursion would return an all-zero pmf with tail mass 1.
+    sev = pm.point_mass(1, 50)
+    with pytest.raises(UnderflowError, match=r"g0 = exp.*intensity 800"):
+        pm.compound_poisson(800.0, sev, 50)
+    with pytest.raises(UnderflowError, match=r"g0 = \(\(1 - delta\).*intensity 2000"):
+        pm.compound_negbin(2000.0, 0.5, sev, 50)
+    assert pm.compound_poisson(700.0, sev, 50)[0] == pytest.approx(np.exp(-700.0))
 
 
 # ------------------------------------------------------ Panjer vs naive oracle
