@@ -1,8 +1,10 @@
 """Command-line front end: dist, cond, mc and compare.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure
-(truncated support cannot honor the requested tail tolerance, or a Panjer
-start value underflows).
+(truncated support cannot honor the requested tail tolerance; a Panjer
+start value underflows, which can happen only below ``pmf.FFT_MIN_SIZE``
+points, where sector pmfs come from the recursion; or a sector's Fourier
+grid would need more than ``pmf.MAX_GRID`` points).
 Every JSON output carries a metadata block (tool version, input digest,
 config echo) so runs can be reproduced byte for byte.
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, conditional, engine as eng, mc, pmf as pm, portfolio as pf
-from .pmf import TruncationError, UnderflowError
+from .pmf import AliasingError, TruncationError, UnderflowError
 from .portfolio import PortfolioError
 
 EXIT_OK = 0
@@ -286,7 +288,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (TruncationError, UnderflowError) as exc:
+    except (TruncationError, UnderflowError, AliasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except PortfolioError as exc:

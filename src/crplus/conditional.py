@@ -149,11 +149,18 @@ def _scenario(engine, portfolio, ids, writeoff=False):
 
 
 def _check_level(engine, x):
-    """P[X = x] at the unstressed parameters; raises where it is 0 or undefined."""
+    """P[X = x] at the unstressed parameters; raises where it is 0, undefined
+    or, above ``pmf.FFT_MIN_SIZE`` points, not resolved above round-off."""
     base = engine.loss_distribution()
-    if x < 0 or x > engine.system.limit:
+    limit = engine.system.limit
+    if x < 0 or x > limit:
         raise ValueError(f"loss level {x} outside the truncated support")
-    if base[x] <= 0.0:
+    bound = pm.abs_error_bound(limit)
+    if base[x] <= bound:
+        if bound:
+            raise ValueError(
+                f"P[X={x}] = {base[x]:.3g} is within the FFT absolute error bound "
+                f"{bound:g} at L={limit}: conditional intensity unresolved")
         raise ValueError(f"P[X={x}] = 0: conditional intensity undefined")
     return base[x]
 

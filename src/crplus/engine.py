@@ -21,6 +21,7 @@ import numpy as np
 
 from . import pmf as pm
 from .pmf import Pmf, TruncationError
+from .portfolio import SEVERITY_SUM_TOL, PortfolioError
 
 # Only offsets 0, 1, 2 occur in supported scenarios (one or two defaults).
 MAX_PUBLIC_OFFSET = 2
@@ -55,12 +56,18 @@ def assemble(portfolio, limit):
     """Derive the sector system from a portfolio at truncation limit L.
 
     mu_k = sum_A w_Ak p_A; delta_k = mu_k / (mu_k + alpha_k); Q_k is the
-    pd-weighted mixture of the obligors' severity pmfs.
+    pd-weighted mixture of the obligors' severity pmfs.  Raises
+    PortfolioError when a severity's probabilities do not sum to 1.
     """
     n = portfolio.n_sectors
     mu = np.zeros(n + 1)
     q_vecs = [np.zeros(limit + 1) for _ in range(n + 1)]
     for o in portfolio.obligors:
+        # A defective severity would pass its missing mass to Q_k's tail and
+        # from there, silently, to the loss distribution's tail.
+        total = sum(o.severity.probabilities.values())
+        if abs(total - 1.0) > SEVERITY_SUM_TOL:
+            raise PortfolioError(f"obligor {o.id}: severity probabilities sum to {total!r}, not 1")
         if o.pd == 0.0:
             continue
         vals, probs = o.severity.values_and_probs()
@@ -150,10 +157,8 @@ class LossEngine:
         with self._lock:
             return self._cache.setdefault(key, out)
 
-    def sector_loss(self, k, exponent_offset=0):
-        """Sector k's loss pmf; the unstressed one is cached, stressed ones are not."""
-        if exponent_offset:
-            return sector_loss(self.system, k, exponent_offset)
+    def sector_loss(self, k):
+        """Sector k's unstressed loss pmf (cached); stresses go through ``kernel``."""
         return self._cached(("sector", k), lambda: sector_loss(self.system, k))
 
     def kernel(self, k):

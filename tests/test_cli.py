@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from crplus import pmf as pm
 from crplus import Obligor, Portfolio, SeverityDist, serialize_portfolio
@@ -46,14 +47,33 @@ def test_dist_truncation_failure(portfolio_file, tmp_path, capsys):
     assert "tail" in capsys.readouterr().err
 
 
-def test_dist_panjer_underflow_names_its_cause(tmp_path, capsys):
-    # mu_0 = 800: g0 = exp(-800) underflows whatever L is, so raising L
-    # (what a tail-tolerance message suggests) cannot help.
+def _write_idiosyncratic_book(tmp_path):
+    # 1600 obligors of pd 0.5 and severity 1: mu_0 = 800, auto L = 1140.
     port = Portfolio((), tuple(Obligor(f"o{i}", 0.5, [1.0], SeverityDist({1: 1.0}))
                                for i in range(1600)))
     path = tmp_path / "big.json"
     path.write_text(serialize_portfolio(port))
-    code = run(["dist", "--portfolio", path, "--max-loss", "auto", "--out", tmp_path / "o"])
+    return path
+
+
+def test_dist_large_intensity_on_fourier_path(tmp_path):
+    # At auto L = 1140 the sector pmf comes from its PGF on an FFT grid,
+    # which needs no start value: Poisson(800) where g0 = exp(-800) = 0.
+    path = _write_idiosyncratic_book(tmp_path)
+    out = tmp_path / "o"
+    assert run(["dist", "--portfolio", path, "--max-loss", "auto", "--out", out]) == 0
+    p = pm.from_csv((out / "pmf.csv").read_text())
+    assert p.truncation_limit == 1140
+    x = np.arange(p.truncation_limit + 1)
+    np.testing.assert_allclose(p.probs, stats.poisson.pmf(x, 800), rtol=0, atol=1e-13)
+
+
+def test_dist_panjer_underflow_names_its_cause(tmp_path, capsys):
+    # At L = 400 the Panjer recursion runs and g0 = exp(-800) underflows
+    # whatever L is, so raising L (what a tail-tolerance message suggests)
+    # cannot help.
+    path = _write_idiosyncratic_book(tmp_path)
+    code = run(["dist", "--portfolio", path, "--max-loss", 400, "--out", tmp_path / "o"])
     assert code == 3
     err = capsys.readouterr().err
     assert "g0 = exp" in err and "underflows" in err and "intensity 800" in err

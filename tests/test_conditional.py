@@ -56,6 +56,24 @@ def test_cond_intensity_zero_probability_loss_level():
         cd.cond_default_intensity(engine, p, "A", 1000)
 
 
+def test_cond_intensity_unresolved_loss_level_above_fft_crossover():
+    # Every severity is a multiple of 3, so P[X=5] = 0 exactly; at L = 1500
+    # the FFT paths return round-off there (7e-19), not an exact zero.
+    limit = 1500
+    p = Portfolio(
+        (Sector("s1", 1.5), Sector("s2", 0.8)),
+        tuple(Obligor(f"o{i}", 0.02 + 0.002 * i, [0.4, 0.6 * (i % 2 == 0), 0.6 * (i % 2 == 1)],
+                      SeverityDist({3 * (1 + i % 7): 0.5, 3 * (8 + i % 5): 0.5}))
+              for i in range(40)))
+    engine = LossEngine(eng.assemble(p, limit))
+    assert engine.loss_distribution()[5] <= pm.abs_error_bound(limit)
+    with pytest.raises(ValueError, match="P\\[X=5\\] = .* within the FFT absolute error bound 1e-14"):
+        cd.cond_default_intensity(engine, p, "o0", 5)
+    with pytest.raises(ValueError, match="error bound"):
+        cd.joint_cond_intensity(engine, p, "o0", "o1", 1)
+    assert cd.cond_default_intensity(engine, p, "o0", 6) > 0.0
+
+
 def test_cond_intensity_total_probability(reference_portfolio, reference_engine):
     base = reference_engine.loss_distribution()
     for o in reference_portfolio.obligors:

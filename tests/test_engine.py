@@ -8,7 +8,7 @@ from crplus import engine as eng
 from crplus import pmf as pm
 from crplus.engine import LossEngine
 from crplus.pmf import TruncationError
-from crplus.portfolio import Obligor, Portfolio, Sector, SeverityDist
+from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
 from conftest import make_reference_portfolio
 
@@ -54,6 +54,15 @@ def test_assemble_inert_sector():
     assert system.delta[1] == 0.0
     out = eng.sector_loss(system, 2, 1)
     assert out[0] == 1.0
+
+
+def test_assemble_rejects_defective_severity():
+    # {2: 0.5} would silently give Q_1 a tail of 0.25 and the loss pmf a tail.
+    p = Portfolio((Sector("s1", 1.0),),
+                  (Obligor("A", 0.1, [0.0, 1.0], SeverityDist({1: 1.0})),
+                   Obligor("B", 0.1, [0.0, 1.0], SeverityDist({2: 0.5}))))
+    with pytest.raises(PortfolioError, match="obligor B: severity probabilities sum to 0.5"):
+        eng.assemble(p, 30)
 
 
 # -------------------------------------------------------------- sector_loss
@@ -153,9 +162,10 @@ def test_cached_equals_cache_free(reference_engine):
 
 def panjer_fold(system, stress):
     """Stressed pmf from Panjer run at alpha_k + s_k in every sector: the reference."""
-    out = eng.sector_loss(system, 0)
+    out = pm._panjer_poisson(system.mu[0], system.q_polys[0], system.limit)
     for k, s in enumerate(stress, start=1):
-        out = pm.convolve(out, eng.sector_loss(system, k, s))
+        out = pm.convolve(out, pm._panjer_negbin(system.alphas[k - 1] + s, system.delta[k - 1],
+                                                 system.q_polys[k], system.limit))
     return out
 
 

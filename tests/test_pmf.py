@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from crplus import pmf as pm
-from crplus.pmf import Pmf, TruncationError, UnderflowError
+from crplus.pmf import AliasingError, Pmf, TruncationError, UnderflowError
 
 
 def pmf_of(d, limit):
@@ -178,6 +178,84 @@ def test_panjer_start_value_underflow_is_reported():
     with pytest.raises(UnderflowError, match=r"g0 = \(\(1 - delta\).*intensity 2000"):
         pm.compound_negbin(2000.0, 0.5, sev, 50)
     assert pm.compound_poisson(700.0, sev, 50)[0] == pytest.approx(np.exp(-700.0))
+
+
+# ------------------------------------------- Fourier path vs Panjer and scipy
+
+def test_compound_below_fft_min_size_is_panjer():
+    limit = pm.FFT_MIN_SIZE - 2
+    sev = pmf_of({0: 0.2, 3: 0.5, 11: 0.3}, limit)
+    np.testing.assert_array_equal(pm.compound_poisson(40.0, sev, limit).probs,
+                                  pm._panjer_poisson(40.0, sev, limit).probs)
+    np.testing.assert_array_equal(pm.compound_negbin(0.7, 0.9, sev, limit).probs,
+                                  pm._panjer_negbin(0.7, 0.9, sev, limit).probs)
+
+
+def test_fourier_poisson_800_matches_scipy():
+    # g0 = exp(-800) underflows, so Panjer cannot compute this sector at all;
+    # the tolerance is scipy's own error here (1.7e-14), not the Fourier one.
+    limit = 1140
+    out = pm.compound_poisson(800.0, pm.point_mass(1, limit), limit)
+    x = np.arange(limit + 1)
+    np.testing.assert_allclose(out.probs, stats.poisson.pmf(x, 800), rtol=0, atol=1e-13)
+    assert out.tail_mass == pytest.approx(stats.poisson.sf(limit, 800), abs=1e-12)
+
+
+def test_fourier_negbin_heavy_tail_matches_scipy():
+    # NB(0.5, 0.999) keeps 4.5 % of its mass beyond L = 2000 and decays like
+    # 0.999**n: a fixed grid of 2(L + 1) -> 4096 points is off by 4.7e-6, so
+    # this fails without the aliasing guard.
+    limit = 2000
+    out = pm.compound_negbin(0.5, 0.999, pm.point_mass(1, limit), limit)
+    x = np.arange(limit + 1)
+    np.testing.assert_allclose(out.probs, stats.nbinom.pmf(x, 0.5, 0.001),
+                               rtol=0, atol=pm.FFT_ABS_ERROR)
+    assert out.tail_mass == pytest.approx(stats.nbinom.sf(limit, 0.5, 0.001), abs=1e-12)
+
+
+def test_fourier_grid_cap_raises():
+    with pytest.raises(AliasingError, match="MAX_GRID"):
+        pm.compound_negbin(1.0, 1.0 - 1e-7, pm.point_mass(1, 600), 600)
+
+
+@st.composite
+def fourier_cases(draw):
+    limit = draw(st.integers(pm.FFT_MIN_SIZE - 1, 4000))
+    n = draw(st.integers(1, 4))
+    support = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    # Severity mass beyond L makes Q defective, as assemble does.
+    beyond = draw(st.sampled_from([0.0, 0.1]))
+    total = sum(weights) / (1.0 - beyond)
+    probs = {x: w / total for x, w in zip(support, weights)}
+    if beyond:
+        probs[limit + 7] = beyond
+    severity = pm.from_dict(probs, limit)
+    if draw(st.booleans()):
+        intensity = draw(st.floats(0.0, 700.0))
+        return (pm.compound_poisson, pm._panjer_poisson, (intensity,), severity, limit)
+    alpha = draw(st.floats(0.01, 50.0))
+    delta = draw(st.floats(0.0, 0.999))
+    assume(delta > 0.0 and alpha * delta / (1.0 - delta) <= 700.0)
+    return (pm.compound_negbin, pm._panjer_negbin, (alpha, delta), severity, limit)
+
+
+def _quantile_or_none(p, theta):
+    try:
+        return pm.quantile(p, theta)
+    except TruncationError:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(fourier_cases())
+def test_fourier_path_matches_panjer_reference(case):
+    fourier, panjer, params, severity, limit = case
+    out, ref = fourier(*params, severity, limit), panjer(*params, severity, limit)
+    assert np.max(np.abs(out.probs - ref.probs)) <= pm.FFT_ABS_ERROR
+    assert out.tail_mass == pytest.approx(ref.tail_mass, abs=1e-12)
+    for theta in (0.95, 0.99, 0.999):
+        assert _quantile_or_none(out, theta) == _quantile_or_none(ref, theta)
 
 
 # ------------------------------------------------------ Panjer vs naive oracle
