@@ -260,6 +260,8 @@ def cmd_compare(args):
     def risk_of(p):
         return eng.risk_report(p, thetas)
 
+    se = estimate.weighted_se
+    resolved = se > 0
     doc = {
         "metadata": _metadata(args, digest),
         "obligor": oid,
@@ -273,6 +275,9 @@ def cmd_compare(args):
             "mc_vs_analytic": float(np.max(np.abs(estimate.weighted - a))),
             "stressed_vs_analytic": float(np.max(np.abs(stressed.probs - a))),
         },
+        # Largest |mc - analytic| in MC standard errors, over bins with se > 0.
+        "max_abs_deviation_se": float(np.max(
+            np.abs(estimate.weighted - a)[resolved] / se[resolved], initial=0.0)),
     }
     _write_json(out / f"compare_{oid}.json", doc)
     print(f"wrote {out / ('compare_' + oid + '.csv')} and {out / ('compare_' + oid + '.json')}")

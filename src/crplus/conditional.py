@@ -149,34 +149,49 @@ def _scenario(engine, portfolio, ids, writeoff=False):
 
 
 def _check_level(engine, x):
-    """P[X = x] at the unstressed parameters; raises where it is 0, undefined
-    or, above ``pmf.FFT_MIN_SIZE`` points, not resolved above round-off."""
+    """P[X = x] at the unstressed parameters, for one loss level or an array.
+
+    Raises for the first level (in x's order) where P[X = x] is 0, undefined
+    or, above ``pmf.FFT_MIN_SIZE`` points, not resolved above round-off.
+    """
     base = engine.loss_distribution()
     limit = engine.system.limit
-    if x < 0 or x > limit:
-        raise ValueError(f"loss level {x} outside the truncated support")
     bound = pm.abs_error_bound(limit)
-    if base[x] <= bound:
-        if bound:
-            raise ValueError(
-                f"P[X={x}] = {base[x]:.3g} is within the FFT absolute error bound "
-                f"{bound:g} at L={limit}: conditional intensity unresolved")
-        raise ValueError(f"P[X={x}] = 0: conditional intensity undefined")
-    return base[x]
+    levels = np.asarray(x)
+    if levels.size and levels.min() >= 0 and levels.max() <= limit:
+        p_x = base.probs[levels]
+        if p_x.min() > bound:
+            return p_x
+    for level in levels.flat:
+        if not 0 <= level <= limit:
+            raise ValueError(f"loss level {level} outside the truncated support")
+        if base[level] <= bound:
+            if bound:
+                raise ValueError(
+                    f"P[X={level}] = {base[level]:.3g} is within the FFT absolute error bound "
+                    f"{bound:g} at L={limit}: conditional intensity unresolved")
+            raise ValueError(f"P[X={level}] = 0: conditional intensity undefined")
+    raise ValueError("no loss level given")
+
+
+def _per_level(x, values):
+    """``values`` as a float for a scalar loss level x, else as an array."""
+    return float(values) if np.ndim(x) == 0 else values
 
 
 def cond_default_intensity(engine, portfolio, obligor_id, x):
     """Approximate conditional default probability E[D_A | X = x].
 
     E[D_A | X = x] = p_A P[X = x | A] / P[X = x]; requires P[X = x] > 0 at
-    the unstressed parameters.
+    the unstressed parameters.  ``x`` is a loss level or an array of them
+    (the result then has its shape); the conditional pmf is built once.
     """
     o = portfolio.obligor(obligor_id)
     p_x = _check_level(engine, x)
     if o.pd == 0.0:
-        return 0.0
+        return _per_level(x, np.zeros_like(p_x))
     _, _, cond = _scenario(engine, portfolio, [obligor_id])
-    return o.pd * cond[x] / p_x
+    return _per_level(x, o.pd * cond.probs[x] / p_x)
 
 
 def loss_given_one_default(engine, portfolio, obligor_id, writeoff=False,
@@ -206,16 +221,17 @@ def joint_cond_intensity(engine, portfolio, id1, id2, x):
     """Approximate conditional joint default probability E[D_1 D_2 | X = x].
 
     E[D_1 D_2 | X = x] = p_1 p_2 c P[X = x | 1, 2] / P[X = x] with c the
-    two-default normalizer 1 + sum_k w1k w2k / alpha_k.
+    two-default normalizer 1 + sum_k w1k w2k / alpha_k.  ``x`` is a loss
+    level or an array of them, as in ``cond_default_intensity``.
     """
     if id1 == id2:
         raise PortfolioError(f"obligors must differ, got {id1!r} twice")
     o1, o2 = portfolio.obligor(id1), portfolio.obligor(id2)
     p_x = _check_level(engine, x)
     if o1.pd == 0.0 or o2.pd == 0.0:
-        return 0.0
+        return _per_level(x, np.zeros_like(p_x))
     _, normalizer, cond = _scenario(engine, portfolio, [id1, id2])
-    return o1.pd * o2.pd * normalizer * cond[x] / p_x
+    return _per_level(x, o1.pd * o2.pd * normalizer * cond.probs[x] / p_x)
 
 
 def loss_given_two_defaults(engine, portfolio, id1, id2, writeoff=False,

@@ -1,9 +1,21 @@
 """Monte Carlo oracle: simulate the factor model and validate the engine.
 
-Sampling follows the model directly: Gamma factors with unit mean, Poisson
-default counts with factor-scaled intensities, i.i.d. integer severities
-per default event.  A counter-based Philox stream drives everything, so a
-given (seed, config) pair reproduces tallies exactly.
+The sampler uses the sector decomposition of CreditRisk+.  Given the Gamma
+factors S (unit mean, S_0 = 1 for the idiosyncratic sector), sector k is one
+Poisson source of defaults with intensity S_k mu_k, mu_k = sum_A p_A w_Ak,
+and each of its defaults picks an (obligor, severity value) pair (A, v) with
+probability p_A w_Ak q_A(v) / mu_k.  By Poisson thinning the counts of the
+triples (A, k, v) are independent Poisson(S_k p_A w_Ak q_A(v)), so given S
+the default counts D_A are independent Poisson(p_A^S), p_A^S = p_A sum_k
+w_Ak S_k, and every default carries an independent severity drawn from q_A:
+exactly the factor model.  A batch of b draws holds the (b, N) factors, the
+(N+1, b) sector intensities and counts, and one (draw, obligor, severity)
+triple per default event; nothing is b x obligors.
+
+A counter-based Philox stream drives everything, in a fixed call order per
+batch (gamma, poisson, uniform), so a given (seed, config) pair reproduces
+tallies byte for byte.  A seed's tallies differ from those of the earlier
+per-obligor sampler; the distribution sampled is the same.
 """
 
 from __future__ import annotations
@@ -41,38 +53,29 @@ class SimResult:
     def empirical_pmf(self):
         return self.loss_counts / self.draws
 
+    def loss_mean(self):
+        """Sample mean of the loss and its standard error."""
+        x = np.arange(self.loss_counts.size, dtype=float)
+        mean = float(np.dot(x, self.loss_counts)) / self.draws
+        var = float(np.dot((x - mean) ** 2, self.loss_counts)) / max(self.draws - 1, 1)
+        return mean, float(np.sqrt(var / self.draws))
+
     def to_csv(self):
         lines = ["loss,count"]
         lines.extend(f"{x},{int(c)}" for x, c in enumerate(self.loss_counts))
         return "\n".join(lines) + "\n"
 
     def sidecar(self):
+        mean, se = self.loss_mean()
         return {
             "draws": self.draws,
             "seed": self.seed,
             "default_totals": {k: int(v) for k, v in self.default_totals.items()},
             "factor_mean": (self.factor_sums / self.draws).tolist(),
             "factor_second_moment": (self.factor_sumsq / self.draws).tolist(),
+            "loss_mean": mean,
+            "loss_mean_se": se,
         }
-
-
-def _obligor_arrays(portfolio):
-    pds = np.array([o.pd for o in portfolio.obligors])
-    weights = np.array([o.weights for o in portfolio.obligors])
-    sevs = [o.severity.values_and_probs() for o in portfolio.obligors]
-    return pds, weights, sevs
-
-
-def _sample_severity_sum(rng, vals, probs, counts):
-    """Per-draw sums of ``counts[d]`` i.i.d. severities, fixed draw order."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(counts.size)
-    if vals.size == 1:
-        return counts * vals[0]
-    draws = rng.choice(vals, size=total, p=probs)
-    owner = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(owner, weights=draws, minlength=counts.size)
 
 
 def _sample_severities(rng, vals, probs, size):
@@ -81,16 +84,50 @@ def _sample_severities(rng, vals, probs, size):
     return rng.choice(vals, size=size, p=probs)
 
 
-def _batches(portfolio, cfg):
-    """Yield (S, D, X, p_S) arrays per batch in a fixed deterministic order.
+def _sector_tables(portfolio):
+    """Intensities mu_k and default tables of the sectors k = 0..N.
 
-    S: (b, N) factors; D: (b, n_obligors) default counts; X: (b,) losses;
-    p_S: (b, n_obligors) conditional default intensities p_A^S.
+    Sector k's table lists the (obligor, severity value) pairs (A, v) of
+    positive mass p_A w_Ak q_A(v), with the running sum of those masses, so
+    a uniform u picks pair j with cum[j-1] <= u cum[-1] < cum[j].
+    """
+    obligors = portfolio.obligors
+    pds = np.array([o.pd for o in obligors])
+    weights = np.array([o.weights for o in obligors]).reshape(len(obligors),
+                                                               portfolio.n_sectors + 1)
+    owner, vals, mass = [np.zeros(0, np.int32)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for a, o in enumerate(obligors):
+        v, q = o.severity.values_and_probs()
+        owner.append(np.full(v.size, a, dtype=np.int32))
+        vals.append(v)
+        mass.append(o.pd * q)
+    owner, vals, mass = (np.concatenate(c) for c in (owner, vals, mass))
+    sev_type = np.int32 if vals.max(initial=0) <= np.iinfo(np.int32).max else np.int64
+    tables = []
+    for w in weights[owner].T:
+        m = mass * w
+        keep = m > 0.0
+        tables.append((np.cumsum(m[keep]), owner[keep], vals[keep].astype(sev_type)))
+    return pds @ weights, tables, sev_type
+
+
+def _batches(portfolio, cfg):
+    """Yield (S, draw, obligor, X) per batch in a fixed deterministic order.
+
+    S: (b, N) factors; X: (b,) losses.  ``draw`` and ``obligor`` (int32)
+    hold one entry per default event: the batch row it falls in and the
+    obligor that defaults.  Per batch the sector counts N_k ~ Poisson(S_k
+    mu_k) come from one (N+1, b) call, each event takes one uniform, and
+    one ``searchsorted`` per sector maps the uniforms to (obligor, severity)
+    pairs; X is the per-row sum of the event severities.  Memory per batch
+    is about (N+1) b numbers plus three int32 entries and one uniform per
+    event.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-    pds, weights, sevs = _obligor_arrays(portfolio)
+    mu, tables, sev_type = _sector_tables(portfolio)
     alphas = np.array([s.alpha for s in portfolio.sectors])
     n = alphas.size
+    rows = np.arange(BATCH, dtype=np.int32)
     done = 0
     while done < cfg.draws:
         b = min(BATCH, cfg.draws - done)
@@ -99,13 +136,39 @@ def _batches(portfolio, cfg):
             factors = rng.gamma(shape=alphas, scale=1.0 / alphas, size=(b, n))
         else:
             factors = np.zeros((b, 0))
-        # p_A^S = p_A (w_A0 + sum_k w_Ak S_k); S_0 = 1
-        p_s = pds * (weights[:, 0] + factors @ weights[:, 1:].T)
-        defaults = rng.poisson(p_s)
-        losses = np.zeros(b)
-        for a, (vals, probs) in enumerate(sevs):
-            losses += _sample_severity_sum(rng, vals, probs, defaults[:, a])
-        yield factors, defaults, losses.astype(np.int64), p_s
+        intensity = np.empty((n + 1, b))
+        intensity[0] = mu[0]
+        np.multiply(factors.T, mu[1:, None], out=intensity[1:])
+        counts = rng.poisson(intensity)
+        del intensity
+        totals = counts.sum(axis=1)
+        u = rng.random(int(totals.sum()))
+        draw = np.empty(u.size, dtype=np.int32)
+        obligor = np.empty(u.size, dtype=np.int32)
+        sev = np.empty(u.size, dtype=sev_type)
+        start = 0
+        for (cum, owner, vals), count, total in zip(tables, counts, totals):
+            if total == 0:
+                continue
+            stop = start + int(total)
+            draw[start:stop] = np.repeat(rows[:b], count)
+            u[start:stop] *= cum[-1]
+            pick = np.searchsorted(cum, u[start:stop], side="right")
+            # u * cum[-1] can round up to cum[-1]; the last pair has positive mass.
+            np.minimum(pick, cum.size - 1, out=pick)
+            obligor[start:stop] = owner[pick]
+            sev[start:stop] = vals[pick]
+            start = stop
+        del counts, u  # before bincount's float copy of sev, and not held across the yield
+        losses = np.bincount(draw, weights=sev, minlength=b).astype(np.int64)
+        del sev
+        yield factors, draw, obligor, losses
+
+
+def _dense_counts(draw, obligor, b, n_obligors):
+    """(b, n_obligors) default counts D_A per draw from the event arrays."""
+    cell = draw.astype(np.int64) * n_obligors + obligor
+    return np.bincount(cell, minlength=b * n_obligors).reshape(b, n_obligors)
 
 
 def simulate(portfolio, cfg):
@@ -117,18 +180,18 @@ def simulate(portfolio, cfg):
     factor_sums = np.zeros(n)
     factor_sumsq = np.zeros(n)
     recorded = [] if cfg.record_default_counts else None
-    for factors, defaults, losses, _ in _batches(portfolio, cfg):
+    for factors, draw, obligor, losses in _batches(portfolio, cfg):
         top = int(losses.max()) + 1 if losses.size else 1
         if top > loss_counts.size:
             loss_counts = np.concatenate(
                 [loss_counts, np.zeros(top - loss_counts.size, dtype=np.int64)]
             )
         loss_counts += np.bincount(losses, minlength=loss_counts.size)
-        default_totals += defaults.sum(axis=0)
+        default_totals += np.bincount(obligor, minlength=len(ids))
         factor_sums += factors.sum(axis=0)
         factor_sumsq += (factors**2).sum(axis=0)
         if recorded is not None:
-            recorded.append(defaults)
+            recorded.append(_dense_counts(draw, obligor, losses.size, len(ids)))
     return SimResult(
         draws=cfg.draws,
         seed=cfg.seed,
@@ -173,8 +236,8 @@ def estimate_conditional_one_default(portfolio, obligor_id, cfg, limit):
     sum_w2x = np.zeros(size)  # sum D_A^2 I(X = x)
     acc_counts = np.zeros(size)
     accepted = 0
-    for _, defaults, losses, _ in _batches(portfolio, cfg):
-        d = defaults[:, idx].astype(float)
+    for _, draw, obligor, losses in _batches(portfolio, cfg):
+        d = np.bincount(draw[obligor == idx], minlength=losses.size).astype(float)
         inside = losses <= limit
         sum_w += d.sum()
         sum_w2 += (d * d).sum()
@@ -225,14 +288,15 @@ def verify_fundamental_identity(portfolio, id1, id2, x, cfg):
     sum_r = sum_r2 = 0.0
     # Independent severity stream for the right-hand side's fresh draws.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, 977])))
-    for _, defaults, losses, p_s in _batches(portfolio, cfg):
-        left = defaults[:, i1].astype(float) * (losses == x)
+    for factors, draw, obligor, losses in _batches(portfolio, cfg):
+        left = (losses == x).astype(float)
+        prod_ps = np.ones(losses.size)
         shift = np.zeros(losses.size)
-        prod_ps = p_s[:, i1].copy()
-        if i2 is not None:
-            left *= defaults[:, i2]
-            prod_ps *= p_s[:, i2]
         for i, (vals, probs) in sevs.items():
+            o = portfolio.obligors[i]
+            left *= np.bincount(draw[obligor == i], minlength=losses.size)
+            # p_A^S = p_A (w_A0 + sum_k w_Ak S_k); S_0 = 1
+            prod_ps *= o.pd * (o.weights[0] + factors @ o.weights[1:])
             shift += _sample_severities(rng, vals, probs, losses.size)
         right = prod_ps * (losses == x - shift)
         sum_l += left.sum()

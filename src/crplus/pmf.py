@@ -344,11 +344,13 @@ def _panjer_negbin(alpha, delta, severity, limit):
     """Compound negative binomial pmf via Panjer with a = delta, b = (alpha-1)*delta.
 
     The reference for ``compound_negbin``; g_0 = ((1-delta)/(1-delta*q_0))**alpha,
-    and UnderflowError is raised when it underflows.
+    evaluated as exp(alpha (log1p(-delta) - log1p(-delta q_0))) so that alpha
+    does not multiply the rounding error of 1 - delta, and UnderflowError is
+    raised when it underflows.
     """
     q = _trimmed(severity.probs)
     g = np.zeros(limit + 1)
-    g[0] = ((1.0 - delta) / (1.0 - delta * q[0])) ** alpha
+    g[0] = math.exp(alpha * (math.log1p(-delta) - math.log1p(-delta * q[0])))
     _check_start(g[0], "((1 - delta) / (1 - delta * q0)) ** alpha",
                  f"intensity {alpha * delta / (1.0 - delta):g}, alpha {alpha:g}, "
                  f"delta {delta:g}, q0 {q[0]:g}")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -147,3 +148,26 @@ def test_compare_zero_pd_obligor(tmp_path):
     path.write_text(json.dumps(doc))
     assert run(["compare", "--portfolio", path, "--max-loss", 200,
                 "--obligor", "Z", "--out", tmp_path / "o"]) == 2
+
+
+def test_mc_and_compare_report_standard_errors(portfolio_file, tmp_path):
+    out = tmp_path / "mc"
+    assert run(["mc", "--portfolio", portfolio_file, "--max-loss", 200,
+                "--draws", 50_000, "--seed", 42, "--out", out]) == 0
+    doc = json.loads((out / "mc_result.json").read_text())
+    x, counts = np.loadtxt(out / "mc_losses.csv", delimiter=",", skiprows=1, unpack=True)
+    mean = float(np.dot(x, counts)) / 50_000
+    assert doc["loss_mean"] == pytest.approx(mean, rel=1e-12)
+    sd = math.sqrt(float(np.dot((x - mean) ** 2, counts)) / (50_000 - 1))
+    assert doc["loss_mean_se"] == pytest.approx(sd / math.sqrt(50_000), rel=1e-12)
+    assert abs(doc["loss_mean"] - make_reference_portfolio().expected_loss()) < 4 * doc["loss_mean_se"]
+
+    out = tmp_path / "cmp"
+    assert run(["compare", "--portfolio", portfolio_file, "--max-loss", 200,
+                "--obligor", "A", "--draws", 100_000, "--seed", 7, "--out", out]) == 0
+    doc = json.loads((out / "compare_A.json").read_text())
+    cols = np.loadtxt(out / "compare_A.csv", delimiter=",", skiprows=1)
+    se = cols[:, 3]
+    dev = np.abs(cols[:, 2] - cols[:, 1])[se > 0] / se[se > 0]
+    assert doc["max_abs_deviation_se"] == pytest.approx(dev.max(), rel=1e-12)
+    assert 0 < doc["max_abs_deviation_se"] < 10

@@ -217,6 +217,33 @@ def test_joint_cond_intensity_total_probability(reference_portfolio, reference_e
         assert total == pytest.approx(expected, abs=1e-8)
 
 
+def test_intensity_profiles_equal_scalar_loop(reference_portfolio, reference_engine):
+    xs = np.arange(201)
+    engine, p = reference_engine, reference_portfolio
+    for o in p.obligors:
+        profile = cd.cond_default_intensity(engine, p, o.id, xs)
+        assert profile.shape == xs.shape
+        np.testing.assert_array_equal(
+            profile, [cd.cond_default_intensity(engine, p, o.id, x) for x in xs])
+    for id1, id2 in itertools.combinations("ABCDE", 2):
+        profile = cd.joint_cond_intensity(engine, p, id1, id2, xs)
+        np.testing.assert_array_equal(
+            profile, [cd.joint_cond_intensity(engine, p, id1, id2, x) for x in xs])
+
+
+def test_intensity_profile_keeps_level_errors():
+    p, engine = idio_engine()  # losses are multiples of 3
+    with pytest.raises(ValueError, match="P\\[X=4\\] = 0"):
+        cd.cond_default_intensity(engine, p, "A", [3, 6, 4, 1])
+    with pytest.raises(ValueError, match="loss level 1000 outside"):
+        cd.cond_default_intensity(engine, p, "A", np.array([1000, 1]))
+    zero = Portfolio((), (Obligor("A", 0.2, [1.0], SeverityDist({3: 1.0})),
+                          Obligor("Z", 0.0, [1.0], SeverityDist({1: 1.0}))))
+    zero_engine = LossEngine(eng.assemble(zero, 60))
+    np.testing.assert_array_equal(
+        cd.cond_default_intensity(zero_engine, zero, "Z", [0, 3, 6]), [0.0, 0.0, 0.0])
+
+
 # ------------------------------------------------- loss_given_two_defaults
 
 def test_two_defaults_both_idiosyncratic():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from crplus import conditional as cd
 from crplus import engine as eng
@@ -141,3 +142,94 @@ def test_record_default_counts(reference_portfolio):
     assert res.default_counts.shape == (1000, 5)
     assert res.default_counts.sum(axis=0).tolist() == [
         res.default_totals[o.id] for o in reference_portfolio.obligors]
+
+
+# ------------------------------------------------ sector-split sampler
+
+def _moment_z(samples, target):
+    """|mean(samples) - target| in standard errors of the sample mean."""
+    se = samples.std() / math.sqrt(samples.size)
+    return abs(samples.mean() - target) / se
+
+
+def test_default_count_variances_and_covariances(reference_portfolio):
+    # Var D_A = p_A + p_A^2 sum_k w_Ak^2 / alpha_k and
+    # Cov(D_A, D_B) = p_A p_B sum_k w_Ak w_Bk / alpha_k (0 without shared sectors).
+    res = mc.simulate(reference_portfolio, mc.SimConfig(draws=DRAWS, seed=51,
+                                                        record_default_counts=True))
+    obligors = reference_portfolio.obligors
+    inv_alpha = np.array([1.0 / s.alpha for s in reference_portfolio.sectors])
+    pds = np.array([o.pd for o in obligors])
+    centred = res.default_counts - pds  # the means are known exactly
+    for a, oa in enumerate(obligors):
+        for b, ob in enumerate(obligors[a:], start=a):
+            cov = oa.pd * ob.pd * float(np.sum(oa.weights[1:] * ob.weights[1:] * inv_alpha))
+            if a == b:
+                cov += oa.pd
+            assert _moment_z(centred[:, a] * centred[:, b], cov) < 4, (oa.id, ob.id)
+
+
+def test_zero_pd_obligor_and_empty_sector_yield_no_events():
+    p = Portfolio((Sector("s1", 1.0), Sector("unused", 2.0)),
+                  (Obligor("A", 0.3, [0.5, 0.5, 0.0], SeverityDist({1: 0.5, 2: 0.5})),
+                   Obligor("Z", 0.0, [0.0, 1.0, 0.0], SeverityDist({4: 1.0}))))
+    mu, tables, _ = mc._sector_tables(p)
+    assert mu[2] == 0.0 and tables[2][0].size == 0
+    assert all(1 not in owner for _, owner, _ in tables)
+    events = 0
+    for _, draw, obligor, _ in mc._batches(p, mc.SimConfig(draws=50_000, seed=52)):
+        assert not np.any(obligor == 1)
+        events += obligor.size
+    assert events > 0
+    res = mc.simulate(p, mc.SimConfig(draws=50_000, seed=52))
+    assert res.default_totals["Z"] == 0
+    assert res.default_totals["A"] == events
+
+
+def test_batch_boundary_determinism_and_recorded_counts(reference_portfolio):
+    sev = {"A": 2, "B": 3, "C": 4, "D": 5, "E": 1}
+    p = Portfolio(reference_portfolio.sectors,
+                  tuple(Obligor(o.id, o.pd, o.weights, SeverityDist({sev[o.id]: 1.0}))
+                        for o in reference_portfolio.obligors))
+    cfg = mc.SimConfig(draws=mc.BATCH + 7, seed=53, record_default_counts=True)
+    a, b = mc.simulate(p, cfg), mc.simulate(p, cfg)
+    np.testing.assert_array_equal(a.loss_counts, b.loss_counts)
+    np.testing.assert_array_equal(a.default_counts, b.default_counts)
+    assert a.default_totals == b.default_totals
+    assert a.default_counts.shape == (mc.BATCH + 7, 5)
+    assert a.default_counts.sum(axis=0).tolist() == [a.default_totals[o.id] for o in p.obligors]
+    losses = a.default_counts @ np.array([sev[o.id] for o in p.obligors])
+    np.testing.assert_array_equal(np.bincount(losses), a.loss_counts)
+    plain = mc.simulate(p, mc.SimConfig(draws=mc.BATCH + 7, seed=53))
+    np.testing.assert_array_equal(plain.loss_counts, a.loss_counts)
+
+
+def test_simulated_loss_pmf_chi_square(reference_portfolio, reference_engine):
+    res = mc.simulate(reference_portfolio, mc.SimConfig(draws=DRAWS, seed=54))
+    base = reference_engine.loss_distribution()
+    expected = np.append(base.probs, base.tail_mass) * DRAWS
+    counts = np.zeros(expected.size)
+    top = min(res.loss_counts.size, base.probs.size)
+    counts[:top] = res.loss_counts[:top]
+    counts[-1] += res.loss_counts[top:].sum()
+    # Merge adjacent bins until each expects at least 20 draws.
+    obs, exp = [], []
+    acc_o = acc_e = 0.0
+    for o, e in zip(counts, expected):
+        acc_o, acc_e = acc_o + o, acc_e + e
+        if acc_e >= 20:
+            obs.append(acc_o)
+            exp.append(acc_e)
+            acc_o = acc_e = 0.0
+    obs[-1] += acc_o
+    exp[-1] += acc_e
+    obs, exp = np.array(obs), np.array(exp)
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    assert obs.size > 30
+    assert stats.chi2.sf(stat, obs.size - 1) > 1e-3
+
+
+def test_empty_book_has_zero_losses():
+    res = mc.simulate(Portfolio((Sector("s1", 1.0),), ()), mc.SimConfig(draws=1000, seed=55))
+    assert res.loss_counts.tolist() == [1000]
+    assert res.loss_mean() == (0.0, 0.0)

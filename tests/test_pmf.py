@@ -180,6 +180,20 @@ def test_panjer_start_value_underflow_is_reported():
     assert pm.compound_poisson(700.0, sev, 50)[0] == pytest.approx(np.exp(-700.0))
 
 
+@pytest.mark.parametrize("q0", [0.0, 0.3, 0.7])
+def test_panjer_negbin_start_value_is_exact_near_delta_zero(q0):
+    # ((1 - delta) / (1 - delta q0))**alpha carries alpha times the rounding
+    # of 1 - delta: 2.2e-15 off at q0 = 0.  The log1p form is within 1 ulp.
+    mpmath = pytest.importorskip("mpmath")
+    alpha, delta = 44.06, 1e-8
+    with mpmath.workdps(50):
+        d = mpmath.mpf(delta)
+        exact = mpmath.power((1 - d) / (1 - d * mpmath.mpf(q0)), mpmath.mpf(alpha))
+        sev = pmf_of({0: q0, 1: 1.0 - q0}, 20)
+        g0 = pm._panjer_negbin(alpha, delta, sev, 20)[0]
+        assert abs(float(g0 - exact)) <= math.ulp(1.0)
+
+
 # ------------------------------------------- Fourier path vs Panjer and scipy
 
 def test_compound_below_fft_min_size_is_panjer():
