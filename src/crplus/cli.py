@@ -12,6 +12,7 @@ config echo) so runs can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -284,9 +285,14 @@ def cmd_compare(args):
     return EXIT_OK
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built once per process (parsing does not change it)."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"dist": cmd_dist, "cond": cmd_cond, "mc": cmd_mc, "compare": cmd_compare}
     try:
         return handlers[args.command](args)

@@ -8,7 +8,9 @@ their unstressed values; this is exactly the family of stressed
 distributions needed for conditioning on defaults, and re-deriving delta
 from a larger alpha would be wrong there.  Each unit of stress on sector k
 convolves the base distribution with one compound geometric kernel T_k
-(see ``LossEngine``).
+(see ``LossEngine``).  Sector pmfs and kernels all come from the (a, b, 0)
+compound routine of ``pmf``; an unloaded sector (mu_k = 0) has no claims
+and Q_k = point mass at 0, so both are exact point masses at 0.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ class SectorSystem:
 
     mu[k] for k = 0..N are the sector default intensities, delta[k-1] and
     alphas[k-1] the negative binomial parameters of sector k >= 1, and
-    q_polys[k] the severity mixture pmf of sector k (None when the sector is
-    inert, i.e. mu[k] = 0, in which case its loss is a point mass at 0).
+    q_polys[k] the severity mixture pmf of sector k (a point mass at 0 when
+    mu[k] = 0).
     """
 
     mu: np.ndarray
@@ -48,16 +50,14 @@ class SectorSystem:
     def n_sectors(self):
         return self.alphas.size
 
-    def inert(self, k):
-        return self.mu[k] == 0.0
-
 
 def assemble(portfolio, limit):
     """Derive the sector system from a portfolio at truncation limit L.
 
     mu_k = sum_A w_Ak p_A; delta_k = mu_k / (mu_k + alpha_k); Q_k is the
-    pd-weighted mixture of the obligors' severity pmfs.  Raises
-    PortfolioError when a severity's probabilities do not sum to 1.
+    pd-weighted mixture of the obligors' severity pmfs, or a point mass at 0
+    when mu_k = 0.  Raises PortfolioError when a severity's probabilities do
+    not sum to 1.
     """
     n = portfolio.n_sectors
     mu = np.zeros(n + 1)
@@ -80,11 +80,11 @@ def assemble(portfolio, limit):
                 if v <= limit:
                     q_vecs[k][v] += wp * q
     alphas = np.array([s.alpha for s in portfolio.sectors])
-    delta = np.where(mu[1:] > 0, mu[1:] / (mu[1:] + alphas), 0.0)
+    delta = mu[1:] / (mu[1:] + alphas)
     q_polys = tuple(
         Pmf(q_vecs[k] / mu[k], tail_mass=max(1.0 - q_vecs[k].sum() / mu[k], 0.0))
         if mu[k] > 0
-        else None
+        else pm.point_mass(0, limit)
         for k in range(n + 1)
     )
     return SectorSystem(
@@ -97,32 +97,13 @@ def assemble(portfolio, limit):
     )
 
 
-def sector_loss(system, k, exponent_offset=0):
-    """Loss pmf of sector k with the success number parameter incremented.
-
-    k = 0 is the idiosyncratic compound Poisson sector and admits no offset.
-    delta_k is kept at its unstressed value by construction.
-    """
-    if exponent_offset < 0:
-        raise ValueError(f"exponent offset must be non-negative, got {exponent_offset}")
+def sector_loss(system, k):
+    """Unstressed loss pmf of sector k: compound Poisson for the idiosyncratic
+    sector k = 0, compound negative binomial for k >= 1."""
     if k == 0:
-        if exponent_offset != 0:
-            raise ValueError("the idiosyncratic sector has no exponent to stress")
-        if system.inert(0):
-            return pm.point_mass(0, system.limit)
         return pm.compound_poisson(system.mu[0], system.q_polys[0], system.limit)
-    if system.inert(k):
-        return pm.point_mass(0, system.limit)
     return pm.compound_negbin(
-        system.alphas[k - 1] + exponent_offset,
-        system.delta[k - 1],
-        system.q_polys[k],
-        system.limit,
-    )
-
-
-def zero_stress(system):
-    return (0,) * system.n_sectors
+        system.alphas[k - 1], system.delta[k - 1], system.q_polys[k], system.limit)
 
 
 class LossEngine:
@@ -164,8 +145,6 @@ class LossEngine:
     def kernel(self, k):
         """Compound geometric kernel T_k that raises sector k's exponent by one."""
         system = self.system
-        if system.inert(k):
-            return pm.point_mass(0, system.limit)
         return self._cached(("kernel", k), lambda: pm.compound_negbin(
             1.0, system.delta[k - 1], system.q_polys[k], system.limit))
 
@@ -239,8 +218,6 @@ def _same_sector(a, b, k):
     if a.mu[k] != b.mu[k] or (k and a.alphas[k - 1] != b.alphas[k - 1]):
         return False
     qa, qb = a.q_polys[k], b.q_polys[k]
-    if qa is None or qb is None:
-        return qa is qb
     return qa.tail_mass == qb.tail_mass and np.array_equal(qa.probs, qb.probs)
 
 

@@ -3,6 +3,13 @@
 All distributions in the engine are carried as dense vectors on {0, ..., L}
 with the probability mass beyond L tracked explicitly as ``tail_mass``.
 
+Every sector loss is a compound sum whose claim count lies in Panjer's
+(a, b, 0) class, P[N = n] = (a + b/n) P[N = n - 1]: Poisson (a = 0,
+b = intensity) and negative binomial (a = delta, b = (alpha - 1) delta),
+the stress kernel being the negative binomial with alpha = 1.  One routine,
+``_compound``, computes them all from (a, b) and the log of the count's
+PGF; a zero claim count (a = b = 0) is an exact point mass at 0.
+
 Below ``FFT_MIN_SIZE`` points every computation is exact up to relative
 round-off: compound distributions come from the (a, b, 0) Panjer recursion
 and convolutions are direct, so impossible loss levels stay exact zeros.
@@ -43,10 +50,10 @@ FFT_MIN_SIZE = 500
 # eps log2(N) (1 + mu) (compound_*, mu the mean claim count).  Measured
 # maxima: 1.7e-18 for convolve at L = 50 000; for sector pmfs against Panjer
 # over 1500 random cases (alpha <= 50, delta <= 0.999, intensities <= 700,
-# L <= 4000) 2.7e-15, most of it Panjer's own error (its g0 = (1-delta)**alpha
-# carries alpha times the rounding of 1 - delta; the Fourier value is within
-# 2.2e-16 of the exact one there) and 3e-16 elsewhere.  The tests hold the
-# Fourier path to this bound.
+# L <= 4000) 2.7e-15 at alpha = 44, delta = 1e-8, where Panjer's start value was
+# then ((1 - delta) / (1 - delta q0))**alpha, with alpha times the rounding of
+# 1 - delta (through log1p it is now within 1 ulp of exact, as the Fourier
+# value was); 3e-16 elsewhere.  The tests hold the Fourier path to this bound.
 FFT_ABS_ERROR = 1e-14
 
 # The Fourier sector pmfs grow their grid until the Chernoff bound on the
@@ -91,14 +98,6 @@ def abs_error_bound(limit):
     return 0.0 if limit + 1 < FFT_MIN_SIZE else FFT_ABS_ERROR
 
 
-def _check_start(g0, formula, params):
-    if g0 < np.finfo(float).tiny:
-        raise UnderflowError(
-            f"Panjer start value g0 = {formula} = {g0:g} underflows ({params}); "
-            "the recursion cannot represent this sector's loss distribution"
-        )
-
-
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function on {0..L} with explicit tail accounting.
@@ -114,16 +113,17 @@ class Pmf:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-d vector")
-        if probs.min() < -_NEG_TOL:
-            raise ValueError(f"negative probability {probs.min():g} beyond round-off")
+        low = probs.min()
+        if not low >= -_NEG_TOL:
+            raise ValueError(f"negative probability beyond round-off, or nan: {low:g}")
         probs = np.maximum(probs, 0.0)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "tail_mass", float(self.tail_mass))
-        if self.tail_mass < -1e-10:
-            raise ValueError(f"negative tail mass {self.tail_mass:g}")
+        if not self.tail_mass >= -1e-10:
+            raise ValueError(f"negative tail mass, or nan: {self.tail_mass:g}")
         total = probs.sum() + self.tail_mass
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:
             raise ValueError(f"total mass {total!r} is not 1")
 
     @property
@@ -210,60 +210,102 @@ def convolve(a, b):
 def compound_poisson(intensity, severity, limit):
     """Compound Poisson pmf with PGF G(z) = exp(intensity * (Q(z) - 1)).
 
-    For L + 1 < ``FFT_MIN_SIZE`` it is the Panjer recursion (exact up to
-    relative round-off, see ``_panjer_poisson``); from there on G evaluated
-    on a real-FFT grid (``_fourier_compound``), accurate to ``FFT_ABS_ERROR``
-    per entry with at most ``ALIAS_FLOOR`` of aliased mass.  q_0 > 0 is
-    supported (zero severities are legitimate), and so is a defective Q
-    whose missing mass lies beyond L.
+    The (a, b, 0) claim count with a = 0, b = intensity; see ``_compound``
+    for the method and its error bounds.  q_0 > 0 is supported (zero
+    severities are legitimate), and so is a defective Q whose missing mass
+    lies beyond L.
     """
-    if intensity < 0:
-        raise ValueError(f"negative intensity {intensity}")
-    if limit + 1 < FFT_MIN_SIZE:
-        return _panjer_poisson(intensity, severity, limit)
-    return _fourier_compound(lambda w: intensity * (w - 1.0), severity, limit,
-                             f"intensity {intensity:g}")
+    if not 0.0 <= intensity < math.inf:
+        raise ValueError(f"intensity must be non-negative and finite, got {intensity}")
+    return _compound(0.0, intensity, lambda w: intensity * (w - 1.0), severity, limit,
+                     "exp(intensity * (q0 - 1))", f"intensity {intensity:g}")
 
 
 def compound_negbin(alpha, delta, severity, limit):
     """Compound negative binomial pmf with PGF ((1-delta)/(1-delta*Q(z)))**alpha.
 
     The claim count is NB with success number parameter ``alpha`` and failure
-    probability ``delta``.  For L + 1 < ``FFT_MIN_SIZE`` it is the Panjer
-    recursion (``_panjer_negbin``); from there on the PGF on a real-FFT grid
-    (``_fourier_compound``), with the error bounds of ``compound_poisson``.
-    The principal branch of the logarithm is the right one on the grid because
-    Re(1 - delta*Q(w)) >= 1 - delta > 0 for |w| = 1.
+    probability ``delta``: the (a, b, 0) claim count with a = delta,
+    b = (alpha - 1) delta (see ``_compound``).  log G is taken as
+    alpha (log1p(-delta) - log1p(-delta Q)), so that alpha does not multiply
+    the rounding error of 1 - delta.  The principal branch of the logarithm
+    is the right one on the Fourier grid because Re(1 - delta*Q(w)) >=
+    1 - delta > 0 for |w| = 1.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    if delta == 0.0:
-        return point_mass(0, limit)
-    if limit + 1 < FFT_MIN_SIZE:
-        return _panjer_negbin(alpha, delta, severity, limit)
     log_scale = math.log1p(-delta)
-    return _fourier_compound(lambda w: alpha * (log_scale - np.log(1.0 - delta * w)),
-                             severity, limit, f"alpha {alpha:g}, delta {delta!r}")
+    return _compound(delta, (alpha - 1.0) * delta,
+                     lambda w: alpha * (log_scale - np.log1p(-delta * w)), severity, limit,
+                     "((1 - delta) / (1 - delta * q0)) ** alpha",
+                     f"intensity {alpha * delta / (1.0 - delta):g}, alpha {alpha:g}, "
+                     f"delta {delta!r}")
 
 
-def _fourier_compound(log_pgf, severity, limit, params):
-    """Compound pmf from the log of its PGF as a function of Q: exp(log_pgf(Q)).
+def _compound(a, b, log_pgf, severity, limit, g0_formula, params):
+    """Compound pmf of an (a, b, 0) claim count, P[N = n] = (a + b/n) P[N = n-1].
 
-    One rfft of the trimmed severity gives Q at the N-th roots of unity, the
-    closed form gives G there, one irfft gives the circular pmf
-    sum_j P[X = n + jN]; its first L + 1 entries are kept.  N comes from
-    ``_grid_size``, so the aliased mass on those entries is at most
-    ``ALIAS_FLOOR``.  Round-off to first order: Q is off by about
-    eps log2(N) per grid point, G by mu times that relatively (mu the mean
-    claim count; for the negative binomial |dG/dQ| <= mu |G| because
-    |1 - delta Q| >= 1 - delta), so an entry is off by at most
-    eps log2(N) (1 + mu) mean|G|, observed 1e-18 to 3e-16 (see
-    ``FFT_ABS_ERROR``).  No start value g_0 is needed, so large intensities
-    do not underflow.
+    ``log_pgf`` maps Q(z) to the log of the compound PGF, log G(z), for a
+    scalar, a real array or a complex array; ``g0_formula`` and ``params``
+    name the start value and the parameters in error messages.  A zero claim
+    count (a = b = 0) gives an exact point mass at 0.  For L + 1 <
+    ``FFT_MIN_SIZE`` the pmf is Panjer's recursion (``_panjer``, exact up to
+    relative round-off) from g_0 = exp(log_pgf(q_0)), and UnderflowError is
+    raised when g_0 is below the smallest normal double.  From there on it is
+    ``_fourier_compound``, accurate to ``FFT_ABS_ERROR`` per entry with at
+    most ``ALIAS_FLOOR`` of aliased mass, which needs no start value.
     """
+    if a == 0.0 and b == 0.0:
+        return point_mass(0, limit)
     q = _trimmed(severity.probs)
+    if limit + 1 >= FFT_MIN_SIZE:
+        return _fourier_compound(log_pgf, q, limit, params)
+    g0 = math.exp(log_pgf(q[0]))
+    if g0 < np.finfo(float).tiny:
+        raise UnderflowError(
+            f"Panjer start value g0 = {g0_formula} = {g0:g} underflows ({params}, "
+            f"q0 {q[0]:g}); the recursion cannot represent this sector's loss distribution"
+        )
+    return _panjer(a, b, g0, q, limit)
+
+
+def _panjer(a, b, g0, q, limit):
+    """Panjer's recursion for an (a, b, 0) claim count: the reference.
+
+    g_n = sum_{j=1}^{min(n, m)} (a + b j/n) q_j g_{n-j} / (1 - a q_0) with q
+    the trimmed severity vector (m = q.size - 1) and g_0 the start value.
+    The coefficients of all levels form one (L x m) matrix and g carries m
+    leading zeros for g_{-m..-1}, so each level costs one dot product.
+    """
+    m = q.size - 1
+    g = np.zeros(m + limit + 1)
+    g[m] = g0
+    if m:
+        j = np.arange(m, 0, -1)  # column i multiplies g[n + i] = g_{n-j}
+        n = np.arange(1, limit + 1)[:, None]
+        coef = (a + b * j / n) * q[j] / (1.0 - a * q[0])
+        for level in range(1, limit + 1):
+            g[m + level] = np.dot(coef[level - 1], g[level : level + m])
+    g = g[m:]
+    return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
+
+
+def _fourier_compound(log_pgf, q, limit, params):
+    """Compound pmf exp(log_pgf(Q)) from the trimmed severity vector q.
+
+    One rfft of q gives Q at the N-th roots of unity, the closed form gives
+    G there, one irfft gives the circular pmf sum_j P[X = n + jN]; its first
+    L + 1 entries are kept.  N comes from ``_grid_size``, so the aliased mass
+    on those entries is at most ``ALIAS_FLOOR``.  Round-off to first order:
+    Q is off by about eps log2(N) per grid point, G by mu times that
+    relatively (mu the mean claim count; for the negative binomial
+    |dG/dQ| <= mu |G| because |1 - delta Q| >= 1 - delta), so an entry is
+    off by at most eps log2(N) (1 + mu) mean|G|, observed 1e-18 to 3e-16
+    (see ``FFT_ABS_ERROR``).  No start value g_0 is needed, so large
+    intensities do not underflow.
+    """
     n = _grid_size(log_pgf, q, limit, params)
     g = np.fft.irfft(np.exp(log_pgf(np.fft.rfft(q, n))), n)[: limit + 1]
     return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
@@ -275,42 +317,22 @@ def _grid_size(log_pgf, q, limit, params):
     The circular grid folds P[X = n + jN] onto n, so the error it adds to
     the entries 0..L sums to at most P[X >= N] <= G(e^t) e^(-tN) for every
     t > 0 (Chernoff; it holds for a defective Q as well).  Hence N suffices
-    once N >= phi(t) = (log G(e^t) - log ALIAS_FLOOR) / t for some t, and
-    phi is quasi-convex (log G(e^t) is convex in t), so a golden-section
-    search over log t finds its minimum.  Every t gives a valid bound, so an
-    inexact minimum can only enlarge N.  Raises AliasingError when the
-    minimum exceeds MAX_GRID.
+    once N >= phi(t) = (log G(e^t) - log ALIAS_FLOOR) / t for some t; the
+    smallest phi over 96 log-spaced t is taken.  Every t gives a valid
+    bound, so a coarse set of t can only enlarge N.  Raises AliasingError
+    when that value exceeds MAX_GRID.
     """
     n = 1 << (2 * limit + 1).bit_length()
     if q.size == 1:  # G is constant: all mass sits at 0
         return n
-    support = np.arange(q.size)
-    c = -math.log(ALIAS_FLOOR)
-
-    def phi(u):
-        t = math.exp(u)
-        # Past the negative binomial's pole (delta Q(e^t) >= 1) log G is
-        # undefined (nan), and for large t it may overflow: the bound is
-        # infinite there.
-        with np.errstate(invalid="ignore", over="ignore"):
-            k = float(log_pgf(np.dot(q, np.exp(t * support))))
-        return (k + c) / t if k < math.inf else math.inf
-
     # t * (q.size - 1) <= 700 keeps exp(t j) finite.
-    a, b = math.log(1e-9), math.log(700.0 / (q.size - 1))
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - inv * (b - a), a + inv * (b - a)
-    f1, f2 = phi(x1), phi(x2)
-    for _ in range(40):
-        if f1 <= f2:  # also when both are infinite: the minimum lies left
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = phi(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = phi(x2)
-    need = min(f1, f2)
+    t = np.geomspace(1e-9, 700.0 / (q.size - 1), 96)
+    # Past the negative binomial's pole (delta Q(e^t) >= 1) log G is
+    # undefined (nan or -inf), and for large t it may overflow: the bound is
+    # infinite there.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = log_pgf(np.exp(np.outer(t, np.arange(q.size))) @ q)
+        need = float(np.min(np.where(k < math.inf, (k - math.log(ALIAS_FLOOR)) / t, math.inf)))
     if need > n:
         if need > MAX_GRID:
             raise AliasingError(
@@ -319,52 +341,6 @@ def _grid_size(log_pgf, q, limit, params):
             )
         n = 1 << (math.ceil(need) - 1).bit_length()
     return n
-
-
-def _panjer_poisson(intensity, severity, limit):
-    """Compound Poisson pmf via Panjer with (a, b) = (0, intensity): the reference.
-
-    g_0 = exp(intensity * (q_0 - 1)); g_n = (intensity/n) * sum_j j q_j g_{n-j}.
-    Raises UnderflowError when g_0 underflows (intensity above about 708).
-    """
-    q = _trimmed(severity.probs)
-    g = np.zeros(limit + 1)
-    g[0] = np.exp(intensity * (q[0] - 1.0))
-    _check_start(g[0], "exp(intensity * (q0 - 1))", f"intensity {intensity:g}, q0 {q[0]:g}")
-    if intensity > 0 and q.size > 1:
-        jq = np.arange(q.size) * q
-        m = q.size - 1
-        for n in range(1, limit + 1):
-            k = min(n, m)
-            g[n] = (intensity / n) * np.dot(jq[1 : k + 1], g[n - k : n][::-1])
-    return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
-
-
-def _panjer_negbin(alpha, delta, severity, limit):
-    """Compound negative binomial pmf via Panjer with a = delta, b = (alpha-1)*delta.
-
-    The reference for ``compound_negbin``; g_0 = ((1-delta)/(1-delta*q_0))**alpha,
-    evaluated as exp(alpha (log1p(-delta) - log1p(-delta q_0))) so that alpha
-    does not multiply the rounding error of 1 - delta, and UnderflowError is
-    raised when it underflows.
-    """
-    q = _trimmed(severity.probs)
-    g = np.zeros(limit + 1)
-    g[0] = math.exp(alpha * (math.log1p(-delta) - math.log1p(-delta * q[0])))
-    _check_start(g[0], "((1 - delta) / (1 - delta * q0)) ** alpha",
-                 f"intensity {alpha * delta / (1.0 - delta):g}, alpha {alpha:g}, "
-                 f"delta {delta:g}, q0 {q[0]:g}")
-    if q.size > 1:
-        a, b = delta, (alpha - 1.0) * delta
-        scale = 1.0 / (1.0 - a * q[0])
-        aq = a * q
-        bjq = b * np.arange(q.size) * q
-        m = q.size - 1
-        for n in range(1, limit + 1):
-            k = min(n, m)
-            rev = g[n - k : n][::-1]
-            g[n] = scale * (np.dot(aq[1 : k + 1], rev) + np.dot(bjq[1 : k + 1], rev) / n)
-    return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
 
 
 def mean(p):

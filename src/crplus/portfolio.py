@@ -139,13 +139,13 @@ def validate(p):
         if o.id in seen:
             diagnostics.append(f"obligor {o.id}: duplicate obligor id")
         seen.add(o.id)
-        if o.pd < 0:
-            diagnostics.append(f"obligor {o.id}: pd must be non-negative (got {o.pd})")
+        if not (np.isfinite(o.pd) and o.pd >= 0):
+            diagnostics.append(f"obligor {o.id}: pd must be non-negative and finite (got {o.pd})")
         if o.weights.size != p.n_sectors + 1:
             diagnostics.append(
                 f"obligor {o.id}: weight vector length {o.weights.size} != {p.n_sectors + 1}"
             )
-        if np.any(o.weights < 0) or np.any(o.weights > 1):
+        if not np.all((o.weights >= 0) & (o.weights <= 1)):  # also rejects nan
             diagnostics.append(f"obligor {o.id}: weights must lie in [0, 1]")
         elif abs(o.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             diagnostics.append(f"obligor {o.id}: weights sum to {o.weights.sum()!r}, not 1")

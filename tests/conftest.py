@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from crplus import LossEngine, Obligor, Portfolio, Sector, SeverityDist, assemble
+from crplus import pmf as pm
 
 REFERENCE_LIMIT = 200
 
@@ -33,3 +36,16 @@ def reference_engine(reference_portfolio):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def panjer_poisson(intensity, severity, limit):
+    """Compound Poisson pmf by Panjer's recursion at any L: the tests' reference."""
+    q = pm._trimmed(severity.probs)
+    return pm._panjer(0.0, intensity, math.exp(intensity * (q[0] - 1.0)), q, limit)
+
+
+def panjer_negbin(alpha, delta, severity, limit):
+    """Compound negative binomial pmf by Panjer's recursion at any L: the tests' reference."""
+    q = pm._trimmed(severity.probs)
+    g0 = math.exp(alpha * (math.log1p(-delta) - math.log1p(-delta * q[0])))
+    return pm._panjer(delta, (alpha - 1.0) * delta, g0, q, limit)

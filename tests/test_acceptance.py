@@ -147,6 +147,12 @@ def test_criterion_09_fundamental_identity(portfolio, base):
         report = mc.verify_fundamental_identity(
             portfolio, pair[0], pair[1], x, mc.SimConfig(draws=MC_DRAWS, seed=2718))
         assert report["consistent_3se"], report
+    # A's severity 2 plus C's (2 or 4) exceeds the median 3, where both sides
+    # are 0 on every draw; at x = 6 the cross-sector identity has mass.
+    report = mc.verify_fundamental_identity(
+        portfolio, "A", "C", 6, mc.SimConfig(draws=MC_DRAWS, seed=2718))
+    assert report["right"] > 0 and report["left"] > 0, report
+    assert report["consistent_3se"], report
 
 
 @criterion(10, "Panjer vs naive compound enumeration")

@@ -81,6 +81,31 @@ def test_dist_panjer_underflow_names_its_cause(tmp_path, capsys):
     assert "tail tolerance" not in err
 
 
+@pytest.mark.parametrize("command", ["dist", "mc"])
+@pytest.mark.parametrize("field, value, rule", [
+    ("pd", math.nan, "pd must be non-negative and finite"),
+    ("pd", math.inf, "pd must be non-negative and finite"),
+    ("weight", math.nan, "weights must lie in [0, 1]"),
+])
+def test_non_finite_input_is_rejected(tmp_path, capsys, command, field, value, rule):
+    # json.loads accepts the NaN and Infinity literals json.dumps writes here.
+    doc = json.loads(serialize_portfolio(make_reference_portfolio()))
+    obligor = doc["obligors"][1]
+    if field == "pd":
+        obligor["pd"] = value
+    else:
+        obligor["weights"]["s1"] = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert ("NaN" if math.isnan(value) else "Infinity") in path.read_text()
+    args = [command, "--portfolio", path, "--max-loss", 200, "--out", tmp_path / "o"]
+    if command == "mc":
+        args += ["--draws", 1000]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"obligor B: {rule}" in err
+
+
 def test_dist_invalid_theta(portfolio_file, tmp_path):
     assert run(["dist", "--portfolio", portfolio_file, "--max-loss", 200,
                 "--theta", 1.5, "--out", tmp_path / "o"]) == 2

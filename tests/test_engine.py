@@ -10,7 +10,7 @@ from crplus.engine import LossEngine
 from crplus.pmf import TruncationError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
-from conftest import make_reference_portfolio
+from conftest import make_reference_portfolio, panjer_negbin, panjer_poisson
 
 
 def single_sector_portfolio(pd=0.1, alpha=1.0):
@@ -46,14 +46,22 @@ def test_assemble_severity_mixture():
 
 
 def test_assemble_inert_sector():
+    # Nobody loads on the idiosyncratic sector or on "dead": mu_k = 0, so
+    # Q_k is a point mass at 0 and the sector pmf and kernel are exactly
+    # point masses at 0, below and above the FFT threshold.
     p = Portfolio((Sector("s1", 1.0), Sector("dead", 2.0)),
                   (Obligor("A", 0.1, [0.0, 1.0, 0.0], SeverityDist({1: 1.0})),))
-    system = eng.assemble(p, 30)
-    assert system.inert(2)
-    assert system.q_polys[2] is None
-    assert system.delta[1] == 0.0
-    out = eng.sector_loss(system, 2, 1)
-    assert out[0] == 1.0
+    for limit in (30, pm.FFT_MIN_SIZE + 100):
+        system = eng.assemble(p, limit)
+        point = pm.point_mass(0, limit).probs
+        assert system.mu[0] == system.mu[2] == 0.0 and system.delta[1] == 0.0
+        np.testing.assert_array_equal(system.q_polys[2].probs, point)
+        engine = LossEngine(system)
+        for out in (engine.sector_loss(0), engine.sector_loss(2), engine.kernel(2)):
+            np.testing.assert_array_equal(out.probs, point)
+            assert out.tail_mass == 0.0
+        np.testing.assert_array_equal(engine.loss_distribution((0, 2)).probs,
+                                      engine.loss_distribution().probs)
 
 
 def test_assemble_rejects_defective_severity():
@@ -69,31 +77,17 @@ def test_assemble_rejects_defective_severity():
 
 def test_sector_loss_geometric():
     system = eng.assemble(single_sector_portfolio(), 50)
-    out = eng.sector_loss(system, 1, 0)
+    out = eng.sector_loss(system, 1)
     n = np.arange(51)
     np.testing.assert_allclose(out.probs, (10 / 11) * (1 / 11) ** n, atol=1e-15)
 
 
 def test_sector_loss_stressed_keeps_delta_fixed():
-    system = eng.assemble(single_sector_portfolio(), 50)
-    out = eng.sector_loss(system, 1, 1)
+    engine = LossEngine(eng.assemble(single_sector_portfolio(), 50))
+    out = engine.loss_distribution((1,))
     # NB(alpha=2, delta=1/11): delta is NOT recomputed from alpha+1
     target = stats.nbinom.pmf(np.arange(51), 2.0, 10 / 11)
     assert out[0] == pytest.approx((10 / 11) ** 2)
-    np.testing.assert_allclose(out.probs, target, atol=1e-13)
-
-
-def test_sector_loss_idiosyncratic_rejects_offset():
-    system = eng.assemble(single_sector_portfolio(), 30)
-    with pytest.raises(ValueError, match="idiosyncratic"):
-        eng.sector_loss(system, 0, 1)
-
-
-def test_sector_loss_internal_offsets_beyond_two():
-    # the module-level operation is not capped; only the engine's stress API is
-    system = eng.assemble(single_sector_portfolio(), 50)
-    out = eng.sector_loss(system, 1, 3)
-    target = stats.nbinom.pmf(np.arange(51), 4.0, 10 / 11)
     np.testing.assert_allclose(out.probs, target, atol=1e-13)
 
 
@@ -162,10 +156,10 @@ def test_cached_equals_cache_free(reference_engine):
 
 def panjer_fold(system, stress):
     """Stressed pmf from Panjer run at alpha_k + s_k in every sector: the reference."""
-    out = pm._panjer_poisson(system.mu[0], system.q_polys[0], system.limit)
+    out = panjer_poisson(system.mu[0], system.q_polys[0], system.limit)
     for k, s in enumerate(stress, start=1):
-        out = pm.convolve(out, pm._panjer_negbin(system.alphas[k - 1] + s, system.delta[k - 1],
-                                                 system.q_polys[k], system.limit))
+        out = pm.convolve(out, panjer_negbin(system.alphas[k - 1] + s, system.delta[k - 1],
+                                             system.q_polys[k], system.limit))
     return out
 
 

@@ -9,6 +9,8 @@ from scipy import stats
 from crplus import pmf as pm
 from crplus.pmf import AliasingError, Pmf, TruncationError, UnderflowError
 
+from conftest import panjer_negbin, panjer_poisson
+
 
 def pmf_of(d, limit):
     return pm.from_dict(d, limit)
@@ -169,6 +171,30 @@ def test_compound_negbin_parameter_checks():
         pm.compound_negbin(0.0, 0.5, sev, 5)
 
 
+def test_compound_parameters_reject_nan_and_infinity():
+    sev = pm.point_mass(1, 5)
+    for intensity in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="intensity"):
+            pm.compound_poisson(intensity, sev, 5)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            pm.compound_negbin(alpha, 0.5, sev, 5)
+    with pytest.raises(ValueError, match="delta"):
+        pm.compound_negbin(1.0, math.nan, sev, 5)
+
+
+@pytest.mark.parametrize("limit", [pm.FFT_MIN_SIZE - 2, pm.FFT_MIN_SIZE + 100])
+def test_zero_claim_count_is_an_exact_point_mass(limit):
+    # a = b = 0 in the (a, b, 0) class: no claims, on both sides of the
+    # FFT threshold, whatever the severity.
+    sev = pmf_of({0: 0.2, 1: 0.3, 7: 0.5}, limit)
+    point = pm.point_mass(0, limit)
+    for out in (pm.compound_poisson(0.0, sev, limit), pm.compound_negbin(2.5, 0.0, sev, limit),
+                pm.compound_negbin(1.0, 0.0, sev, limit)):
+        np.testing.assert_array_equal(out.probs, point.probs)
+        assert out.tail_mass == 0.0
+
+
 def test_panjer_start_value_underflow_is_reported():
     # g0 = exp(-800) and 0.5**2000 are below the smallest normal double:
     # the recursion would return an all-zero pmf with tail mass 1.
@@ -190,7 +216,7 @@ def test_panjer_negbin_start_value_is_exact_near_delta_zero(q0):
         d = mpmath.mpf(delta)
         exact = mpmath.power((1 - d) / (1 - d * mpmath.mpf(q0)), mpmath.mpf(alpha))
         sev = pmf_of({0: q0, 1: 1.0 - q0}, 20)
-        g0 = pm._panjer_negbin(alpha, delta, sev, 20)[0]
+        g0 = pm.compound_negbin(alpha, delta, sev, 20)[0]
         assert abs(float(g0 - exact)) <= math.ulp(1.0)
 
 
@@ -200,9 +226,9 @@ def test_compound_below_fft_min_size_is_panjer():
     limit = pm.FFT_MIN_SIZE - 2
     sev = pmf_of({0: 0.2, 3: 0.5, 11: 0.3}, limit)
     np.testing.assert_array_equal(pm.compound_poisson(40.0, sev, limit).probs,
-                                  pm._panjer_poisson(40.0, sev, limit).probs)
+                                  panjer_poisson(40.0, sev, limit).probs)
     np.testing.assert_array_equal(pm.compound_negbin(0.7, 0.9, sev, limit).probs,
-                                  pm._panjer_negbin(0.7, 0.9, sev, limit).probs)
+                                  panjer_negbin(0.7, 0.9, sev, limit).probs)
 
 
 def test_fourier_poisson_800_matches_scipy():
@@ -247,11 +273,11 @@ def fourier_cases(draw):
     severity = pm.from_dict(probs, limit)
     if draw(st.booleans()):
         intensity = draw(st.floats(0.0, 700.0))
-        return (pm.compound_poisson, pm._panjer_poisson, (intensity,), severity, limit)
+        return (pm.compound_poisson, panjer_poisson, (intensity,), severity, limit)
     alpha = draw(st.floats(0.01, 50.0))
     delta = draw(st.floats(0.0, 0.999))
     assume(delta > 0.0 and alpha * delta / (1.0 - delta) <= 700.0)
-    return (pm.compound_negbin, pm._panjer_negbin, (alpha, delta), severity, limit)
+    return (pm.compound_negbin, panjer_negbin, (alpha, delta), severity, limit)
 
 
 def _quantile_or_none(p, theta):
@@ -372,3 +398,15 @@ def test_csv_round_trip():
 def test_pmf_rejects_large_negative_entries():
     with pytest.raises(ValueError, match="negative probability"):
         Pmf(np.array([1.1, -0.1]))
+
+
+@pytest.mark.parametrize("probs, tail", [
+    ([math.nan, 1.0], 0.0),
+    ([1.0, math.nan], 0.0),
+    ([0.5, 0.5], math.nan),
+    ([math.inf, 0.0], 0.0),
+    ([1.0, 0.0], math.inf),
+])
+def test_pmf_rejects_non_finite_entries(probs, tail):
+    with pytest.raises(ValueError):
+        Pmf(np.array(probs), tail_mass=tail)
