@@ -20,7 +20,7 @@ import numpy as np
 from . import engine as eng
 from . import pmf as pm
 from .pmf import Pmf
-from .portfolio import ZERO_SEVERITY, PortfolioError
+from .portfolio import PortfolioError
 
 DEFAULT_THETAS = (0.95, 0.99)
 
@@ -121,13 +121,11 @@ def _writeoff_engine(engine, portfolio, obligor_ids):
 
     The sector intensities mu_k are unchanged (pds do not move); the
     severity mixtures of the sectors the defaulted obligors load on gain
-    mass at 0, and only those sectors are recomputed: the others keep the
-    parent engine's sector pmfs and kernels.
+    mass at 0.  ``assemble`` builds that system from the portfolio's columns
+    (``written_off``), and only the changed sectors are recomputed: the
+    others keep the parent engine's sector pmfs and kernels.
     """
-    stripped = portfolio
-    for oid in obligor_ids:
-        stripped = stripped.with_severity(oid, ZERO_SEVERITY)
-    return engine.derive(eng.assemble(stripped, engine.system.limit))
+    return engine.derive(eng.assemble(portfolio, engine.system.limit, written_off=obligor_ids))
 
 
 def _scenario(engine, portfolio, ids, writeoff=False):

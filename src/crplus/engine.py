@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pmf as pm
 from .pmf import Pmf, TruncationError
-from .portfolio import SEVERITY_SUM_TOL, PortfolioError
+from .portfolio import check_obligors
 
 # Only offsets 0, 1, 2 occur in supported scenarios (one or two defaults).
 MAX_PUBLIC_OFFSET = 2
@@ -51,34 +51,34 @@ class SectorSystem:
         return self.alphas.size
 
 
-def assemble(portfolio, limit):
+def assemble(portfolio, limit, written_off=()):
     """Derive the sector system from a portfolio at truncation limit L.
 
     mu_k = sum_A w_Ak p_A; delta_k = mu_k / (mu_k + alpha_k); Q_k is the
     pd-weighted mixture of the obligors' severity pmfs, or a point mass at 0
-    when mu_k = 0.  Raises PortfolioError when a severity's probabilities do
-    not sum to 1.
+    when mu_k = 0.  From ``portfolio.columns``, mu is a column sum of
+    wp = p_A w_Ak and all Q_k one ``bincount`` over the bins (k, v), both
+    added in obligor order.  The obligors in ``written_off`` have severity
+    0, bitwise as ``with_severity(id, ZERO_SEVERITY)`` (the write-off
+    variant).  Raises PortfolioError as ``portfolio.check_obligors`` does.
     """
-    n = portfolio.n_sectors
-    mu = np.zeros(n + 1)
-    q_vecs = [np.zeros(limit + 1) for _ in range(n + 1)]
-    for o in portfolio.obligors:
-        # A defective severity would pass its missing mass to Q_k's tail and
-        # from there, silently, to the loss distribution's tail.
-        total = sum(o.severity.probabilities.values())
-        if abs(total - 1.0) > SEVERITY_SUM_TOL:
-            raise PortfolioError(f"obligor {o.id}: severity probabilities sum to {total!r}, not 1")
-        if o.pd == 0.0:
-            continue
-        vals, probs = o.severity.values_and_probs()
-        for k in range(n + 1):
-            wp = o.weights[k] * o.pd
-            if wp == 0.0:
-                continue
-            mu[k] += wp
-            for v, q in zip(vals, probs):
-                if v <= limit:
-                    q_vecs[k][v] += wp * q
+    check_obligors(portfolio)
+    c = portfolio.columns
+    n, size = portfolio.n_sectors, limit + 1
+    owner, value, prob = c.owner, c.value, c.prob
+    if written_off:
+        rows = [portfolio.row(oid) for oid in written_off]
+        hit = np.isin(owner, rows)
+        value, prob = np.where(hit, 0, value), np.where(hit, 0.0, prob)
+        # ZERO_SEVERITY is one entry {0: 1.0}: the first entry takes its mass.
+        prob[np.searchsorted(owner, rows)] = 1.0
+    a, k = np.nonzero(c.W)  # the loaded (obligor, sector) pairs, in obligor order
+    mu = np.bincount(k, weights=c.W[a, k] * c.pd[a], minlength=n + 1)
+    # The (entry, sector) pairs with mass inside {0..L}, again in obligor order.
+    e, k = np.nonzero((c.W != 0.0)[owner] & (value <= limit)[:, None])
+    a = owner[e]
+    q_vecs = np.bincount(k * size + value[e], weights=c.W[a, k] * c.pd[a] * prob[e],
+                         minlength=(n + 1) * size).reshape(n + 1, size)
     alphas = np.array([s.alpha for s in portfolio.sectors])
     delta = mu[1:] / (mu[1:] + alphas)
     q_polys = tuple(
@@ -242,18 +242,21 @@ def suggest_truncation(portfolio):
 
     Moments follow from the compound representation: the idiosyncratic
     sector is compound Poisson, each factor sector compound negative
-    binomial with claim count variance mu_k (1 + mu_k / alpha_k).
+    binomial with claim count variance mu_k (1 + mu_k / alpha_k).  The
+    obligors' severity moments are one ``bincount`` each over
+    ``portfolio.columns``; the sector sums accumulate in obligor order.
     """
+    check_obligors(portfolio)
+    c = portfolio.columns
     n = portfolio.n_sectors
-    mu = np.zeros(n + 1)
-    m1 = np.zeros(n + 1)  # sum_A w_Ak p_A E[sev_A]
-    m2 = np.zeros(n + 1)  # sum_A w_Ak p_A E[sev_A^2]
-    for o in portfolio.obligors:
-        for k in range(n + 1):
-            wp = o.weights[k] * o.pd
-            mu[k] += wp
-            m1[k] += wp * o.severity.mean()
-            m2[k] += wp * o.severity.second_moment()
+    v = c.value.astype(float)  # v * v * q rounds as Python's x * x * q does, and cannot wrap
+    sev_m1 = np.bincount(c.owner, weights=v * c.prob, minlength=c.pd.size)
+    sev_m2 = np.bincount(c.owner, weights=v * v * c.prob, minlength=c.pd.size)
+    a, k = np.nonzero(c.W)  # the loaded (obligor, sector) pairs, in obligor order
+    wp = c.W[a, k] * c.pd[a]
+    mu = np.bincount(k, weights=wp, minlength=n + 1)
+    m1 = np.bincount(k, weights=wp * sev_m1[a], minlength=n + 1)  # sum_A w_Ak p_A E[sev_A]
+    m2 = np.bincount(k, weights=wp * sev_m2[a], minlength=n + 1)  # sum_A w_Ak p_A E[sev_A^2]
     mean = m1.sum()
     var = m2[0]  # compound Poisson: mu_0 * E[Q_0^2] with mu folded into m2
     for k in range(1, n + 1):

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .portfolio import check_obligors
+
 BATCH = 100_000
 
 
@@ -89,26 +91,23 @@ def _sector_tables(portfolio):
 
     Sector k's table lists the (obligor, severity value) pairs (A, v) of
     positive mass p_A w_Ak q_A(v), with the running sum of those masses, so
-    a uniform u picks pair j with cum[j-1] <= u cum[-1] < cum[j].
+    a uniform u picks pair j with cum[j-1] <= u cum[-1] < cum[j].  The pairs
+    come from ``portfolio.columns``, each obligor's by ascending value (the
+    order of ``SeverityDist.values_and_probs``).  Raises PortfolioError
+    (``portfolio.check_obligors``) for an obligor that ``validate`` reports.
     """
-    obligors = portfolio.obligors
-    pds = np.array([o.pd for o in obligors])
-    weights = np.array([o.weights for o in obligors]).reshape(len(obligors),
-                                                               portfolio.n_sectors + 1)
-    owner, vals, mass = [np.zeros(0, np.int32)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for a, o in enumerate(obligors):
-        v, q = o.severity.values_and_probs()
-        owner.append(np.full(v.size, a, dtype=np.int32))
-        vals.append(v)
-        mass.append(o.pd * q)
-    owner, vals, mass = (np.concatenate(c) for c in (owner, vals, mass))
+    check_obligors(portfolio)
+    c = portfolio.columns
+    ascending = np.lexsort((c.value, c.owner))
+    owner, vals = c.owner[ascending].astype(np.int32), c.value[ascending]
+    mass = c.pd[owner] * c.prob[ascending]
     sev_type = np.int32 if vals.max(initial=0) <= np.iinfo(np.int32).max else np.int64
     tables = []
-    for w in weights[owner].T:
+    for w in c.W[owner].T:
         m = mass * w
         keep = m > 0.0
         tables.append((np.cumsum(m[keep]), owner[keep], vals[keep].astype(sev_type)))
-    return pds @ weights, tables, sev_type
+    return c.pd @ c.W, tables, sev_type
 
 
 def _batches(portfolio, cfg):
@@ -225,10 +224,9 @@ class ConditionalEstimate:
 
 def estimate_conditional_one_default(portfolio, obligor_id, cfg, limit):
     """Estimate the single-default conditional loss pmf on {0..limit}."""
-    o = portfolio.obligor(obligor_id)
-    if o.pd == 0.0:
+    idx = portfolio.row(obligor_id)
+    if portfolio.obligors[idx].pd == 0.0:
         raise ValueError(f"obligor {obligor_id}: pd is 0, no defaults to condition on")
-    idx = [ob.id for ob in portfolio.obligors].index(obligor_id)
     size = limit + 1
     sum_w = 0.0  # sum D_A
     sum_w2 = 0.0  # sum D_A^2
@@ -276,9 +274,8 @@ def verify_fundamental_identity(portfolio, id1, id2, x, cfg):
     agree in expectation, so the estimates should match within Monte Carlo
     error.  ``id2`` may be None for the one-obligor case.
     """
-    ids = [o.id for o in portfolio.obligors]
-    i1 = ids.index(portfolio.obligor(id1).id)
-    i2 = None if id2 is None else ids.index(portfolio.obligor(id2).id)
+    i1 = portfolio.row(id1)
+    i2 = None if id2 is None else portfolio.row(id2)
     if i2 is not None and i1 == i2:
         raise ValueError("obligors must differ")
     sevs = {i: portfolio.obligors[i].severity.values_and_probs()

@@ -5,12 +5,18 @@ sectors (index 0 is the idiosyncratic weight) and an integer-valued loss
 severity distribution.  Portfolios are immutable after construction;
 constructors coerce types, :func:`validate` checks the invariants, and
 :func:`parse_portfolio` rejects any input with non-empty diagnostics.
+``Portfolio.columns`` holds the obligors as arrays, built once per
+portfolio; validation, the engine's sector sums and the Monte Carlo tables
+all read them.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -44,9 +50,6 @@ class SeverityDist:
 
     def mean(self):
         return sum(x * p for x, p in self.probabilities.items())
-
-    def second_moment(self):
-        return sum(x * x * p for x, p in self.probabilities.items())
 
     def values_and_probs(self):
         items = sorted(self.probabilities.items())
@@ -89,6 +92,10 @@ class Sector:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
+# A portfolio's obligors as arrays (see ``Portfolio.columns``).
+Columns = namedtuple("Columns", "pd W wsize owner value prob row")
+
+
 @dataclass(frozen=True)
 class Portfolio:
     sectors: tuple
@@ -102,11 +109,48 @@ class Portfolio:
     def n_sectors(self):
         return len(self.sectors)
 
+    @cached_property
+    def columns(self):
+        """The obligors as read-only arrays, row a for obligor a, built once.
+
+        ``pd`` (n,) and ``W`` (n, N+1) hold the pds and weights; ``W`` has a
+        NaN row where the length ``wsize`` of a weight vector is not N+1.
+        Entry j of the flat severity arrays gives obligor ``owner[j]`` the
+        loss ``value[j]`` with probability ``prob[j]``, each obligor's
+        entries in its dict's order.  ``row`` maps an id to its first row.
+        """
+        obligors, width = self.obligors, self.n_sectors + 1
+        n = len(obligors)
+        wsize = np.fromiter((o.weights.size for o in obligors), np.intp, n)
+        fits = wsize == width
+        W = np.full((n, width), np.nan)
+        W[fits] = np.concatenate([np.zeros(0)] + [o.weights for o in obligors
+                                                  if o.weights.size == width]).reshape(-1, width)
+        severities = [o.severity.probabilities for o in obligors]
+        owner = np.repeat(np.arange(n), [len(s) for s in severities])
+        try:
+            value = np.fromiter(chain.from_iterable(severities), np.int64, owner.size)
+        except OverflowError:  # a loss beyond int64 lies beyond any L: clip it
+            big = np.iinfo(np.int64)
+            value = np.fromiter((min(max(x, big.min), big.max)
+                                 for x in chain.from_iterable(severities)), np.int64, owner.size)
+        prob = np.fromiter(chain.from_iterable(s.values() for s in severities), float, owner.size)
+        pd = np.fromiter((o.pd for o in obligors), float, n)
+        for a in (pd, W, wsize, owner, value, prob):
+            a.setflags(write=False)
+        ids = [o.id for o in obligors]
+        return Columns(pd, W, wsize, owner, value, prob,
+                       row=dict(zip(reversed(ids), range(n - 1, -1, -1))))
+
+    def row(self, obligor_id):
+        """Index of the obligor in ``obligors`` (its first occurrence)."""
+        try:
+            return self.columns.row[obligor_id]
+        except KeyError:
+            raise PortfolioError(f"unknown obligor {obligor_id!r}") from None
+
     def obligor(self, obligor_id):
-        for o in self.obligors:
-            if o.id == obligor_id:
-                return o
-        raise PortfolioError(f"unknown obligor {obligor_id!r}")
+        return self.obligors[self.row(obligor_id)]
 
     def expected_loss(self):
         return sum(o.pd * o.severity.mean() for o in self.obligors)
@@ -121,10 +165,61 @@ class Portfolio:
         return Portfolio(self.sectors, obligors)
 
 
+def _weight_faults(W):
+    """Per row of W: whether a weight lies outside [0, 1] (NaN does), and the row sum."""
+    with np.errstate(invalid="ignore", over="ignore"):  # only in rows outside [0, 1]
+        return ~((W >= 0) & (W <= 1)).all(axis=1), W.sum(axis=1)
+
+
+def _obligor_faults(p):
+    """Yield a diagnostic for each obligor rule p breaks, in report order.
+
+    Each rule is one mask over ``p.columns``; only flagged obligors are visited.
+    """
+    c, obligors, width = p.columns, p.obligors, p.n_sectors + 1
+    n = len(obligors)
+    ragged = c.wsize != width
+    bad_weights, weight_sums = _weight_faults(c.W)
+    for a in np.flatnonzero(ragged):  # their rows of W are NaN: check the vectors
+        (bad_weights[a],), (weight_sums[a],) = _weight_faults(obligors[a].weights[None, :])
+    duplicate = np.ones(n, dtype=bool)
+    duplicate[list(c.row.values())] = False
+    bad_pd = ~(np.isfinite(c.pd) & (c.pd >= 0))
+    bad_sum = ~bad_weights & (np.abs(weight_sums - 1.0) > WEIGHT_SUM_TOL)
+    negative, outside = c.value < 0, ~((c.prob >= 0.0) & (c.prob <= 1.0))
+    bad_entries = np.bincount(c.owner, negative | outside, n) > 0
+    bad_total = np.abs(np.bincount(c.owner, c.prob, n) - 1.0) > SEVERITY_SUM_TOL
+    start = np.searchsorted(c.owner, np.arange(n + 1))  # a's entries: start[a]:start[a+1]
+    flagged = duplicate | bad_pd | ragged | bad_weights | bad_sum | bad_entries | bad_total
+    for a in np.flatnonzero(flagged):
+        o = obligors[a]
+        at = f"obligor {o.id}: "
+        if duplicate[a]:
+            yield at + "duplicate obligor id"
+        if bad_pd[a]:
+            yield at + f"pd must be non-negative and finite (got {o.pd})"
+        if ragged[a]:
+            yield at + f"weight vector length {o.weights.size} != {width}"
+        if bad_weights[a]:
+            yield at + "weights must lie in [0, 1]"
+        if bad_sum[a]:
+            yield at + f"weights sum to {o.weights.sum()!r}, not 1"
+        for j in range(start[a], start[a + 1]):
+            if negative[j]:
+                yield at + f"severity support point {c.value[j]} is negative"
+            if outside[j]:
+                yield at + f"severity probability {float(c.prob[j])!r} outside [0, 1]"
+        if bad_total[a]:
+            total = sum(o.severity.probabilities.values())
+            yield at + f"severity probabilities sum to {total!r}, not 1"
+
+
 def validate(p):
     """Diagnostics for a portfolio; empty list iff all invariants hold.
 
-    Each diagnostic names the violating entity and the rule it breaks.
+    Each diagnostic names the violating entity and the rule it breaks:
+    sectors first, then obligor by obligor.  The obligor rules are array
+    masks over ``p.columns``.
     """
     diagnostics = []
     seen = set()
@@ -134,30 +229,19 @@ def validate(p):
         if s.id in seen:
             diagnostics.append(f"sector {s.id}: duplicate sector id")
         seen.add(s.id)
-    seen = set()
-    for o in p.obligors:
-        if o.id in seen:
-            diagnostics.append(f"obligor {o.id}: duplicate obligor id")
-        seen.add(o.id)
-        if not (np.isfinite(o.pd) and o.pd >= 0):
-            diagnostics.append(f"obligor {o.id}: pd must be non-negative and finite (got {o.pd})")
-        if o.weights.size != p.n_sectors + 1:
-            diagnostics.append(
-                f"obligor {o.id}: weight vector length {o.weights.size} != {p.n_sectors + 1}"
-            )
-        if not np.all((o.weights >= 0) & (o.weights <= 1)):  # also rejects nan
-            diagnostics.append(f"obligor {o.id}: weights must lie in [0, 1]")
-        elif abs(o.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            diagnostics.append(f"obligor {o.id}: weights sum to {o.weights.sum()!r}, not 1")
-        for x, pr in o.severity.probabilities.items():
-            if x < 0:
-                diagnostics.append(f"obligor {o.id}: severity support point {x} is negative")
-            if not 0.0 <= pr <= 1.0:
-                diagnostics.append(f"obligor {o.id}: severity probability {pr!r} outside [0, 1]")
-        total = sum(o.severity.probabilities.values())
-        if abs(total - 1.0) > SEVERITY_SUM_TOL:
-            diagnostics.append(f"obligor {o.id}: severity probabilities sum to {total!r}, not 1")
+    diagnostics.extend(_obligor_faults(p))
     return diagnostics
+
+
+def check_obligors(p):
+    """Raise PortfolioError with the first obligor diagnostic of ``validate``.
+
+    The engine and the sampler call this: a portfolio built in Python skips
+    ``parse_portfolio``, and a NaN pd or weight would pass silently into
+    every sector sum.
+    """
+    for diagnostic in _obligor_faults(p):
+        raise PortfolioError(diagnostic)
 
 
 def _parse_severity(spec, where):

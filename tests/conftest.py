@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from crplus import LossEngine, Obligor, Portfolio, Sector, SeverityDist, assemble
+from crplus import LossEngine, Obligor, Portfolio, Sector, SectorSystem, SeverityDist, assemble
 from crplus import pmf as pm
+from crplus.pmf import Pmf
+from crplus.portfolio import SEVERITY_SUM_TOL, WEIGHT_SUM_TOL, PortfolioError
 
 REFERENCE_LIMIT = 200
 
@@ -38,6 +40,28 @@ def rng():
     return np.random.default_rng(7)
 
 
+# Obligor B breaks a rule that parse_portfolio would catch; built in Python it
+# reaches the engine and the sampler, which must name it: (pd, weights, message).
+UNVALIDATED = [
+    pytest.param(float("nan"), [0.0, 1.0],
+                 r"obligor B: pd must be non-negative and finite \(got nan\)", id="nan_pd"),
+    pytest.param(float("inf"), [0.0, 1.0],
+                 r"obligor B: pd must be non-negative and finite \(got inf\)", id="inf_pd"),
+    pytest.param(-0.1, [0.0, 1.0],
+                 r"obligor B: pd must be non-negative and finite \(got -0.1\)",
+                 id="negative_pd"),
+    pytest.param(0.1, [float("nan"), 1.0], r"obligor B: weights must lie in \[0, 1\]",
+                 id="nan_weight"),
+    pytest.param(0.1, [1.0], r"obligor B: weight vector length 1 != 2", id="short_weights"),
+]
+
+
+def unvalidated_portfolio(pd, weights):
+    return Portfolio((Sector("s1", 1.0),),
+                     (Obligor("A", 0.1, [0.0, 1.0], SeverityDist({1: 1.0})),
+                      Obligor("B", pd, weights, SeverityDist({2: 1.0}))))
+
+
 def panjer_poisson(intensity, severity, limit):
     """Compound Poisson pmf by Panjer's recursion at any L: the tests' reference."""
     q = pm._trimmed(severity.probs)
@@ -49,3 +73,96 @@ def panjer_negbin(alpha, delta, severity, limit):
     q = pm._trimmed(severity.probs)
     g0 = math.exp(alpha * (math.log1p(-delta) - math.log1p(-delta * q[0])))
     return pm._panjer(delta, (alpha - 1.0) * delta, g0, q, limit)
+
+
+def assemble_loop(portfolio, limit):
+    """Sector system by per-obligor, per-sector loops: the tests' reference for ``assemble``."""
+    n = portfolio.n_sectors
+    mu = np.zeros(n + 1)
+    q_vecs = [np.zeros(limit + 1) for _ in range(n + 1)]
+    for o in portfolio.obligors:
+        total = sum(o.severity.probabilities.values())
+        if abs(total - 1.0) > SEVERITY_SUM_TOL:
+            raise PortfolioError(f"obligor {o.id}: severity probabilities sum to {total!r}, not 1")
+        if o.pd == 0.0:
+            continue
+        vals, probs = o.severity.values_and_probs()
+        for k in range(n + 1):
+            wp = o.weights[k] * o.pd
+            if wp == 0.0:
+                continue
+            mu[k] += wp
+            for v, q in zip(vals, probs):
+                if v <= limit:
+                    q_vecs[k][v] += wp * q
+    alphas = np.array([s.alpha for s in portfolio.sectors])
+    delta = mu[1:] / (mu[1:] + alphas)
+    q_polys = tuple(
+        Pmf(q_vecs[k] / mu[k], tail_mass=max(1.0 - q_vecs[k].sum() / mu[k], 0.0))
+        if mu[k] > 0
+        else pm.point_mass(0, limit)
+        for k in range(n + 1)
+    )
+    return SectorSystem(mu=mu, delta=delta, alphas=alphas, q_polys=q_polys, limit=limit,
+                        sector_ids=tuple(s.id for s in portfolio.sectors))
+
+
+def suggest_truncation_loop(portfolio):
+    """ceil(mean + 12 sd) by per-obligor loops: the tests' reference for ``suggest_truncation``."""
+    n = portfolio.n_sectors
+    mu = np.zeros(n + 1)
+    m1 = np.zeros(n + 1)
+    m2 = np.zeros(n + 1)
+    for o in portfolio.obligors:
+        for k in range(n + 1):
+            wp = o.weights[k] * o.pd
+            mu[k] += wp
+            m1[k] += wp * o.severity.mean()
+            m2[k] += wp * sum(x * x * p for x, p in o.severity.probabilities.items())
+    mean = m1.sum()
+    var = m2[0]
+    for k in range(1, n + 1):
+        if mu[k] == 0:
+            continue
+        alpha = portfolio.sectors[k - 1].alpha
+        q_mean = m1[k] / mu[k]
+        q_sec = m2[k] / mu[k]
+        count_var = mu[k] * (1.0 + mu[k] / alpha)
+        var += mu[k] * (q_sec - q_mean**2) + count_var * q_mean**2
+    return max(1, math.ceil(mean + 12.0 * math.sqrt(max(var, 0.0))))
+
+
+def validate_loop(p):
+    """Diagnostics by a loop over the obligors: the tests' reference for ``validate``."""
+    diagnostics = []
+    seen = set()
+    for s in p.sectors:
+        if not (np.isfinite(s.alpha) and s.alpha > 0):
+            diagnostics.append(f"sector {s.id}: alpha must be positive and finite (got {s.alpha})")
+        if s.id in seen:
+            diagnostics.append(f"sector {s.id}: duplicate sector id")
+        seen.add(s.id)
+    seen = set()
+    for o in p.obligors:
+        if o.id in seen:
+            diagnostics.append(f"obligor {o.id}: duplicate obligor id")
+        seen.add(o.id)
+        if not (np.isfinite(o.pd) and o.pd >= 0):
+            diagnostics.append(f"obligor {o.id}: pd must be non-negative and finite (got {o.pd})")
+        if o.weights.size != p.n_sectors + 1:
+            diagnostics.append(
+                f"obligor {o.id}: weight vector length {o.weights.size} != {p.n_sectors + 1}"
+            )
+        if not np.all((o.weights >= 0) & (o.weights <= 1)):
+            diagnostics.append(f"obligor {o.id}: weights must lie in [0, 1]")
+        elif abs(o.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+            diagnostics.append(f"obligor {o.id}: weights sum to {o.weights.sum()!r}, not 1")
+        for x, pr in o.severity.probabilities.items():
+            if x < 0:
+                diagnostics.append(f"obligor {o.id}: severity support point {x} is negative")
+            if not 0.0 <= pr <= 1.0:
+                diagnostics.append(f"obligor {o.id}: severity probability {pr!r} outside [0, 1]")
+        total = sum(o.severity.probabilities.values())
+        if abs(total - 1.0) > SEVERITY_SUM_TOL:
+            diagnostics.append(f"obligor {o.id}: severity probabilities sum to {total!r}, not 1")
+    return diagnostics

@@ -1,0 +1,251 @@
+"""The columnar portfolio view and the array code that reads it.
+
+``assemble``, ``suggest_truncation`` and ``validate`` are checked bitwise
+against the per-obligor loops in conftest, the write-off system against
+``assemble`` of the portfolio with the severity replaced.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crplus import engine as eng
+from crplus import mc
+from crplus import portfolio as pf
+from crplus.portfolio import ZERO_SEVERITY, Obligor, Portfolio, Sector, SeverityDist
+
+from conftest import assemble_loop, suggest_truncation_loop, validate_loop
+
+NAN, INF = float("nan"), float("inf")
+
+
+def assert_same_system(a, b):
+    assert a.mu.tobytes() == b.mu.tobytes()
+    assert a.delta.tobytes() == b.delta.tobytes()
+    assert len(a.q_polys) == len(b.q_polys)
+    for qa, qb in zip(a.q_polys, b.q_polys):
+        assert qa.probs.tobytes() == qb.probs.tobytes()
+        assert qa.tail_mass == qb.tail_mass
+
+
+@st.composite
+def books(draw):
+    """Valid books with zero pds, unloaded sectors, severity 0 and values beyond L.
+
+    Severity entries come in random dict order, not only ascending.
+    """
+    limit = draw(st.integers(1, 60))
+    n_sectors = draw(st.integers(0, 3))
+    unloaded = draw(st.integers(0, n_sectors))  # 0: the idiosyncratic sector
+    obligors = []
+    for i in range(draw(st.integers(1, 8))):
+        pd = draw(st.sampled_from([0.0, 0.25]) | st.floats(1e-6, 0.5))
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n_sectors + 1,
+                            max_size=n_sectors + 1))
+        raw[unloaded] = 0.0
+        if sum(raw) == 0.0:
+            raw[(unloaded + 1) % (n_sectors + 1)] = 1.0
+        weights = [w / sum(raw) for w in raw]
+        values = draw(st.lists(st.integers(0, limit + 10), min_size=1, max_size=4, unique=True))
+        masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values),
+                               max_size=len(values)))
+        probs = {v: m / sum(masses) for v, m in zip(values, masses)}
+        obligors.append(Obligor(f"o{i}", pd, weights, SeverityDist(probs)))
+    sectors = tuple(Sector(f"s{k}", draw(st.floats(0.1, 5.0))) for k in range(n_sectors))
+    portfolio = Portfolio(sectors, tuple(obligors))
+    assert pf.validate(portfolio) == []
+    return portfolio, limit
+
+
+def test_columns_hold_the_obligors(reference_portfolio):
+    c = reference_portfolio.columns
+    assert reference_portfolio.columns is c  # built once
+    np.testing.assert_array_equal(c.pd, [0.30, 0.40, 0.25, 0.20, 0.35])
+    np.testing.assert_array_equal(c.W[1], [0.1, 0.5, 0.4])
+    np.testing.assert_array_equal(c.owner, [0, 1, 1, 2, 2, 3, 4, 4, 4])
+    np.testing.assert_array_equal(c.value, [2, 1, 3, 2, 4, 5, 1, 2, 5])
+    np.testing.assert_array_equal(c.prob, [1.0, 0.5, 0.5, 0.3, 0.7, 1.0, 0.25, 0.5, 0.25])
+    assert c.row == {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
+    assert not c.W.flags.writeable and not c.prob.flags.writeable
+
+
+def test_row_is_first_occurrence_and_rejects_unknown_ids():
+    o = Obligor("A", 0.1, [1.0], SeverityDist({1: 1.0}))
+    p = Portfolio((), (o, Obligor("B", 0.2, [1.0], SeverityDist({2: 1.0})), o))
+    assert p.row("A") == 0 and p.row("B") == 1 and p.obligor("B").pd == 0.2
+    with pytest.raises(pf.PortfolioError, match="unknown obligor 'Z'"):
+        p.row("Z")
+
+
+def test_empty_book():
+    p = Portfolio((Sector("s1", 1.0),), ())
+    assert p.columns.W.shape == (0, 2) and p.columns.value.size == 0
+    assert pf.validate(p) == []
+    assert_same_system(eng.assemble(p, 10), assemble_loop(p, 10))
+    assert eng.suggest_truncation(p) == suggest_truncation_loop(p) == 1
+
+
+def test_losses_beyond_int64_lie_beyond_the_limit():
+    p = Portfolio((Sector("s1", 1.0),),
+                  (Obligor("A", 0.1, [0.0, 1.0], SeverityDist({10**19: 1.0})),
+                   Obligor("B", 0.2, [0.5, 0.5], SeverityDist({3: 1.0}))))
+    assert p.columns.value[0] == np.iinfo(np.int64).max
+    assert_same_system(eng.assemble(p, 20), assemble_loop(p, 20))
+    # v * v overflows int64 from v ~ 3e9 on; the moments stay those of the loop.
+    q = Portfolio((Sector("s1", 1.0),),
+                  (Obligor("A", 0.1, [0.0, 1.0], SeverityDist({5 * 10**9: 1.0})),))
+    assert eng.suggest_truncation(q) == suggest_truncation_loop(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(books())
+def test_assemble_and_truncation_match_the_loops(case):
+    portfolio, limit = case
+    assert_same_system(eng.assemble(portfolio, limit), assemble_loop(portfolio, limit))
+    assert eng.suggest_truncation(portfolio) == suggest_truncation_loop(portfolio)
+
+
+@pytest.mark.parametrize("limit", [56, 92, 200])
+def test_reference_system_matches_the_loop(reference_portfolio, limit):
+    assert_same_system(eng.assemble(reference_portfolio, limit),
+                       assemble_loop(reference_portfolio, limit))
+    assert eng.suggest_truncation(reference_portfolio) == 56
+
+
+def _stripped(portfolio, ids):
+    for oid in ids:
+        portfolio = portfolio.with_severity(oid, ZERO_SEVERITY)
+    return portfolio
+
+
+@pytest.mark.parametrize("ids", [("A",), ("E",), ("B", "E"), ("C", "D")])
+def test_writeoff_system_is_the_stripped_portfolios(reference_portfolio, ids):
+    for limit in (3, 56):
+        assert_same_system(eng.assemble(reference_portfolio, limit, written_off=ids),
+                           eng.assemble(_stripped(reference_portfolio, ids), limit))
+
+
+@settings(max_examples=100, deadline=None)
+@given(books(), st.data())
+def test_writeoff_system_matches_on_random_books(case, data):
+    portfolio, limit = case
+    ids = [o.id for o in portfolio.obligors]
+    chosen = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2, unique=True))
+    assert_same_system(eng.assemble(portfolio, limit, written_off=chosen),
+                       assemble_loop(_stripped(portfolio, chosen), limit))
+
+
+# ---------------------------------------------------------------- validate
+
+S2 = (Sector("s1", 1.0), Sector("s2", 2.0))
+
+
+def ob(oid, pd=0.1, w=(0.5, 0.5, 0.0), sev=None):
+    return Obligor(oid, pd, list(w), SeverityDist({1: 1.0} if sev is None else sev))
+
+
+# Each book with the diagnostics list that the per-obligor loop produced.
+BROKEN = {
+    "ragged": (
+        Portfolio(S2, (ob("A", w=[0.5, 0.5]), ob("B", w=[0.2, 0.3, 0.4, 0.1]),
+                       ob("C", w=[0.5, 0.6]), ob("D", w=[1.5]), ob("E", w=[]), ob("F"))),
+        ["obligor A: weight vector length 2 != 3",
+         "obligor B: weight vector length 4 != 3",
+         "obligor C: weight vector length 2 != 3",
+         "obligor C: weights sum to np.float64(1.1), not 1",
+         "obligor D: weight vector length 1 != 3",
+         "obligor D: weights must lie in [0, 1]",
+         "obligor E: weight vector length 0 != 3",
+         "obligor E: weights sum to np.float64(0.0), not 1"]),
+    "duplicates": (
+        Portfolio(S2, (ob("A"), ob("B"), ob("A", pd=NAN), ob("A"),
+                       ob("B", w=[0.5, 0.4, 0.0]))),
+        ["obligor A: duplicate obligor id",
+         "obligor A: pd must be non-negative and finite (got nan)",
+         "obligor A: duplicate obligor id",
+         "obligor B: duplicate obligor id",
+         "obligor B: weights sum to np.float64(0.9), not 1"]),
+    "nan_negative": (
+        Portfolio(S2, (ob("A", pd=NAN), ob("B", pd=-0.1), ob("C", pd=INF),
+                       ob("D", w=[NAN, 0.5, 0.5]), ob("E", w=[-0.2, 0.6, 0.6]),
+                       ob("F", sev={1: NAN}), ob("G", sev={-2: 1.0}),
+                       ob("H", pd=-INF, w=[0.4, 0.4, 0.4]))),
+        ["obligor A: pd must be non-negative and finite (got nan)",
+         "obligor B: pd must be non-negative and finite (got -0.1)",
+         "obligor C: pd must be non-negative and finite (got inf)",
+         "obligor D: weights must lie in [0, 1]",
+         "obligor E: weights must lie in [0, 1]",
+         "obligor F: severity probability nan outside [0, 1]",
+         "obligor G: severity support point -2 is negative",
+         "obligor H: pd must be non-negative and finite (got -inf)",
+         "obligor H: weights sum to np.float64(1.2000000000000002), not 1"]),
+    "severities": (
+        Portfolio(S2, (ob("A", sev={3: 0.5, -1: 0.2, 2: 1.3}), ob("B", sev={}),
+                       ob("C", sev={1: 0.5, 2: 0.4}), ob("D", sev={1: -0.5, 2: 1.5}),
+                       ob("E", sev={5: 0.1, 4: 0.2, 3: 0.3, 2: 0.4 + 1e-11}),
+                       ob("F", sev={0: 1.0}))),
+        ["obligor A: severity support point -1 is negative",
+         "obligor A: severity probability 1.3 outside [0, 1]",
+         "obligor A: severity probabilities sum to 2.0, not 1",
+         "obligor B: severity probabilities sum to 0, not 1",
+         "obligor C: severity probabilities sum to 0.9, not 1",
+         "obligor D: severity probability -0.5 outside [0, 1]",
+         "obligor D: severity probability 1.5 outside [0, 1]",
+         "obligor E: severity probabilities sum to 1.00000000001, not 1"]),
+    "sectors": (
+        Portfolio((Sector("s1", 0.0), Sector("s1", NAN)),
+                  (ob("A", w=[0.5, 0.6, 0.0]), ob("A"))),
+        ["sector s1: alpha must be positive and finite (got 0.0)",
+         "sector s1: alpha must be positive and finite (got nan)",
+         "sector s1: duplicate sector id",
+         "obligor A: weights sum to np.float64(1.1), not 1",
+         "obligor A: duplicate obligor id"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_validate_reports_broken_books_as_the_loop_did(name):
+    portfolio, expected = BROKEN[name]
+    assert pf.validate(portfolio) == expected
+    assert validate_loop(portfolio) == expected
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_engine_and_sampler_raise_the_first_obligor_diagnostic(name):
+    portfolio, expected = BROKEN[name]
+    first = re.escape(next(d for d in expected if d.startswith("obligor")))
+    with pytest.raises(pf.PortfolioError, match=first):
+        eng.assemble(portfolio, 10)
+    with pytest.raises(pf.PortfolioError, match=first):
+        eng.suggest_truncation(portfolio)
+    with pytest.raises(pf.PortfolioError, match=first):
+        mc.simulate(portfolio, mc.SimConfig(draws=10, seed=1))
+
+
+@st.composite
+def broken_books(draw):
+    """Books that break any mix of the obligor rules, several per obligor."""
+    n_sectors = draw(st.integers(0, 3))
+    bad_float = st.sampled_from([NAN, INF, -INF, -0.5, 1.5, -0.0, 0.0, 1.0])
+    obligors = []
+    for _ in range(draw(st.integers(1, 6))):
+        oid = draw(st.sampled_from("ABCDEF"))
+        pd = draw(bad_float | st.floats(0.0, 0.5))
+        size = draw(st.sampled_from([n_sectors + 1, n_sectors + 1, 0, n_sectors, n_sectors + 2]))
+        weights = draw(st.lists(bad_float | st.floats(0.0, 1.0), min_size=size, max_size=size))
+        values = draw(st.lists(st.integers(-3, 9), max_size=4, unique=True))
+        probs = draw(st.lists(bad_float | st.floats(0.0, 1.0), min_size=len(values),
+                              max_size=len(values)))
+        obligors.append(Obligor(oid, pd, weights, SeverityDist(dict(zip(values, probs)))))
+    return Portfolio(tuple(Sector(f"s{k}", 1.0) for k in range(n_sectors)), tuple(obligors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_books())
+def test_validate_matches_the_loop_on_broken_books(portfolio):
+    with np.errstate(invalid="ignore"):  # the loop sums inf and -inf weights
+        expected = validate_loop(portfolio)
+    assert pf.validate(portfolio) == expected

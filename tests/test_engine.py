@@ -10,7 +10,8 @@ from crplus.engine import LossEngine
 from crplus.pmf import TruncationError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
-from conftest import make_reference_portfolio, panjer_negbin, panjer_poisson
+from conftest import (UNVALIDATED, make_reference_portfolio, panjer_negbin, panjer_poisson,
+                      unvalidated_portfolio)
 
 
 def single_sector_portfolio(pd=0.1, alpha=1.0):
@@ -71,6 +72,15 @@ def test_assemble_rejects_defective_severity():
                    Obligor("B", 0.1, [0.0, 1.0], SeverityDist({2: 0.5}))))
     with pytest.raises(PortfolioError, match="obligor B: severity probabilities sum to 0.5"):
         eng.assemble(p, 30)
+
+
+@pytest.mark.parametrize("pd, weights, message", UNVALIDATED)
+def test_assemble_names_an_unvalidated_obligor(pd, weights, message):
+    p = unvalidated_portfolio(pd, weights)
+    with pytest.raises(PortfolioError, match=message):
+        eng.assemble(p, 30)
+    with pytest.raises(PortfolioError, match=message):
+        eng.suggest_truncation(p)
 
 
 # -------------------------------------------------------------- sector_loss

@@ -8,7 +8,9 @@ from crplus import conditional as cd
 from crplus import engine as eng
 from crplus import mc
 from crplus.engine import LossEngine
-from crplus.portfolio import Obligor, Portfolio, Sector, SeverityDist
+from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
+
+from conftest import UNVALIDATED, unvalidated_portfolio
 
 DRAWS = 200_000
 
@@ -21,6 +23,16 @@ def test_determinism_same_seed(reference_portfolio):
     assert a.default_totals == b.default_totals
     c = mc.simulate(reference_portfolio, mc.SimConfig(draws=50_000, seed=124))
     assert not np.array_equal(a.loss_counts, c.loss_counts)
+
+
+@pytest.mark.parametrize("pd, weights, message", UNVALIDATED)
+def test_simulate_names_an_unvalidated_obligor(pd, weights, message):
+    p = unvalidated_portfolio(pd, weights)
+    cfg = mc.SimConfig(draws=100, seed=1)
+    with pytest.raises(PortfolioError, match=message):
+        mc.simulate(p, cfg)
+    with pytest.raises(PortfolioError, match=message):
+        mc.estimate_conditional_one_default(p, "A", cfg, 10)
 
 
 def test_zero_pd_portfolio_all_losses_zero():
