@@ -213,21 +213,29 @@ def cmd_mc(args):
     return EXIT_OK
 
 
+def _stressed_pds(port, system, obligor_id):
+    """Every obligor's PD conditional on ``obligor_id``'s default, one product.
+
+    ``conditional.stressed_pd`` for all obligors B at once over
+    ``port.columns``: p_B (1 + sum_k w_Bk w_Ak / alpha_k).  The entry of
+    ``obligor_id`` itself is not a conditional PD and goes unused.
+    """
+    c = port.columns
+    return c.pd * (1.0 + c.W[:, 1:] @ (c.W[port.row(obligor_id), 1:] / system.alphas))
+
+
 def _stressed_input_pmf(engine, port, obligor_id):
     """Biased comparison model: re-run with conditional PDs for the others.
 
     The scenario obligor is removed, every other obligor gets its PD
-    conditional on the scenario default, and the result is shifted by the
-    scenario obligor's severity (the occurred-loss socket).
+    conditional on the scenario default (``_stressed_pds``), and the result
+    is shifted by the scenario obligor's severity (the occurred-loss socket).
     """
     system = engine.system
-    obligors = []
-    for o in port.obligors:
-        if o.id == obligor_id:
-            continue
-        obligors.append(pf.Obligor(o.id, conditional.stressed_pd(port, system, o.id, obligor_id),
-                                   o.weights, o.severity))
-    stressed = pf.Portfolio(port.sectors, tuple(obligors))
+    pds = _stressed_pds(port, system, obligor_id).tolist()
+    obligors = tuple(pf.Obligor(o.id, pd, o.weights, o.severity)
+                     for o, pd in zip(port.obligors, pds) if o.id != obligor_id)
+    stressed = pf.Portfolio(port.sectors, obligors)
     stressed_engine = eng.LossEngine(eng.assemble(stressed, system.limit))
     base = stressed_engine.loss_distribution()
     sev = pm.from_dict(port.obligor(obligor_id).severity.probabilities, system.limit)

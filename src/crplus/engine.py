@@ -106,6 +106,13 @@ def sector_loss(system, k):
         system.alphas[k - 1], system.delta[k - 1], system.q_polys[k], system.limit)
 
 
+def _claims(system, kind, k):
+    """Claim count of sector k's pmf (kind "sector") or of its kernel ("kernel")."""
+    if k == 0:
+        return pm.poisson_claims(system.mu[0])
+    return pm.negbin_claims(system.alphas[k - 1] if kind == "sector" else 1.0, system.delta[k - 1])
+
+
 class LossEngine:
     """Cached evaluator of loss distributions over stress vectors.
 
@@ -117,10 +124,14 @@ class LossEngine:
     (direct below ``pmf.FFT_MIN_SIZE`` points, FFT above it).  On the
     reference portfolio this matches Panjer run at alpha_k + s_k to 3e-17.
 
-    The engine caches exactly three things: the N+1 sector pmfs, the base
-    (their convolution) and one kernel T_k per stressed sector.  Thread-safe:
-    the caches are guarded by a lock and hold immutable pmfs, so concurrent
-    evaluations return results identical to serial execution.
+    The engine caches the N+1 sector pmfs, the base (their convolution) and
+    one kernel T_k per sector.  Below ``pmf.FFT_MIN_SIZE`` points the first
+    call that needs the base computes every missing sector pmf and the
+    kernel of every loaded sector in one batched Panjer pass (``_fill``):
+    kernels are cheap extra rows there.  From that size on sector pmfs and
+    kernels stay lazy, one Fourier compound each when first needed.
+    Thread-safe: the caches are guarded by a lock and hold immutable pmfs,
+    so concurrent evaluations return results identical to serial execution.
     """
 
     def __init__(self, system, tail_tol=None):
@@ -156,9 +167,40 @@ class LossEngine:
                 out = self.kernel(k) if out is None else pm.convolve(out, self.kernel(k))
         return out if out is not None else pm.point_mass(0, self.system.limit)
 
+    def _fill(self):
+        """Below ``pmf.FFT_MIN_SIZE`` points: every missing sector pmf and the
+        kernel of every loaded sector by one ``pmf.panjer`` pass.
+
+        Rows are checked in the order a lazy engine meets them (sectors 0..N),
+        so the same sector raises the same error.  A kernel's start value
+        (1 - delta_k) / (1 - delta_k q_0) is at least 1 - delta_k >= 2**-53
+        and its parameters are its sector's with alpha = 1, so a kernel row
+        never fails where its sector row passes.  Sectors with no claims are
+        point masses and stay with ``sector_loss``.
+        """
+        system = self.system
+        if system.limit + 1 >= pm.FFT_MIN_SIZE:
+            return
+        n = system.n_sectors
+        keys = [("sector", k) for k in range(n + 1)] + [("kernel", k) for k in range(1, n + 1)]
+        with self._lock:
+            keys = [key for key in keys if key not in self._cache]
+        filled, rows = [], []
+        for key in keys:
+            claims = _claims(system, *key)
+            if claims.a or claims.b:
+                filled.append(key)
+                rows.append(pm.panjer_row(claims, system.q_polys[key[1]]))
+        if rows:
+            pmfs = pm.panjer(rows, system.limit)
+            with self._lock:
+                for key, out in zip(filled, pmfs):
+                    self._cache.setdefault(key, out)
+
     def _base(self):
         """Unstressed loss pmf: the convolution of all N+1 sector pmfs."""
         def fold():
+            self._fill()
             out = self.sector_loss(0)
             for k in range(1, self.system.n_sectors + 1):
                 out = pm.convolve(out, self.sector_loss(k))

@@ -7,7 +7,8 @@ constructors coerce types, :func:`validate` checks the invariants, and
 :func:`parse_portfolio` rejects any input with non-empty diagnostics.
 ``Portfolio.columns`` holds the obligors as arrays, built once per
 portfolio; validation, the engine's sector sums and the Monte Carlo tables
-all read them.
+all read them.  ``Portfolio.obligor_diagnostics`` holds the obligor
+diagnostics, also found once per portfolio.
 """
 
 from __future__ import annotations
@@ -142,6 +143,15 @@ class Portfolio:
         return Columns(pd, W, wsize, owner, value, prob,
                        row=dict(zip(reversed(ids), range(n - 1, -1, -1))))
 
+    @cached_property
+    def obligor_diagnostics(self):
+        """The obligor diagnostics of ``validate``, in report order, found once.
+
+        Parsing, ``check_obligors`` (so every ``assemble`` and
+        ``suggest_truncation``) and the sampler all read this tuple.
+        """
+        return tuple(_obligor_faults(self))
+
     def row(self, obligor_id):
         """Index of the obligor in ``obligors`` (its first occurrence)."""
         try:
@@ -219,7 +229,8 @@ def validate(p):
 
     Each diagnostic names the violating entity and the rule it breaks:
     sectors first, then obligor by obligor.  The obligor rules are array
-    masks over ``p.columns``.
+    masks over ``p.columns``, evaluated once per portfolio
+    (``Portfolio.obligor_diagnostics``).
     """
     diagnostics = []
     seen = set()
@@ -229,7 +240,7 @@ def validate(p):
         if s.id in seen:
             diagnostics.append(f"sector {s.id}: duplicate sector id")
         seen.add(s.id)
-    diagnostics.extend(_obligor_faults(p))
+    diagnostics.extend(p.obligor_diagnostics)
     return diagnostics
 
 
@@ -240,8 +251,8 @@ def check_obligors(p):
     ``parse_portfolio``, and a NaN pd or weight would pass silently into
     every sector sum.
     """
-    for diagnostic in _obligor_faults(p):
-        raise PortfolioError(diagnostic)
+    if p.obligor_diagnostics:
+        raise PortfolioError(p.obligor_diagnostics[0])
 
 
 def _parse_severity(spec, where):

@@ -40,6 +40,19 @@ def rng():
     return np.random.default_rng(7)
 
 
+@pytest.fixture
+def panjer_passes(monkeypatch):
+    """The number of rows of every ``pmf._panjer`` pass made during the test."""
+    passes, panjer = [], pm._panjer
+
+    def counted(a, b, g0, q, limit):
+        passes.append(a.size)
+        return panjer(a, b, g0, q, limit)
+
+    monkeypatch.setattr(pm, "_panjer", counted)
+    return passes
+
+
 # Obligor B breaks a rule that parse_portfolio would catch; built in Python it
 # reaches the engine and the sampler, which must name it: (pd, weights, message).
 UNVALIDATED = [
@@ -62,17 +75,38 @@ def unvalidated_portfolio(pd, weights):
                       Obligor("B", pd, weights, SeverityDist({2: 1.0}))))
 
 
+def panjer_reference(a, b, g0, q, limit):
+    """Panjer's (a, b, 0) recursion for one pmf, level by level and term by term.
+
+    g_n = sum_{j=1}^{min(n, m)} (a + b j/n) q_j g_{n-j} / (1 - a q_0) with q
+    the trimmed severity vector (m = q.size - 1).  A scalar loop apart from
+    the batched ``pmf._panjer``: the tests' reference.  Each level's sum runs
+    from j = m down to 1, the order ``pmf._panjer`` keeps, so both agree bit
+    for bit.
+    """
+    q = q.tolist()
+    m = len(q) - 1
+    g = [g0]
+    for n in range(1, limit + 1):
+        total = 0.0
+        for j in range(min(n, m), 0, -1):
+            total += (a + b * j / n) * q[j] / (1.0 - a * q[0]) * g[n - j]
+        g.append(total)
+    g = np.array(g)
+    return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
+
+
 def panjer_poisson(intensity, severity, limit):
     """Compound Poisson pmf by Panjer's recursion at any L: the tests' reference."""
     q = pm._trimmed(severity.probs)
-    return pm._panjer(0.0, intensity, math.exp(intensity * (q[0] - 1.0)), q, limit)
+    return panjer_reference(0.0, intensity, math.exp(intensity * (q[0] - 1.0)), q, limit)
 
 
 def panjer_negbin(alpha, delta, severity, limit):
     """Compound negative binomial pmf by Panjer's recursion at any L: the tests' reference."""
     q = pm._trimmed(severity.probs)
     g0 = math.exp(alpha * (math.log1p(-delta) - math.log1p(-delta * q[0])))
-    return pm._panjer(delta, (alpha - 1.0) * delta, g0, q, limit)
+    return panjer_reference(delta, (alpha - 1.0) * delta, g0, q, limit)
 
 
 def assemble_loop(portfolio, limit):

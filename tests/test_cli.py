@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 from crplus import pmf as pm
-from crplus import Obligor, Portfolio, SeverityDist, serialize_portfolio
+from crplus import Obligor, Portfolio, Sector, SeverityDist, serialize_portfolio
+from crplus import cli, conditional, engine as eng
 from crplus.cli import main
 
 from conftest import make_reference_portfolio
@@ -133,6 +134,17 @@ def test_cond_two_defaults_writeoff(portfolio_file, tmp_path):
     assert sum(doc["mixture_weights"].values()) == pytest.approx(doc["normalizer"])
 
 
+@pytest.mark.parametrize("flags, passes", [([], 1), (["--writeoff"], 2)])
+@pytest.mark.parametrize("obligors", [["A"], ["C", "E"]])
+def test_cond_makes_one_panjer_pass_per_engine(portfolio_file, tmp_path, panjer_passes,
+                                               obligors, flags, passes):
+    # Below FFT_MIN_SIZE the engine computes all sector pmfs and kernels in
+    # one pass; a write-off engine adds one pass over its changed sectors.
+    argv = ["cond", "--portfolio", portfolio_file, "--max-loss", 200, "--out", tmp_path / "o"]
+    assert run(argv + [a for oid in obligors for a in ("--obligor", oid)] + flags) == 0
+    assert len(panjer_passes) == passes
+
+
 def test_cond_duplicate_obligor(portfolio_file, tmp_path):
     assert run(["cond", "--portfolio", portfolio_file, "--max-loss", 200,
                 "--obligor", "A", "--obligor", "A", "--out", tmp_path]) == 2
@@ -162,6 +174,27 @@ def test_compare_runs(portfolio_file, tmp_path):
     assert doc["max_abs_deviation"]["mc_vs_analytic"] < 0.01
     header = (out / "compare_A.csv").read_text().splitlines()[0]
     assert header == "x,analytic,mc_weighted,mc_weighted_se,stressed_inputs"
+
+
+def test_stressed_pds_match_stressed_pd(reference_portfolio):
+    rng = np.random.default_rng(800)
+    sectors = tuple(Sector(f"s{k}", a) for k, a in enumerate(rng.uniform(0.3, 4.0, 16), 1))
+    obligors = []
+    for i in range(800):
+        w = np.zeros(17)
+        w[0] = rng.uniform(0.05, 0.6)
+        loaded = rng.choice(16, size=1 + i % 3, replace=False) + 1
+        w[loaded] = rng.dirichlet(np.ones(loaded.size)) * (1.0 - w[0])
+        obligors.append(Obligor(f"o{i}", rng.uniform(0.001, 0.05), w, SeverityDist({1: 1.0})))
+    for port, defaulted in ((reference_portfolio, ["A", "C", "E"]),
+                            (Portfolio(sectors, tuple(obligors)), ["o0", "o401", "o799"])):
+        system = eng.assemble(port, 10)
+        for oid in defaulted:
+            pds = cli._stressed_pds(port, system, oid)
+            ref = np.array([conditional.stressed_pd(port, system, o.id, oid)
+                            for o in port.obligors if o.id != oid])
+            np.testing.assert_allclose(pds[np.arange(len(port.obligors)) != port.row(oid)],
+                                       ref, rtol=1e-15, atol=0)
 
 
 def test_compare_zero_pd_obligor(tmp_path):

@@ -249,3 +249,16 @@ def test_validate_matches_the_loop_on_broken_books(portfolio):
     with np.errstate(invalid="ignore"):  # the loop sums inf and -inf weights
         expected = validate_loop(portfolio)
     assert pf.validate(portfolio) == expected
+
+
+def test_a_parsed_portfolio_is_validated_once(monkeypatch, reference_portfolio):
+    calls = []
+    faults = pf._obligor_faults
+    monkeypatch.setattr(pf, "_obligor_faults", lambda p: calls.append(p) or faults(p))
+    portfolio = pf.parse_portfolio(pf.serialize_portfolio(reference_portfolio))
+    assert len(calls) == 1
+    eng.assemble(portfolio, eng.suggest_truncation(portfolio))
+    eng.assemble(portfolio, 40, written_off=("A", "C"))
+    mc.simulate(portfolio, mc.SimConfig(draws=10, seed=1))
+    assert pf.validate(portfolio) == []
+    assert calls == [portfolio]

@@ -7,7 +7,7 @@ from scipy import stats
 from crplus import engine as eng
 from crplus import pmf as pm
 from crplus.engine import LossEngine
-from crplus.pmf import TruncationError
+from crplus.pmf import TruncationError, UnderflowError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
 from conftest import (UNVALIDATED, make_reference_portfolio, panjer_negbin, panjer_poisson,
@@ -215,6 +215,61 @@ def test_derive_reuses_only_unchanged_sectors(reference_portfolio):
     for stress in [(0, 0), (1, 1), (0, 2)]:
         np.testing.assert_array_equal(derived.loss_distribution(stress).probs,
                                       fresh.loss_distribution(stress).probs)
+
+
+def test_base_fills_every_sector_and_loaded_kernel_in_one_pass(panjer_passes):
+    # Sector s3 has no obligor: its pmf and kernel are point masses that need
+    # no recursion row.
+    ref = make_reference_portfolio()
+    p = Portfolio(ref.sectors + (Sector("s3", 2.0),),
+                  tuple(Obligor(o.id, o.pd, list(o.weights) + [0.0], o.severity)
+                        for o in ref.obligors))
+    engine = LossEngine(eng.assemble(p, 120))
+    engine.loss_distribution()
+    assert panjer_passes == [5]  # sectors 0, 1, 2 and kernels 1, 2
+    assert {("kernel", 1), ("kernel", 2), ("sector", 3)} <= set(engine._cache)
+    assert ("kernel", 3) not in engine._cache
+    for k in (1, 2):
+        ref = panjer_negbin(1.0, engine.system.delta[k - 1], engine.system.q_polys[k], 120)
+        np.testing.assert_array_equal(engine.kernel(k).probs, ref.probs)
+    engine.loss_distribution((2, 1, 1))
+    assert panjer_passes == [5]
+
+
+def test_fourier_engine_keeps_kernels_lazy(reference_portfolio):
+    engine = LossEngine(eng.assemble(reference_portfolio, pm.FFT_MIN_SIZE - 1))
+    engine.loss_distribution()
+    assert not [key for key in engine._cache if key[0] == "kernel"]
+    engine.loss_distribution((0, 1))
+    assert [key for key in engine._cache if key[0] == "kernel"] == [("kernel", 2)]
+
+
+def test_underflowing_row_in_a_batch_names_its_own_parameters():
+    # s2: mu = 2000 and alpha = 2000 give delta = 0.5 and g0 = 0.5**2000 = 0,
+    # between a healthy sector s1 and the kernel rows.
+    p = Portfolio((Sector("s1", 1.0), Sector("s2", 2000.0)),
+                  (Obligor("A", 0.1, [0.0, 1.0, 0.0], SeverityDist({1: 1.0})),
+                   Obligor("B", 2000.0, [0.0, 0.0, 1.0], SeverityDist({1: 0.5, 2: 0.5}))))
+    system = eng.assemble(p, 60)
+    with pytest.raises(UnderflowError) as alone:
+        pm.compound_negbin(system.alphas[1], system.delta[1], system.q_polys[2], 60)
+    with pytest.raises(UnderflowError, match="alpha 2000") as batched:
+        LossEngine(system).loss_distribution()
+    assert str(batched.value) == str(alone.value)
+
+
+def test_kernel_rows_pass_where_their_sector_passes():
+    # delta = 1 - 2**-52, the largest double below 1 that pd / (pd + alpha)
+    # reaches here: the kernel's start value 1 - delta is tiny but normal.
+    alpha = 2.0**-52
+    p = Portfolio((Sector("s1", alpha),),
+                  (Obligor("A", 1.0, [0.0, 1.0], SeverityDist({1: 1.0})),))
+    system = eng.assemble(p, 40)
+    assert 0.0 < 1.0 - system.delta[0] <= 2.0**-52
+    engine = LossEngine(system)
+    engine.loss_distribution()
+    kernel = engine.kernel(1)
+    assert kernel.probs[0] == pytest.approx(1.0 - system.delta[0], rel=1e-12)
 
 
 def test_stress_vector_validation(reference_engine):

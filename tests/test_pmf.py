@@ -220,6 +220,70 @@ def test_panjer_negbin_start_value_is_exact_near_delta_zero(q0):
         assert abs(float(g0 - exact)) <= math.ulp(1.0)
 
 
+# ------------------------------------------------------- batched Panjer pass
+
+@st.composite
+def panjer_batches(draw):
+    """A batch of compound rows below FFT_MIN_SIZE, with their reference pmfs."""
+    limit = draw(st.integers(0, 150))
+    rows, refs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(0, 12))  # mixed severity lengths across the batch
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=m + 1, max_size=m + 1))
+        if not draw(st.booleans()):
+            weights[0] = 0.0  # q0 > 0 in about half the rows
+        weights[-1] = max(weights[-1], 0.05)
+        total = sum(weights)
+        # Support beyond L goes to the tail: a defective Q, as assemble makes.
+        severity = pmf_of({x: w / total for x, w in enumerate(weights)}, limit)
+        kind = draw(st.sampled_from(["poisson", "negbin", "point mass"]))
+        if kind == "poisson":
+            intensity = draw(st.floats(0.001, 30.0))
+            claims, ref = pm.poisson_claims(intensity), panjer_poisson(intensity, severity, limit)
+        elif kind == "negbin":
+            # alpha < 1 makes b < 0; delta up to 0.999 is near 1.
+            alpha = draw(st.sampled_from([0.05, 0.5, 0.999, 1.0, 2.5, 5.0]))
+            delta = draw(st.sampled_from([1e-8, 0.1, 0.5, 0.9, 0.999]))
+            claims = pm.negbin_claims(alpha, delta)
+            ref = panjer_negbin(alpha, delta, severity, limit)
+        else:  # mu = 0: no claims
+            claims, ref = pm.poisson_claims(0.0), pm.point_mass(0, limit)
+        rows.append(pm.panjer_row(claims, severity))
+        refs.append(ref)
+    return rows, refs, limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(panjer_batches())
+def test_batched_panjer_matches_the_scalar_reference(batch):
+    rows, refs, limit = batch
+    for out, ref in zip(pm.panjer(rows, limit), refs):
+        assert out.truncation_limit == limit
+        np.testing.assert_array_equal(out.probs == 0.0, ref.probs == 0.0)
+        nonzero = ref.probs != 0.0
+        rel = np.abs(out.probs[nonzero] - ref.probs[nonzero]) / ref.probs[nonzero]
+        assert np.all(rel <= 1e-14)
+        assert out.tail_mass == pytest.approx(ref.tail_mass, rel=1e-12, abs=1e-15)
+
+
+def test_batched_row_is_bitwise_independent_of_its_batch():
+    limit = 180
+    short = pm.panjer_row(pm.negbin_claims(0.6, 0.8), pmf_of({0: 0.1, 2: 0.9}, limit))
+    others = [
+        pm.panjer_row(pm.poisson_claims(3.0), pmf_of({1: 0.2, 9: 0.5, 17: 0.3}, limit)),
+        pm.panjer_row(pm.negbin_claims(1.0, 0.95), pmf_of({5: 1.0}, limit)),
+        pm.panjer_row(pm.poisson_claims(0.0), pm.point_mass(0, limit)),
+    ]
+    (alone,) = pm.panjer([short], limit)
+    for batch in ([short] + others, others + [short], [others[0], short, others[1]]):
+        (inside,) = [out for row, out in zip(batch, pm.panjer(batch, limit)) if row is short]
+        assert inside.probs.tobytes() == alone.probs.tobytes()
+        assert inside.tail_mass == alone.tail_mass
+    # compound_* is the batch of one row.
+    assert pm.compound_negbin(0.6, 0.8, pmf_of({0: 0.1, 2: 0.9}, limit),
+                              limit).probs.tobytes() == alone.probs.tobytes()
+
+
 # ------------------------------------------- Fourier path vs Panjer and scipy
 
 def test_compound_below_fft_min_size_is_panjer():
@@ -393,6 +457,24 @@ def test_csv_round_trip():
     back = pm.from_csv(pm.to_csv(p))
     np.testing.assert_array_equal(back.probs, p.probs)
     assert back.tail_mass == p.tail_mass
+
+
+def f_string_csv(p):
+    """``to_csv`` as it was first written, one f-string per row: the byte reference."""
+    lines = ["x,probability"]
+    lines.extend(f"{x},{v:.17g}" for x, v in enumerate(p.probs))
+    lines.append(f"# tail_mass={p.tail_mass:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("probs, tail", [
+    ([0.0, 5e-324, 1e-300, 0.1, 0.9], 1e-300),  # a zero, the smallest subnormal, a tiny tail
+    ([1.0, 0.0], 0.0),
+    ([0.0, 1.0], 5e-324),
+])
+def test_to_csv_bytes_match_the_f_string_rows(probs, tail):
+    p = Pmf(np.array(probs), tail_mass=tail)
+    assert pm.to_csv(p) == f_string_csv(p)
 
 
 def test_pmf_rejects_large_negative_entries():
