@@ -5,9 +5,12 @@
 L = 50000.  Reports assembly, base-distribution and scenario timings.  A
 scenario reuses the engine's cached base and builds the kernels of the
 sectors its obligors load on; the second pair reuses only the kernels of
-sectors it shares with the first.  First, before any analytic work, it times
-``mc.simulate`` at 10^6 draws on the same portfolio and prints the draw rate
-and the process's peak resident set size at that point.
+sectors it shares with the first.  The write-off conditional of o0 builds a
+second engine that reuses the log-spectra of the sectors o0 does not load
+on, recomputes the others' and takes its base by one inverse FFT.  First,
+before any analytic work, it times ``mc.simulate`` at 10^6 draws on the
+same portfolio and prints the draw rate and the process's peak resident
+set size at that point.
 """
 
 import resource
@@ -58,12 +61,15 @@ def main():
     t3 = time.perf_counter()
     rep2 = cd.loss_given_two_defaults(engine, port, "o2", "o3")
     t4 = time.perf_counter()
+    rep3 = cd.loss_given_one_default(engine, port, "o0", writeoff=True)
+    t5 = time.perf_counter()
 
     print(f"assemble:                 {t1 - t0:7.2f} s")
     print(f"base distribution:        {t2 - t1:7.2f} s  (mean {mean(base):.1f}, "
           f"tail {base.tail_mass:.2e})")
     print(f"first double-default:     {t3 - t2:7.2f} s  (mean {mean(rep.conditional_pmf):.1f})")
     print(f"second double-default:    {t4 - t3:7.2f} s  (mean {mean(rep2.conditional_pmf):.1f})")
+    print(f"write-off o0:             {t5 - t4:7.2f} s  (mean {mean(rep3.conditional_pmf):.1f})")
 
 
 if __name__ == "__main__":

@@ -1,16 +1,19 @@
 """Sector assembly and portfolio loss distributions under exponent stresses.
 
-The loss distribution is the convolution of one compound Poisson sector
-(idiosyncratic, k = 0) with N compound negative binomial sectors.  A stress
-vector of small integer offsets increments the negative binomial success
-number parameters alpha_k while the failure probabilities delta_k stay at
-their unstressed values; this is exactly the family of stressed
-distributions needed for conditioning on defaults, and re-deriving delta
-from a larger alpha would be wrong there.  Each unit of stress on sector k
-convolves the base distribution with one compound geometric kernel T_k
-(see ``LossEngine``).  Sector pmfs and kernels all come from the (a, b, 0)
-compound routine of ``pmf``; an unloaded sector (mu_k = 0) has no claims
-and Q_k = point mass at 0, so both are exact point masses at 0.
+The loss is the sum of one compound Poisson sector (idiosyncratic, k = 0)
+and N compound negative binomial sectors, so its PGF is the product of the
+sector PGFs.  A stress vector of small integer offsets increments the
+negative binomial success number parameters alpha_k while the failure
+probabilities delta_k stay at their unstressed values; this is exactly the
+family of stressed distributions needed for conditioning on defaults, and
+re-deriving delta from a larger alpha would be wrong there.  Each unit of
+stress on sector k convolves the base distribution with one compound
+geometric kernel T_k (see ``LossEngine``).  Below ``pmf.FFT_MIN_SIZE``
+points sector pmfs and kernels come from one batched Panjer pass and the
+base is their convolution; from there on the base is one inverse FFT of the
+product of the sector PGFs and each kernel a Fourier compound of its own.
+An unloaded sector (mu_k = 0) has no claims and Q_k = point mass at 0, so
+its pmf and kernel are exact point masses at 0 and its PGF is 1.
 """
 
 from __future__ import annotations
@@ -124,21 +127,27 @@ class LossEngine:
     (direct below ``pmf.FFT_MIN_SIZE`` points, FFT above it).  On the
     reference portfolio this matches Panjer run at alpha_k + s_k to 3e-17.
 
-    The engine caches the N+1 sector pmfs, the base (their convolution) and
-    one kernel T_k per sector.  Below ``pmf.FFT_MIN_SIZE`` points the first
-    call that needs the base computes every missing sector pmf and the
-    kernel of every loaded sector in one batched Panjer pass (``_fill``):
-    kernels are cheap extra rows there.  From that size on sector pmfs and
-    kernels stay lazy, one Fourier compound each when first needed.
-    Thread-safe: the caches are guarded by a lock and hold immutable pmfs,
-    so concurrent evaluations return results identical to serial execution.
+    The base is built two ways, by L alone.  Below ``pmf.FFT_MIN_SIZE``
+    points it is the convolution of the N+1 sector pmfs, and the first call
+    that needs it computes every missing sector pmf and the kernel of every
+    loaded sector in one batched Panjer pass (``_fill``): kernels are cheap
+    extra rows there.  From that size on it is one inverse FFT of the
+    product of the sector PGFs on the Chernoff grid of the whole portfolio
+    (``_spectral_base``), and the sector log-spectra are cached; sector pmfs
+    are not needed for it and, like the kernels, stay lazy, one Fourier
+    compound each when first asked for.  ``derive`` hands a write-off engine
+    everything cached for the sectors that did not change.  Thread-safe: the
+    caches are guarded by a lock and hold immutable results, so concurrent
+    evaluations return results identical to serial execution.
     """
 
     def __init__(self, system, tail_tol=None):
         self.system = system
         self.tail_tol = tail_tol
         self._lock = threading.Lock()
-        self._cache = {}  # ("sector", k), ("kernel", k) and "base" -> Pmf
+        # ("sector", k), ("kernel", k) and "base" -> Pmf; ("spectrum", k) ->
+        # sector k's log-spectrum log G_k(Q_k) on the base's Fourier grid.
+        self._cache = {}
 
     def _cached(self, key, compute):
         with self._lock:
@@ -179,8 +188,6 @@ class LossEngine:
         point masses and stay with ``sector_loss``.
         """
         system = self.system
-        if system.limit + 1 >= pm.FFT_MIN_SIZE:
-            return
         n = system.n_sectors
         keys = [("sector", k) for k in range(n + 1)] + [("kernel", k) for k in range(1, n + 1)]
         with self._lock:
@@ -197,9 +204,30 @@ class LossEngine:
                 for key, out in zip(filled, pmfs):
                     self._cache.setdefault(key, out)
 
+    def _spectral_base(self):
+        """From ``pmf.FFT_MIN_SIZE`` points on: the base as one inverse FFT of
+        the product of the N+1 sector PGFs (``pmf.fourier_sum``).
+
+        The sector log-spectra are cached as ("spectrum", k).  A write-off
+        engine inherits the unchanged sectors' spectra from ``derive`` and
+        with them the parent's grid, so it computes only the changed
+        sectors' spectra and one inverse FFT.
+        """
+        system = self.system
+        terms = [(_claims(system, "sector", k), q) for k, q in enumerate(system.q_polys)]
+        keys = [("spectrum", k) for k in range(len(terms))]
+        with self._lock:
+            cached = [self._cache.get(key) for key in keys]
+        out, spectra = pm.fourier_sum(terms, system.limit, "the portfolio base", cached)
+        with self._lock:
+            self._cache.update(zip(keys, spectra))
+        return out
+
     def _base(self):
-        """Unstressed loss pmf: the convolution of all N+1 sector pmfs."""
+        """Unstressed loss pmf: the distribution of the sum of all N+1 sectors."""
         def fold():
+            if self.system.limit + 1 >= pm.FFT_MIN_SIZE:
+                return self._spectral_base()
             self._fill()
             out = self.sector_loss(0)
             for k in range(1, self.system.n_sectors + 1):
@@ -242,8 +270,10 @@ class LossEngine:
         return out
 
     def derive(self, system):
-        """Engine for ``system`` that reuses this engine's cached sector pmfs
-        and kernels for every sector whose parameters are bitwise unchanged."""
+        """Engine for ``system`` that reuses this engine's cached sector pmfs,
+        kernels and log-spectra for every sector whose parameters are
+        bitwise unchanged (with the spectra comes their grid; see
+        ``pmf.fourier_sum``)."""
         out = LossEngine(system, tail_tol=self.tail_tol)
         if (system.limit, system.n_sectors) != (self.system.limit, self.system.n_sectors):
             return out

@@ -15,10 +15,11 @@ of them at once, one vectorised step per loss level.
 Below ``FFT_MIN_SIZE`` points every computation is exact up to relative
 round-off: compound distributions come from the (a, b, 0) Panjer recursion
 and convolutions are direct, so impossible loss levels stay exact zeros.
-From ``FFT_MIN_SIZE`` points on, compound distributions are their closed-form
-probability generating functions evaluated on a real-FFT grid and
-convolutions are FFT products; entries are then accurate to the absolute
-bound ``abs_error_bound(limit)``, not relatively.
+From ``FFT_MIN_SIZE`` points on, compound distributions, and sums of
+independent ones (``fourier_sum``: one inverse FFT of the product of their
+PGFs), are their closed-form probability generating functions evaluated on
+a real-FFT grid and convolutions are FFT products; entries are then
+accurate to the absolute bound ``abs_error_bound(limit)``, not relatively.
 """
 
 from __future__ import annotations
@@ -53,14 +54,24 @@ FFT_MIN_SIZE = 500
 
 # Stated absolute error bound on an entry of a pmf computed at L + 1 >=
 # FFT_MIN_SIZE (see abs_error_bound).  First-order round-off of one FFT
-# product is eps log2(n) |a|_2 |b|_2 (convolve) and of one Fourier sector pmf
-# eps log2(N) (1 + mu) (compound_*, mu the mean claim count).  Measured
-# maxima: 1.7e-18 for convolve at L = 50 000; for sector pmfs against Panjer
-# over 1500 random cases (alpha <= 50, delta <= 0.999, intensities <= 700,
-# L <= 4000) 2.7e-15 at alpha = 44, delta = 1e-8, where Panjer's start value was
-# then ((1 - delta) / (1 - delta q0))**alpha, with alpha times the rounding of
-# 1 - delta (through log1p it is now within 1 ulp of exact, as the Fourier
-# value was); 3e-16 elsewhere.  The tests hold the Fourier path to this bound.
+# product is eps log2(n) |a|_2 |b|_2 (convolve), of one Fourier sector pmf
+# eps log2(N) (1 + mu) mean|G| (compound_*, mu the mean claim count) and of
+# the portfolio base eps log2(N) (1 + sum_k mu_k) mean|G| (fourier_sum over
+# the N+1 sectors, G their product on the grid).  Measured maxima: 1.7e-18
+# for convolve at L = 50 000; for sector pmfs against Panjer over 1500
+# random cases (alpha <= 50, delta <= 0.999, intensities <= 700,
+# L <= 4000) 2.7e-15 at alpha = 44, delta = 1e-8, where Panjer's start value
+# was then ((1 - delta) / (1 - delta q0))**alpha, with alpha times the
+# rounding of 1 - delta (through log1p it is now within 1 ulp of exact, as
+# the Fourier value was), 3e-16 elsewhere; for the base against the Panjer
+# fold over 3000 random systems (an idiosyncratic sector with mu <= 50, one
+# to three factor sectors with alpha in [0.05, 50], delta <= 0.999 and mean
+# claim counts <= 700, an unloaded sector, q0 > 0 allowed, L <= 4000, grids
+# up to 2**18 points) 2.0e-15, and at most 0.30 of the first-order bound
+# over 1500 of them.  negbin_claims takes log1p(-delta) from the complex
+# routine on the grid (see there): with the real one, a system with a factor
+# sector of alpha = 49.6, delta = 0.99 and all severities 0 read 1.4e-14.
+# The tests hold the Fourier path to this bound.
 FFT_ABS_ERROR = 1e-14
 
 # The Fourier sector pmfs grow their grid until the Chernoff bound on the
@@ -243,15 +254,21 @@ def negbin_claims(alpha, delta):
     log G is taken as alpha (log1p(-delta) - log1p(-delta Q)), so that alpha
     does not multiply the rounding error of 1 - delta.  The principal branch
     of the logarithm is the right one on the Fourier grid because
-    Re(1 - delta*Q(w)) >= 1 - delta > 0 for |w| = 1.
+    Re(1 - delta*Q(w)) >= 1 - delta > 0 for |w| = 1.  numpy's complex
+    log1p is log(1 + z) and can round log1p(-delta) one ulp away from the
+    real one (by -8.9e-16 at delta = 0.99): for a complex Q the constant is
+    taken from the complex routine as well, so that Q = 1 gives log G = 0
+    exactly; alpha times that ulp (4.4e-14 at alpha = 50) would scale every
+    entry of a sector whose severities are all 0.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    log_scale = math.log1p(-delta)
+    log_scale, log_scale_complex = math.log1p(-delta), np.log1p(complex(-delta))
     return Claims(delta, (alpha - 1.0) * delta,
-                  lambda w: alpha * (log_scale - np.log1p(-delta * w)),
+                  lambda w: alpha * ((log_scale_complex if np.iscomplexobj(w) else log_scale)
+                                     - np.log1p(-delta * w)),
                   "((1 - delta) / (1 - delta * q0)) ** alpha",
                   f"intensity {alpha * delta / (1.0 - delta):g}, alpha {alpha:g}, "
                   f"delta {delta!r}")
@@ -284,14 +301,14 @@ def _compound(claims, severity, limit):
     L + 1 < ``FFT_MIN_SIZE`` the pmf is Panjer's recursion (``panjer``,
     exact up to relative round-off) from g_0 = exp(log_pgf(q_0)), and
     UnderflowError is raised when g_0 is below the smallest normal double.
-    From there on it is ``_fourier_compound``, accurate to ``FFT_ABS_ERROR``
-    per entry with at most ``ALIAS_FLOOR`` of aliased mass, which needs no
-    start value.
+    From there on it is ``fourier_sum`` of this one term, accurate to
+    ``FFT_ABS_ERROR`` per entry with at most ``ALIAS_FLOOR`` of aliased
+    mass, which needs no start value.
     """
     if claims.a == 0.0 and claims.b == 0.0:
         return point_mass(0, limit)
     if limit + 1 >= FFT_MIN_SIZE:
-        return _fourier_compound(claims.log_pgf, _trimmed(severity.probs), limit, claims.params)
+        return fourier_sum([(claims, severity)], limit, f"the compound pmf ({claims.params})")[0]
     return panjer([panjer_row(claims, severity)], limit)[0]
 
 
@@ -363,52 +380,75 @@ def _panjer(a, b, g0, q, limit):
     return np.ascontiguousarray(g[m:].T)
 
 
-def _fourier_compound(log_pgf, q, limit, params):
-    """Compound pmf exp(log_pgf(Q)) from the trimmed severity vector q.
+def fourier_sum(terms, limit, what, spectra=None):
+    """Pmf of a sum of independent compounds by one inverse FFT of the product
+    of their PGFs.
 
-    One rfft of q gives Q at the N-th roots of unity, the closed form gives
-    G there, one irfft gives the circular pmf sum_j P[X = n + jN]; its first
-    L + 1 entries are kept.  N comes from ``_grid_size``, so the aliased mass
-    on those entries is at most ``ALIAS_FLOOR``.  Round-off to first order:
-    Q is off by about eps log2(N) per grid point, G by mu times that
-    relatively (mu the mean claim count; for the negative binomial
-    |dG/dQ| <= mu |G| because |1 - delta Q| >= 1 - delta), so an entry is
-    off by at most eps log2(N) (1 + mu) mean|G|, observed 1e-18 to 3e-16
-    (see ``FFT_ABS_ERROR``).  No start value g_0 is needed, so large
+    ``terms`` are (``Claims``, severity ``Pmf``) pairs.  One rfft of each
+    trimmed severity vector gives Q_k at the N-th roots of unity and the
+    closed form its log-spectrum log G_k(Q_k); the exponential of their sum
+    is the PGF of the sum there, and one irfft gives the circular pmf
+    sum_j P[X = n + jN], whose first L + 1 entries are kept.  N comes from ``_grid_size`` on all terms together, so the
+    aliased mass on those entries is at most ``ALIAS_FLOOR``; ``what`` names
+    the sum in its AliasingError.  No start value g_0 is needed, so large
     intensities do not underflow.
+
+    ``spectra`` holds one entry per term: a log-spectrum from an earlier
+    call, or None.  Given spectra on a grid at least as large as the
+    Chernoff one set the grid (a larger grid only lowers the aliasing bound)
+    and are used as they are; only the others are computed.  Returns the
+    pmf and the log-spectra of all terms on the grid used.
+
+    Round-off to first order: Q_k is off by about eps log2(N) per grid
+    point and log G_k by mu_k times that (mu_k the mean claim count; for
+    the negative binomial |d log G/dQ| <= mu because |1 - delta Q| >=
+    1 - delta), so an entry is off by at most eps log2(N) (1 + sum_k mu_k)
+    mean|G| (see ``FFT_ABS_ERROR``).
     """
-    n = _grid_size(log_pgf, q, limit, params)
-    g = np.fft.irfft(np.exp(log_pgf(np.fft.rfft(q, n))), n)[: limit + 1]
-    return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
+    trimmed = [(claims, _trimmed(severity.probs)) for claims, severity in terms]
+    n = _grid_size(trimmed, limit, what)
+    spectra = list(spectra or [None] * len(terms))
+    given = max((s.size for s in spectra if s is not None), default=0)
+    n = max(n, 2 * (given - 1))
+    for k, (claims, q) in enumerate(trimmed):
+        if spectra[k] is None or spectra[k].size != n // 2 + 1:
+            spectra[k] = claims.log_pgf(np.fft.rfft(q, n))
+    g = np.fft.irfft(np.exp(sum(spectra)), n)[: limit + 1]
+    return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0)), spectra
 
 
-def _grid_size(log_pgf, q, limit, params):
+def _grid_size(terms, limit, what):
     """Smallest power of two N >= 2(L + 1) whose aliasing bound is <= ALIAS_FLOOR.
 
-    The circular grid folds P[X = n + jN] onto n, so the error it adds to
-    the entries 0..L sums to at most P[X >= N] <= G(e^t) e^(-tN) for every
-    t > 0 (Chernoff; it holds for a defective Q as well).  Hence N suffices
-    once N >= phi(t) = (log G(e^t) - log ALIAS_FLOOR) / t for some t; the
-    smallest phi over 96 log-spaced t is taken.  Every t gives a valid
-    bound, so a coarse set of t can only enlarge N.  Raises AliasingError
-    when that value exceeds MAX_GRID.
+    ``terms`` are the (``Claims``, trimmed severity vector q) pairs of
+    independent compounds; X is their sum, with log G(z) = sum_k
+    log G_k(Q_k(z)).  The circular grid folds P[X = n + jN] onto n, so the
+    error it adds to the entries 0..L sums to at most P[X >= N] <=
+    G(e^t) e^(-tN) for every t > 0 (Chernoff; it holds for a defective Q as
+    well).  Hence N suffices once N >= phi(t) = (log G(e^t) - log
+    ALIAS_FLOOR) / t for some t; the smallest phi over 96 log-spaced t is
+    taken.  Every t gives a valid bound, so a coarse set of t can only
+    enlarge N.  Raises AliasingError, naming ``what`` and L, when that value
+    exceeds MAX_GRID.
     """
     n = 1 << (2 * limit + 1).bit_length()
-    if q.size == 1:  # G is constant: all mass sits at 0
+    m = max((q.size for _, q in terms), default=1)
+    if m == 1:  # G is constant: all mass sits at 0
         return n
-    # t * (q.size - 1) <= 700 keeps exp(t j) finite.
-    t = np.geomspace(1e-9, 700.0 / (q.size - 1), 96)
-    # Past the negative binomial's pole (delta Q(e^t) >= 1) log G is
-    # undefined (nan or -inf), and for large t it may overflow: the bound is
-    # infinite there.
+    # t * (m - 1) <= 700 keeps exp(t j) finite.
+    t = np.geomspace(1e-9, 700.0 / (m - 1), 96)
+    # Past a negative binomial's pole (delta Q(e^t) >= 1) log G is undefined
+    # (nan or inf), and for large t it may overflow: the bound is infinite
+    # there.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = log_pgf(np.exp(np.outer(t, np.arange(q.size))) @ q)
+        e = np.exp(np.outer(t, np.arange(m)))
+        k = sum(claims.log_pgf(e[:, : q.size] @ q) for claims, q in terms)
         need = float(np.min(np.where(k < math.inf, (k - math.log(ALIAS_FLOOR)) / t, math.inf)))
     if need > n:
         if need > MAX_GRID:
             raise AliasingError(
-                f"keeping the aliased mass below {ALIAS_FLOOR:g} needs a Fourier grid of "
-                f"{need:.3g} points, above MAX_GRID = {MAX_GRID} ({params}, L={limit})"
+                f"{what} at L={limit} needs a Fourier grid of {need:.3g} points to keep "
+                f"the aliased mass below {ALIAS_FLOOR:g}, above MAX_GRID = {MAX_GRID}"
             )
         n = 1 << (math.ceil(need) - 1).bit_length()
     return n

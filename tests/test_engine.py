@@ -2,12 +2,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from crplus import engine as eng
 from crplus import pmf as pm
 from crplus.engine import LossEngine
-from crplus.pmf import TruncationError, UnderflowError
+from crplus.pmf import AliasingError, TruncationError, UnderflowError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
 from conftest import (UNVALIDATED, make_reference_portfolio, panjer_negbin, panjer_poisson,
@@ -242,6 +244,159 @@ def test_fourier_engine_keeps_kernels_lazy(reference_portfolio):
     assert not [key for key in engine._cache if key[0] == "kernel"]
     engine.loss_distribution((0, 1))
     assert [key for key in engine._cache if key[0] == "kernel"] == [("kernel", 2)]
+
+
+# ------------------------------------------------- spectral base above FFT_MIN_SIZE
+
+SPECTRAL_LIMIT = 600
+
+
+@pytest.mark.parametrize("obligors, p0", [
+    pytest.param((), 1.0, id="empty"),
+    pytest.param((Obligor("A", 0.3, [0.5, 0.5], SeverityDist({0: 1.0})),), 1.0,
+                 id="zero_severities"),
+    # P[no default] = exp(-0.15) (1 + 0.15)**-1; every default lands beyond L.
+    pytest.param((Obligor("A", 0.3, [0.5, 0.5], SeverityDist({700: 1.0})),),
+                 0.7484417186304851, id="severity_beyond_limit"),
+])
+def test_spectral_base_of_edge_books(obligors, p0):
+    sectors = (Sector("s1", 1.0),) if obligors else ()
+    out = LossEngine(eng.assemble(Portfolio(sectors, obligors), SPECTRAL_LIMIT)).loss_distribution()
+    assert out.probs[0] == pytest.approx(p0, rel=1e-15, abs=0.0)
+    assert out.tail_mass == pytest.approx(1.0 - p0, abs=1e-15)
+    np.testing.assert_array_equal(out.probs[1:], 0.0)
+
+
+@st.composite
+def spectral_systems(draw):
+    """Sector systems above the FFT crossover: an idiosyncratic sector, one to
+    three factor sectors and one unloaded sector (mu = 0, Q = point mass)."""
+    limit = draw(st.integers(pm.FFT_MIN_SIZE - 1, 4000))
+    n = draw(st.integers(1, 3))
+
+    def severity():
+        size = draw(st.integers(1, 3))
+        support = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size, unique=True))
+        if draw(st.booleans()):
+            support[0] = 0  # q0 > 0
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+        return pm.from_dict({x: w / sum(weights) for x, w in zip(support, weights)}, limit)
+
+    alphas = [draw(st.floats(0.05, 50.0)) for _ in range(n)] + [1.0]
+    delta = [draw(st.floats(0.0, 0.999)) for _ in range(n)] + [0.0]
+    mu = [draw(st.floats(0.0, 50.0))] + [a * d / (1.0 - d) for a, d in zip(alphas, delta)]
+    # Mean claim counts up to 700, as in the pmf tests, keep Panjer's start
+    # values normal for the reference.
+    assume(max(mu) <= 700.0)
+    q_polys = tuple(severity() for _ in range(n + 1)) + (pm.point_mass(0, limit),)
+    system = eng.SectorSystem(mu=np.array(mu), delta=np.array(delta), alphas=np.array(alphas),
+                              q_polys=q_polys, limit=limit,
+                              sector_ids=tuple(f"s{k}" for k in range(1, n + 2)))
+    # delta near 1 with large severities needs grids of millions of points:
+    # up to 2**18 keeps each example small.
+    terms = [(eng._claims(system, "sector", k), pm._trimmed(q.probs))
+             for k, q in enumerate(q_polys)]
+    assume(pm._grid_size(terms, limit, "the base") <= 1 << 18)
+    return system
+
+
+@settings(max_examples=15, deadline=None)
+@given(spectral_systems())
+def test_spectral_base_matches_panjer_fold(system):
+    out = LossEngine(system).loss_distribution()
+    ref = panjer_fold(system, (0,) * system.n_sectors)
+    assert np.max(np.abs(out.probs - ref.probs)) <= pm.FFT_ABS_ERROR
+    assert out.tail_mass == pytest.approx(ref.tail_mass, abs=1e-12)
+
+
+def spectral_book(heavy=True):
+    """A book whose base needs a 4096-point grid at L = 600 when H's loss on
+    s1 (alpha 0.5, delta 0.73) is 30, and the 2048-point minimum when it is 1."""
+    return Portfolio(
+        (Sector("s1", 0.5), Sector("s2", 2.0), Sector("s3", 1.0)),
+        (Obligor("H", 1.0, [0.0, 1.0, 0.0, 0.0], SeverityDist({30 if heavy else 1: 1.0})),
+         Obligor("A", 0.4, [0.2, 0.8, 0.0, 0.0], SeverityDist({1: 1.0})),
+         Obligor("B", 0.5, [0.3, 0.0, 0.7, 0.0], SeverityDist({2: 0.5, 7: 0.5})),
+         Obligor("C", 0.3, [0.5, 0.0, 0.0, 0.5], SeverityDist({0: 0.2, 3: 0.8}))))
+
+
+def _grid(engine, k):
+    return 2 * (engine._cache[("spectrum", k)].size - 1)
+
+
+def _spectra_given(monkeypatch):
+    """Which spectra each ``pmf.fourier_sum`` call of the test was handed."""
+    given, fourier_sum = [], pm.fourier_sum
+
+    def recorded(terms, limit, what, spectra=None):
+        given.append([s is not None for s in spectra or [None] * len(terms)])
+        return fourier_sum(terms, limit, what, spectra)
+
+    monkeypatch.setattr(pm, "fourier_sum", recorded)
+    return given
+
+
+def test_derive_on_the_spectral_path_reuses_the_grid_and_unchanged_spectra(monkeypatch):
+    # C loads on the idiosyncratic sector and s3: s1 and s2 are untouched.
+    port = spectral_book(heavy=False)
+    engine = LossEngine(eng.assemble(port, SPECTRAL_LIMIT))
+    engine.loss_distribution()
+    given = _spectra_given(monkeypatch)
+    written_off = eng.assemble(port, SPECTRAL_LIMIT, written_off=("C",))
+    derived = engine.derive(written_off)
+    base = derived.loss_distribution()
+    assert given == [[False, True, True, False]]
+    for k in range(4):
+        assert _grid(derived, k) == _grid(engine, k) == 2048
+        reused = derived._cache[("spectrum", k)] is engine._cache[("spectrum", k)]
+        assert reused == (k in (1, 2))
+    fresh = LossEngine(written_off).loss_distribution()
+    np.testing.assert_array_equal(base.probs, fresh.probs)
+    assert base.tail_mass == fresh.tail_mass
+
+
+def test_derive_keeps_a_larger_parent_grid_and_replaces_a_smaller_one():
+    heavy, light = spectral_book(heavy=True), spectral_book(heavy=False)
+    engine = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT))
+    engine.loss_distribution()
+    assert _grid(engine, 0) == 4096
+    # Writing off H moves its mass on s1 to loss 0: the system's own grid
+    # would be 2048 points, and the parent's 4096 still bounds the aliasing.
+    written_off = eng.assemble(heavy, SPECTRAL_LIMIT, written_off=("H",))
+    derived = engine.derive(written_off)
+    base = derived.loss_distribution()
+    assert _grid(derived, 1) == 4096
+    assert derived._cache[("spectrum", 0)] is engine._cache[("spectrum", 0)]
+    fresh = LossEngine(written_off)
+    fresh_base = fresh.loss_distribution()
+    assert _grid(fresh, 0) == 2048
+    assert np.max(np.abs(base.probs - fresh_base.probs)) <= pm.FFT_ABS_ERROR
+    assert base.tail_mass == pytest.approx(fresh_base.tail_mass, abs=1e-12)
+    # The other way round the inherited 2048-point spectra are too coarse:
+    # every sector is recomputed on the 4096-point grid.
+    engine = LossEngine(eng.assemble(light, SPECTRAL_LIMIT))
+    engine.loss_distribution()
+    derived = engine.derive(eng.assemble(heavy, SPECTRAL_LIMIT))
+    base = derived.loss_distribution()
+    for k in range(4):
+        assert _grid(derived, k) == 4096
+        assert derived._cache[("spectrum", k)] is not engine._cache[("spectrum", k)]
+    np.testing.assert_array_equal(
+        base.probs, LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT)).loss_distribution().probs)
+
+
+def test_base_grid_above_max_grid_names_the_base(monkeypatch):
+    # Each sector alone fits a 2048-point grid at L = 600; their sum needs 4096.
+    p = Portfolio((Sector("s1", 1.0), Sector("s2", 1.0)),
+                  (Obligor("A", 1.0, [0.0, 1.0, 0.0], SeverityDist({25: 1.0})),
+                   Obligor("B", 1.0, [0.0, 0.0, 1.0], SeverityDist({25: 1.0}))))
+    monkeypatch.setattr(pm, "MAX_GRID", 2048)
+    engine = LossEngine(eng.assemble(p, SPECTRAL_LIMIT))
+    for k in (1, 2):
+        assert engine.sector_loss(k).truncation_limit == SPECTRAL_LIMIT
+        assert engine.kernel(k).truncation_limit == SPECTRAL_LIMIT
+    with pytest.raises(AliasingError, match=r"^the portfolio base at L=600 needs a Fourier grid"):
+        engine.loss_distribution()
 
 
 def test_underflowing_row_in_a_batch_names_its_own_parameters():

@@ -317,6 +317,14 @@ def test_fourier_negbin_heavy_tail_matches_scipy():
     assert out.tail_mass == pytest.approx(stats.nbinom.sf(limit, 0.5, 0.001), abs=1e-12)
 
 
+def test_fourier_negbin_of_zero_severities_is_exactly_a_point_mass():
+    # numpy's complex log1p(-0.99) is one ulp below the real log1p: with the
+    # real constant in log G, alpha = 50 scaled the point mass by 1 + 4.4e-14.
+    out = pm.compound_negbin(50.0, 0.99, pm.point_mass(0, 600), 600)
+    assert out.probs[0] == 1.0 and not out.probs[1:].any()
+    assert out.tail_mass == 0.0
+
+
 def test_fourier_grid_cap_raises():
     with pytest.raises(AliasingError, match="MAX_GRID"):
         pm.compound_negbin(1.0, 1.0 - 1e-7, pm.point_mass(1, 600), 600)
