@@ -14,13 +14,17 @@ set size at that point.
 """
 
 import resource
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from crplus import LossEngine, Obligor, Portfolio, Sector, SeverityDist, assemble, mean
-from crplus import conditional as cd
-from crplus import mc
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from crplus import LossEngine, Obligor, Portfolio, Sector, SeverityDist, assemble, mean  # noqa: E402
+from crplus import conditional as cd  # noqa: E402
+from crplus import mc  # noqa: E402
 
 MC_DRAWS = 1_000_000
 

@@ -9,7 +9,9 @@ write-off variants), a Monte Carlo run, and the three-way comparison.
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from conftest import make_reference_portfolio  # noqa: E402
 

@@ -164,7 +164,7 @@ def _scenario_obligors(args, port, expected=None):
         raise CliError(f"scenario obligors must differ, got {ids[0]!r} twice", EXIT_INPUT)
     for oid in ids:
         try:
-            port.obligor(oid)
+            port.row(oid)
         except PortfolioError as exc:
             raise CliError(str(exc), EXIT_INPUT) from exc
     return ids
@@ -233,13 +233,12 @@ def _stressed_input_pmf(engine, port, obligor_id):
     is shifted by the scenario obligor's severity (the occurred-loss socket).
     """
     system = engine.system
-    pds = _stressed_pds(port, system, obligor_id).tolist()
-    obligors = tuple(pf.Obligor(o.id, pd, o.weights, o.severity)
-                     for o, pd in zip(port.obligors, pds) if o.id != obligor_id)
-    stressed = pf.Portfolio(port.sectors, obligors)
+    others = np.ones(len(port.ids), dtype=bool)
+    others[port.row(obligor_id)] = False
+    stressed = port.restricted(others, _stressed_pds(port, system, obligor_id))
     stressed_engine = eng.LossEngine(eng.assemble(stressed, system.limit))
     base = stressed_engine.loss_distribution()
-    sev = pm.from_dict(port.obligor(obligor_id).severity.probabilities, system.limit)
+    sev = pm.from_dict(port.severity_of(obligor_id), system.limit)
     return pm.convolve(base, sev)
 
 
@@ -248,7 +247,7 @@ def cmd_compare(args):
     thetas = _thetas(args)
     ids = _scenario_obligors(args, port, expected=1)
     oid = ids[0]
-    if port.obligor(oid).pd == 0.0:
+    if port.columns.pd[port.row(oid)] == 0.0:
         raise CliError(f"obligor {oid}: pd is 0, cannot condition on its default", EXIT_INPUT)
     engine, _ = _engine_for(args, port)
     limit = engine.system.limit

@@ -55,8 +55,8 @@ class ScenarioReport:
         return doc
 
 
-def _severity_pmf(engine, obligor):
-    return pm.from_dict(obligor.severity.probabilities, engine.system.limit)
+def _severity_pmf(engine, portfolio, obligor_id):
+    return pm.from_dict(portfolio.severity_of(obligor_id), engine.system.limit)
 
 
 def _stress(n, offsets):
@@ -130,19 +130,19 @@ def _writeoff_engine(engine, portfolio, obligor_ids):
 
 def _scenario(engine, portfolio, ids, writeoff=False):
     """Mixture weights, normalizer and conditional pmf given the default of ``ids``."""
-    obligors = [portfolio.obligor(oid) for oid in ids]
+    loadings = [portfolio.columns.W[portfolio.row(oid)] for oid in ids]
     system = engine.system
-    if len(obligors) == 1:
-        weights = _single_weights(obligors[0].weights, system.n_sectors)
+    if len(loadings) == 1:
+        weights = _single_weights(loadings[0], system.n_sectors)
         normalizer = 1.0
     else:
-        w1, w2 = obligors[0].weights, obligors[1].weights
+        w1, w2 = loadings
         weights = _double_weights(w1, w2, system.alphas, system.n_sectors)
         normalizer = 1.0 + float(np.sum(w1[1:] * w2[1:] / system.alphas))
     if writeoff:
         used, shift = _writeoff_engine(engine, portfolio, ids), []
     else:
-        used, shift = engine, [_severity_pmf(engine, o) for o in obligors]
+        used, shift = engine, [_severity_pmf(engine, portfolio, oid) for oid in ids]
     return weights, normalizer, _mixture(used, weights, shift, normalizer)
 
 
@@ -184,12 +184,12 @@ def cond_default_intensity(engine, portfolio, obligor_id, x):
     the unstressed parameters.  ``x`` is a loss level or an array of them
     (the result then has its shape); the conditional pmf is built once.
     """
-    o = portfolio.obligor(obligor_id)
+    pd = float(portfolio.columns.pd[portfolio.row(obligor_id)])
     p_x = _check_level(engine, x)
-    if o.pd == 0.0:
+    if pd == 0.0:
         return _per_level(x, np.zeros_like(p_x))
     _, _, cond = _scenario(engine, portfolio, [obligor_id])
-    return _per_level(x, o.pd * cond.probs[x] / p_x)
+    return _per_level(x, pd * cond.probs[x] / p_x)
 
 
 def loss_given_one_default(engine, portfolio, obligor_id, writeoff=False,
@@ -210,9 +210,9 @@ def joint_default_intensity(portfolio, system, id1, id2):
     """Unconditional E[D_1 D_2] = p1 p2 (1 + sum_k w1k w2k / alpha_k)."""
     if id1 == id2:
         raise PortfolioError(f"obligors must differ, got {id1!r} twice")
-    o1, o2 = portfolio.obligor(id1), portfolio.obligor(id2)
-    coupling = float(np.sum(o1.weights[1:] * o2.weights[1:] / system.alphas))
-    return o1.pd * o2.pd * (1.0 + coupling)
+    c, a1, a2 = portfolio.columns, portfolio.row(id1), portfolio.row(id2)
+    coupling = float(np.sum(c.W[a1, 1:] * c.W[a2, 1:] / system.alphas))
+    return float(c.pd[a1]) * float(c.pd[a2]) * (1.0 + coupling)
 
 
 def joint_cond_intensity(engine, portfolio, id1, id2, x):
@@ -224,12 +224,13 @@ def joint_cond_intensity(engine, portfolio, id1, id2, x):
     """
     if id1 == id2:
         raise PortfolioError(f"obligors must differ, got {id1!r} twice")
-    o1, o2 = portfolio.obligor(id1), portfolio.obligor(id2)
+    c = portfolio.columns
+    pd1, pd2 = float(c.pd[portfolio.row(id1)]), float(c.pd[portfolio.row(id2)])
     p_x = _check_level(engine, x)
-    if o1.pd == 0.0 or o2.pd == 0.0:
+    if pd1 == 0.0 or pd2 == 0.0:
         return _per_level(x, np.zeros_like(p_x))
     _, normalizer, cond = _scenario(engine, portfolio, [id1, id2])
-    return _per_level(x, o1.pd * o2.pd * normalizer * cond.probs[x] / p_x)
+    return _per_level(x, pd1 * pd2 * normalizer * cond.probs[x] / p_x)
 
 
 def loss_given_two_defaults(engine, portfolio, id1, id2, writeoff=False,
@@ -257,9 +258,9 @@ def stressed_pd(portfolio, system, other_id, defaulted_id):
     """
     if other_id == defaulted_id:
         raise PortfolioError(f"obligors must differ, got {other_id!r} twice")
-    defaulted = portfolio.obligor(defaulted_id)
-    if defaulted.pd == 0.0:
+    c, a = portfolio.columns, portfolio.row(defaulted_id)
+    if c.pd[a] == 0.0:
         raise PortfolioError(f"obligor {defaulted_id}: pd is 0, cannot condition on its default")
-    other = portfolio.obligor(other_id)
-    coupling = float(np.sum(defaulted.weights[1:] * other.weights[1:] / system.alphas))
-    return other.pd * (1.0 + coupling)
+    b = portfolio.row(other_id)
+    coupling = float(np.sum(c.W[a, 1:] * c.W[b, 1:] / system.alphas))
+    return float(c.pd[b]) * (1.0 + coupling)

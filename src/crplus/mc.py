@@ -173,7 +173,7 @@ def _dense_counts(draw, obligor, b, n_obligors):
 def simulate(portfolio, cfg):
     """Run the simulation and tally losses and default counts."""
     n = portfolio.n_sectors
-    ids = [o.id for o in portfolio.obligors]
+    ids = portfolio.ids
     loss_counts = np.zeros(0, dtype=np.int64)
     default_totals = np.zeros(len(ids), dtype=np.int64)
     factor_sums = np.zeros(n)
@@ -225,7 +225,7 @@ class ConditionalEstimate:
 def estimate_conditional_one_default(portfolio, obligor_id, cfg, limit):
     """Estimate the single-default conditional loss pmf on {0..limit}."""
     idx = portfolio.row(obligor_id)
-    if portfolio.obligors[idx].pd == 0.0:
+    if portfolio.columns.pd[idx] == 0.0:
         raise ValueError(f"obligor {obligor_id}: pd is 0, no defaults to condition on")
     size = limit + 1
     sum_w = 0.0  # sum D_A
@@ -278,8 +278,12 @@ def verify_fundamental_identity(portfolio, id1, id2, x, cfg):
     i2 = None if id2 is None else portfolio.row(id2)
     if i2 is not None and i1 == i2:
         raise ValueError("obligors must differ")
-    sevs = {i: portfolio.obligors[i].severity.values_and_probs()
-            for i in ([i1] if i2 is None else [i1, i2])}
+    c = portfolio.columns
+    sevs = {}
+    for i in [i1] if i2 is None else [i1, i2]:
+        j = slice(c.start[i], c.start[i + 1])
+        ascending = np.argsort(c.value[j])  # the order of SeverityDist.values_and_probs
+        sevs[i] = c.value[j][ascending], c.prob[j][ascending], c.pd[i], c.W[i]
     n = cfg.draws
     sum_l = sum_l2 = 0.0
     sum_r = sum_r2 = 0.0
@@ -289,11 +293,10 @@ def verify_fundamental_identity(portfolio, id1, id2, x, cfg):
         left = (losses == x).astype(float)
         prod_ps = np.ones(losses.size)
         shift = np.zeros(losses.size)
-        for i, (vals, probs) in sevs.items():
-            o = portfolio.obligors[i]
+        for i, (vals, probs, pd, w) in sevs.items():
             left *= np.bincount(draw[obligor == i], minlength=losses.size)
             # p_A^S = p_A (w_A0 + sum_k w_Ak S_k); S_0 = 1
-            prod_ps *= o.pd * (o.weights[0] + factors @ o.weights[1:])
+            prod_ps *= pd * (w[0] + factors @ w[1:])
             shift += _sample_severities(rng, vals, probs, losses.size)
         right = prod_ps * (losses == x - shift)
         sum_l += left.sum()

@@ -5,17 +5,19 @@ sectors (index 0 is the idiosyncratic weight) and an integer-valued loss
 severity distribution.  Portfolios are immutable after construction;
 constructors coerce types, :func:`validate` checks the invariants, and
 :func:`parse_portfolio` rejects any input with non-empty diagnostics.
-``Portfolio.columns`` holds the obligors as arrays, built once per
-portfolio; validation, the engine's sector sums and the Monte Carlo tables
-all read them.  ``Portfolio.obligor_diagnostics`` holds the obligor
-diagnostics, also found once per portfolio.
+``Portfolio.columns`` holds the obligors as arrays; validation, the
+engine's sector sums, the conditionals and the Monte Carlo tables all read
+them.  :func:`parse_portfolio` decodes a file straight into the columns and
+builds ``Obligor`` objects only when asked for one.
+``Portfolio.obligor_diagnostics`` holds the obligor diagnostics, found once
+per portfolio.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -94,21 +96,79 @@ class Sector:
 
 
 # A portfolio's obligors as arrays (see ``Portfolio.columns``).
-Columns = namedtuple("Columns", "pd W wsize owner value prob row")
+Columns = namedtuple("Columns", "pd W wsize owner value prob start exact row")
 
 
-@dataclass(frozen=True)
+def _columns(ids, pd, W, wsize, sizes, values, probs):
+    """Columns from the row arrays and the flat severity entries (lists or arrays).
+
+    Row a owns the next ``sizes[a]`` entries of ``values`` and ``probs``.
+    """
+    n = len(ids)
+    owner = np.repeat(np.arange(n), sizes)
+    exact = {}
+    try:
+        value = np.array(values, dtype=np.int64)
+    except OverflowError:  # a loss beyond int64 lies beyond any L: clip it
+        big = np.iinfo(np.int64)
+        exact = {j: x for j, x in enumerate(values) if not big.min <= x <= big.max}
+        value = np.array([min(max(x, big.min), big.max) for x in values], dtype=np.int64)
+    prob = np.array(probs, dtype=float)
+    start = np.searchsorted(owner, np.arange(n + 1))
+    for a in (pd, W, wsize, owner, value, prob, start):
+        a.setflags(write=False)
+    return Columns(pd, W, wsize, owner, value, prob, start, exact,
+                   row=dict(zip(reversed(ids), range(n - 1, -1, -1))))
+
+
 class Portfolio:
-    sectors: tuple
-    obligors: tuple
+    """Sectors and obligors, immutable.
 
-    def __post_init__(self):
-        object.__setattr__(self, "sectors", tuple(self.sectors))
-        object.__setattr__(self, "obligors", tuple(self.obligors))
+    ``Portfolio(sectors, obligors)`` keeps the given ``Obligor`` objects and
+    derives ``columns`` from them on first use.  A parsed portfolio is built
+    from its columns: ``obligor(id)`` then builds that one obligor from its
+    row, and ``obligors`` builds the whole tuple on first access.  Equality
+    compares the sectors and the obligors.
+    """
+
+    def __init__(self, sectors, obligors):
+        self.__dict__.update(sectors=tuple(sectors), obligors=tuple(obligors))
+
+    @classmethod
+    def _from_columns(cls, sectors, ids, columns):
+        p = cls.__new__(cls)
+        p.__dict__.update(sectors=tuple(sectors), ids=tuple(ids), columns=columns)
+        return p
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sectors, self.obligors) == (other.sectors, other.obligors)
+
+    def __hash__(self):
+        return hash((self.sectors, self.obligors))
+
+    def __repr__(self):
+        return f"Portfolio(sectors={self.sectors!r}, obligors={self.obligors!r})"
 
     @property
     def n_sectors(self):
         return len(self.sectors)
+
+    @cached_property
+    def ids(self):
+        """The obligor ids, row a for obligor a."""
+        return tuple(o.id for o in self.obligors)
+
+    @cached_property
+    def obligors(self):
+        return tuple(self._obligor_at(a) for a in range(len(self.ids)))
 
     @cached_property
     def columns(self):
@@ -118,7 +178,9 @@ class Portfolio:
         NaN row where the length ``wsize`` of a weight vector is not N+1.
         Entry j of the flat severity arrays gives obligor ``owner[j]`` the
         loss ``value[j]`` with probability ``prob[j]``, each obligor's
-        entries in its dict's order.  ``row`` maps an id to its first row.
+        entries in its dict's order; obligor a's are ``start[a]:start[a+1]``.
+        ``value`` clips losses beyond int64, whose exact values ``exact``
+        maps by entry.  ``row`` maps an id to its first row.
         """
         obligors, width = self.obligors, self.n_sectors + 1
         n = len(obligors)
@@ -128,20 +190,9 @@ class Portfolio:
         W[fits] = np.concatenate([np.zeros(0)] + [o.weights for o in obligors
                                                   if o.weights.size == width]).reshape(-1, width)
         severities = [o.severity.probabilities for o in obligors]
-        owner = np.repeat(np.arange(n), [len(s) for s in severities])
-        try:
-            value = np.fromiter(chain.from_iterable(severities), np.int64, owner.size)
-        except OverflowError:  # a loss beyond int64 lies beyond any L: clip it
-            big = np.iinfo(np.int64)
-            value = np.fromiter((min(max(x, big.min), big.max)
-                                 for x in chain.from_iterable(severities)), np.int64, owner.size)
-        prob = np.fromiter(chain.from_iterable(s.values() for s in severities), float, owner.size)
-        pd = np.fromiter((o.pd for o in obligors), float, n)
-        for a in (pd, W, wsize, owner, value, prob):
-            a.setflags(write=False)
-        ids = [o.id for o in obligors]
-        return Columns(pd, W, wsize, owner, value, prob,
-                       row=dict(zip(reversed(ids), range(n - 1, -1, -1))))
+        return _columns(self.ids, np.fromiter((o.pd for o in obligors), float, n), W, wsize,
+                        [len(s) for s in severities], list(chain.from_iterable(severities)),
+                        list(chain.from_iterable(s.values() for s in severities)))
 
     @cached_property
     def obligor_diagnostics(self):
@@ -159,11 +210,52 @@ class Portfolio:
         except KeyError:
             raise PortfolioError(f"unknown obligor {obligor_id!r}") from None
 
+    def _severity_at(self, a):
+        c = self.columns
+        lo, hi = int(c.start[a]), int(c.start[a + 1])
+        values = c.value[lo:hi].tolist()
+        if c.exact:
+            values = [c.exact.get(j, x) for j, x in enumerate(values, lo)]
+        return dict(zip(values, c.prob[lo:hi].tolist()))
+
+    def _obligor_at(self, a):
+        c = self.columns
+        return Obligor(self.ids[a], c.pd[a], c.W[a], SeverityDist(self._severity_at(a)))
+
     def obligor(self, obligor_id):
-        return self.obligors[self.row(obligor_id)]
+        """The ``Obligor`` of the id's row; a parsed portfolio builds it from the columns."""
+        a = self.row(obligor_id)
+        if "obligors" in self.__dict__:
+            return self.obligors[a]
+        return self._obligor_at(a)
+
+    def severity_of(self, obligor_id):
+        """The obligor's severity as a {loss: probability} dict, from the columns."""
+        return self._severity_at(self.row(obligor_id))
 
     def expected_loss(self):
-        return sum(o.pd * o.severity.mean() for o in self.obligors)
+        c = self.columns
+        v = c.value.astype(float)
+        for j, x in c.exact.items():
+            v[j] = x
+        mean = np.bincount(c.owner, v * c.prob, c.pd.size)  # each obligor's, in entry order
+        return sum((c.pd * mean).tolist())
+
+    def restricted(self, keep, pd):
+        """The portfolio of the rows where the mask ``keep`` holds, with pds ``pd[keep]``.
+
+        Built from the columns, without obligor objects.
+        """
+        c = self.columns
+        entries = keep[c.owner]
+        values = c.value[entries]
+        if c.exact:
+            values = [c.exact.get(j, x)
+                      for j, x in zip(np.flatnonzero(entries).tolist(), values.tolist())]
+        ids = [oid for oid, k in zip(self.ids, keep.tolist()) if k]
+        columns = _columns(ids, np.asarray(pd, dtype=float)[keep], c.W[keep], c.wsize[keep],
+                           np.diff(c.start)[keep], values, c.prob[entries])
+        return Portfolio._from_columns(self.sectors, ids, columns)
 
     def with_severity(self, obligor_id, severity):
         """Copy of the portfolio with one obligor's severity replaced."""
@@ -184,14 +276,16 @@ def _weight_faults(W):
 def _obligor_faults(p):
     """Yield a diagnostic for each obligor rule p breaks, in report order.
 
-    Each rule is one mask over ``p.columns``; only flagged obligors are visited.
+    Each rule is one mask over ``p.columns``; only flagged obligors are
+    visited, and no ``Obligor`` is built (a ragged weight vector, which only
+    a portfolio built from obligor objects can hold, is read from its object).
     """
-    c, obligors, width = p.columns, p.obligors, p.n_sectors + 1
-    n = len(obligors)
+    c, ids, width = p.columns, p.ids, p.n_sectors + 1
+    n = len(ids)
     ragged = c.wsize != width
     bad_weights, weight_sums = _weight_faults(c.W)
     for a in np.flatnonzero(ragged):  # their rows of W are NaN: check the vectors
-        (bad_weights[a],), (weight_sums[a],) = _weight_faults(obligors[a].weights[None, :])
+        (bad_weights[a],), (weight_sums[a],) = _weight_faults(p.obligors[a].weights[None, :])
     duplicate = np.ones(n, dtype=bool)
     duplicate[list(c.row.values())] = False
     bad_pd = ~(np.isfinite(c.pd) & (c.pd >= 0))
@@ -199,28 +293,27 @@ def _obligor_faults(p):
     negative, outside = c.value < 0, ~((c.prob >= 0.0) & (c.prob <= 1.0))
     bad_entries = np.bincount(c.owner, negative | outside, n) > 0
     bad_total = np.abs(np.bincount(c.owner, c.prob, n) - 1.0) > SEVERITY_SUM_TOL
-    start = np.searchsorted(c.owner, np.arange(n + 1))  # a's entries: start[a]:start[a+1]
+    start = c.start
     flagged = duplicate | bad_pd | ragged | bad_weights | bad_sum | bad_entries | bad_total
     for a in np.flatnonzero(flagged):
-        o = obligors[a]
-        at = f"obligor {o.id}: "
+        at = f"obligor {ids[a]}: "
         if duplicate[a]:
             yield at + "duplicate obligor id"
         if bad_pd[a]:
-            yield at + f"pd must be non-negative and finite (got {o.pd})"
+            yield at + f"pd must be non-negative and finite (got {float(c.pd[a])})"
         if ragged[a]:
-            yield at + f"weight vector length {o.weights.size} != {width}"
+            yield at + f"weight vector length {c.wsize[a]} != {width}"
         if bad_weights[a]:
             yield at + "weights must lie in [0, 1]"
         if bad_sum[a]:
-            yield at + f"weights sum to {o.weights.sum()!r}, not 1"
+            yield at + f"weights sum to {float(weight_sums[a])!r}, not 1"
         for j in range(start[a], start[a + 1]):
             if negative[j]:
                 yield at + f"severity support point {c.value[j]} is negative"
             if outside[j]:
                 yield at + f"severity probability {float(c.prob[j])!r} outside [0, 1]"
         if bad_total[a]:
-            total = sum(o.severity.probabilities.values())
+            total = sum(c.prob[start[a]:start[a + 1]].tolist())
             yield at + f"severity probabilities sum to {total!r}, not 1"
 
 
@@ -237,6 +330,9 @@ def validate(p):
     for s in p.sectors:
         if not (np.isfinite(s.alpha) and s.alpha > 0):
             diagnostics.append(f"sector {s.id}: alpha must be positive and finite (got {s.alpha})")
+        if s.id == IDIOSYNCRATIC:
+            diagnostics.append(f"sector {s.id}: sector id {IDIOSYNCRATIC!r} is reserved "
+                               "for the idiosyncratic weight")
         if s.id in seen:
             diagnostics.append(f"sector {s.id}: duplicate sector id")
         seen.add(s.id)
@@ -255,31 +351,46 @@ def check_obligors(p):
         raise PortfolioError(p.obligor_diagnostics[0])
 
 
-def _parse_severity(spec, where):
+def _number(x, where, field):
+    """``x`` as a float if it is a JSON number (booleans are not), else PortfolioError."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise PortfolioError(f"{where}: {field} must be a number (got {x!r})")
+
+
+def _parse_severity(spec, oid):
+    """The losses and probabilities of the severity ``spec``, equal losses merged."""
     if not isinstance(spec, dict) or "type" not in spec:
-        raise PortfolioError(f"{where}: severity must be an object with a 'type' field")
+        raise PortfolioError(f"obligor {oid}: severity must be an object with a 'type' field")
     kind = spec["type"]
     if kind == "deterministic":
         value = spec.get("value")
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:  # a JSON integer; bool is not one
             raise PortfolioError(
-                f"{where}: deterministic severity needs a non-negative integer 'value'"
+                f"obligor {oid}: deterministic severity needs a non-negative integer 'value'"
             )
-        return SeverityDist({value: 1.0})
+        return (value,), (1.0,)
     if kind == "pmf":
         values = spec.get("values")
         if not isinstance(values, list) or not values:
-            raise PortfolioError(f"{where}: pmf severity needs a non-empty 'values' list")
+            raise PortfolioError(f"obligor {oid}: pmf severity needs a non-empty 'values' list")
         probs = {}
         for pair in values:
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise PortfolioError(f"{where}: pmf entries must be [loss, probability] pairs")
+                raise PortfolioError(
+                    f"obligor {oid}: pmf entries must be [loss, probability] pairs")
             x, pr = pair
-            if not isinstance(x, int) or x < 0:
-                raise PortfolioError(f"{where}: pmf loss {x!r} is not a non-negative integer")
-            probs[x] = probs.get(x, 0.0) + float(pr)
-        return SeverityDist(probs)
-    raise PortfolioError(f"{where}: unknown severity type {kind!r}")
+            if type(x) is not int or x < 0:
+                raise PortfolioError(
+                    f"obligor {oid}: pmf loss {x!r} is not a non-negative integer")
+            if type(pr) is not float:
+                pr = _number(pr, f"obligor {oid}", f"pmf probability of loss {x}")
+            probs[x] = probs.get(x, 0.0) + pr
+        return probs.keys(), probs.values()
+    raise PortfolioError(f"obligor {oid}: unknown severity type {kind!r}")
 
 
 def parse_portfolio(text, renormalize_weights=False):
@@ -288,6 +399,9 @@ def parse_portfolio(text, renormalize_weights=False):
     Omitted weight keys default to 0; "idiosyncratic" maps to weight index 0.
     With ``renormalize_weights`` the weight vectors are rescaled to sum to 1
     instead of rejecting near-miss inputs (off by default on purpose).
+    ``alpha``, ``pd``, the weights and the pmf probabilities must be JSON
+    numbers, severity losses JSON integers and ``weights`` an object.  The
+    entries go straight into ``Portfolio.columns``; no ``Obligor`` is built.
     """
     try:
         doc = json.loads(text)
@@ -300,30 +414,51 @@ def parse_portfolio(text, renormalize_weights=False):
     for entry in doc.get("sectors", []):
         if not isinstance(entry, dict) or "id" not in entry or "alpha" not in entry:
             raise PortfolioError("each sector needs 'id' and 'alpha'")
-        sectors.append(Sector(str(entry["id"]), float(entry["alpha"])))
-    sector_index = {s.id: k + 1 for k, s in enumerate(sectors)}
+        sid = str(entry["id"])
+        sectors.append(Sector(sid, _number(entry["alpha"], f"sector {sid}", "alpha")))
+    column = {s.id: k + 1 for k, s in enumerate(sectors)}
+    column[IDIOSYNCRATIC] = 0
 
-    obligors = []
+    ids, pds, sizes, values, probs = [], [], [], [], []
+    cell_row, cell_col, cell_w = [], [], []  # the weights present in the file
     for entry in doc.get("obligors", []):
         if not isinstance(entry, dict) or "id" not in entry:
             raise PortfolioError("each obligor needs an 'id'")
         oid = str(entry["id"])
         if "pd" not in entry or "severity" not in entry:
             raise PortfolioError(f"obligor {oid}: 'pd' and 'severity' are required")
-        weights = np.zeros(len(sectors) + 1)
-        for key, w in (entry.get("weights") or {}).items():
-            if key == IDIOSYNCRATIC:
-                weights[0] = float(w)
-            elif key in sector_index:
-                weights[sector_index[key]] = float(w)
-            else:
+        weights = entry.get("weights")
+        if weights is None:
+            weights = {}
+        elif not isinstance(weights, dict):
+            raise PortfolioError(f"obligor {oid}: weights must be an object (got {weights!r})")
+        row = len(ids)
+        for key, w in weights.items():
+            if key not in column:
                 raise PortfolioError(f"obligor {oid}: unknown sector id {key!r} in weights")
-        if renormalize_weights and weights.sum() > 0:
-            weights = weights / weights.sum()
-        severity = _parse_severity(entry["severity"], f"obligor {oid}")
-        obligors.append(Obligor(oid, float(entry["pd"]), weights, severity))
+            if type(w) is not float:
+                w = _number(w, f"obligor {oid}", f"weight {key!r}")
+            cell_row.append(row)
+            cell_col.append(column[key])
+            cell_w.append(w)
+        losses, masses = _parse_severity(entry["severity"], oid)
+        pd = entry["pd"]
+        pds.append(pd if type(pd) is float else _number(pd, f"obligor {oid}", "pd"))
+        ids.append(oid)
+        sizes.append(len(losses))
+        values.extend(losses)
+        probs.extend(masses)
 
-    portfolio = Portfolio(tuple(sectors), tuple(obligors))
+    width = len(sectors) + 1
+    W = np.zeros((len(ids), width))
+    W[cell_row, cell_col] = cell_w
+    if renormalize_weights:
+        total = W.sum(axis=1)
+        scaled = total > 0
+        W[scaled] /= total[scaled, None]
+    columns = _columns(ids, np.array(pds, dtype=float), W, np.full(len(ids), width, np.intp),
+                       sizes, values, probs)
+    portfolio = Portfolio._from_columns(sectors, ids, columns)
     diagnostics = validate(portfolio)
     if diagnostics:
         raise PortfolioError("invalid portfolio: " + "; ".join(diagnostics))

@@ -6,7 +6,7 @@ import pytest
 from crplus import LossEngine, Obligor, Portfolio, Sector, SectorSystem, SeverityDist, assemble
 from crplus import pmf as pm
 from crplus.pmf import Pmf
-from crplus.portfolio import SEVERITY_SUM_TOL, WEIGHT_SUM_TOL, PortfolioError
+from crplus.portfolio import IDIOSYNCRATIC, SEVERITY_SUM_TOL, WEIGHT_SUM_TOL, PortfolioError
 
 REFERENCE_LIMIT = 200
 
@@ -173,6 +173,9 @@ def validate_loop(p):
     for s in p.sectors:
         if not (np.isfinite(s.alpha) and s.alpha > 0):
             diagnostics.append(f"sector {s.id}: alpha must be positive and finite (got {s.alpha})")
+        if s.id == IDIOSYNCRATIC:
+            diagnostics.append(f"sector {s.id}: sector id 'idiosyncratic' is reserved "
+                               "for the idiosyncratic weight")
         if s.id in seen:
             diagnostics.append(f"sector {s.id}: duplicate sector id")
         seen.add(s.id)
@@ -190,7 +193,7 @@ def validate_loop(p):
         if not np.all((o.weights >= 0) & (o.weights <= 1)):
             diagnostics.append(f"obligor {o.id}: weights must lie in [0, 1]")
         elif abs(o.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            diagnostics.append(f"obligor {o.id}: weights sum to {o.weights.sum()!r}, not 1")
+            diagnostics.append(f"obligor {o.id}: weights sum to {float(o.weights.sum())!r}, not 1")
         for x, pr in o.severity.probabilities.items():
             if x < 0:
                 diagnostics.append(f"obligor {o.id}: severity support point {x} is negative")

@@ -2,7 +2,8 @@
 
 ``assemble``, ``suggest_truncation`` and ``validate`` are checked bitwise
 against the per-obligor loops in conftest, the write-off system against
-``assemble`` of the portfolio with the severity replaced.
+``assemble`` of the portfolio with the severity replaced, and the columns
+``parse_portfolio`` decodes against those built from obligor objects.
 """
 
 import re
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crplus import cli
+from crplus import conditional as cd
 from crplus import engine as eng
 from crplus import mc
 from crplus import portfolio as pf
@@ -155,11 +158,11 @@ BROKEN = {
         ["obligor A: weight vector length 2 != 3",
          "obligor B: weight vector length 4 != 3",
          "obligor C: weight vector length 2 != 3",
-         "obligor C: weights sum to np.float64(1.1), not 1",
+         "obligor C: weights sum to 1.1, not 1",
          "obligor D: weight vector length 1 != 3",
          "obligor D: weights must lie in [0, 1]",
          "obligor E: weight vector length 0 != 3",
-         "obligor E: weights sum to np.float64(0.0), not 1"]),
+         "obligor E: weights sum to 0.0, not 1"]),
     "duplicates": (
         Portfolio(S2, (ob("A"), ob("B"), ob("A", pd=NAN), ob("A"),
                        ob("B", w=[0.5, 0.4, 0.0]))),
@@ -167,7 +170,7 @@ BROKEN = {
          "obligor A: pd must be non-negative and finite (got nan)",
          "obligor A: duplicate obligor id",
          "obligor B: duplicate obligor id",
-         "obligor B: weights sum to np.float64(0.9), not 1"]),
+         "obligor B: weights sum to 0.9, not 1"]),
     "nan_negative": (
         Portfolio(S2, (ob("A", pd=NAN), ob("B", pd=-0.1), ob("C", pd=INF),
                        ob("D", w=[NAN, 0.5, 0.5]), ob("E", w=[-0.2, 0.6, 0.6]),
@@ -181,7 +184,7 @@ BROKEN = {
          "obligor F: severity probability nan outside [0, 1]",
          "obligor G: severity support point -2 is negative",
          "obligor H: pd must be non-negative and finite (got -inf)",
-         "obligor H: weights sum to np.float64(1.2000000000000002), not 1"]),
+         "obligor H: weights sum to 1.2000000000000002, not 1"]),
     "severities": (
         Portfolio(S2, (ob("A", sev={3: 0.5, -1: 0.2, 2: 1.3}), ob("B", sev={}),
                        ob("C", sev={1: 0.5, 2: 0.4}), ob("D", sev={1: -0.5, 2: 1.5}),
@@ -201,7 +204,7 @@ BROKEN = {
         ["sector s1: alpha must be positive and finite (got 0.0)",
          "sector s1: alpha must be positive and finite (got nan)",
          "sector s1: duplicate sector id",
-         "obligor A: weights sum to np.float64(1.1), not 1",
+         "obligor A: weights sum to 1.1, not 1",
          "obligor A: duplicate obligor id"]),
 }
 
@@ -262,3 +265,61 @@ def test_a_parsed_portfolio_is_validated_once(monkeypatch, reference_portfolio):
     mc.simulate(portfolio, mc.SimConfig(draws=10, seed=1))
     assert pf.validate(portfolio) == []
     assert calls == [portfolio]
+
+
+# ---------------------------------------------------------------- parsing into columns
+
+def assert_same_columns(a, b):
+    for name in ("pd", "W", "wsize", "owner", "value", "prob", "start"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.row == b.row and a.exact == b.exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(books())
+def test_parse_decodes_straight_into_the_columns(case):
+    portfolio, _ = case
+    text = pf.serialize_portfolio(portfolio)
+    fresh = pf.parse_portfolio(text)
+    for o in portfolio.obligors:  # one obligor at a time, before the tuple exists
+        assert fresh.obligor(o.id) == o
+    parsed = pf.parse_portfolio(text)
+    assert parsed == portfolio
+    assert_same_columns(parsed.columns, Portfolio(parsed.sectors, parsed.obligors).columns)
+    for p in (parsed, portfolio):  # each obligor's mean in its dict's order
+        assert p.expected_loss() == sum(o.pd * o.severity.mean() for o in p.obligors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(books(), st.data())
+def test_restricted_book_matches_the_objects(case, data):
+    portfolio, _ = case
+    n = len(portfolio.obligors)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    pd = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    objects = Portfolio(portfolio.sectors,
+                        [Obligor(o.id, p, o.weights, o.severity)
+                         for o, p, k in zip(portfolio.obligors, pd.tolist(), keep) if k])
+    assert_same_columns(portfolio.restricted(keep, pd).columns, objects.columns)
+    assert portfolio.restricted(keep, pd) == objects
+
+
+def test_hot_paths_build_no_obligor(monkeypatch, reference_portfolio):
+    built = []
+    post_init = Obligor.__post_init__
+    monkeypatch.setattr(Obligor, "__post_init__", lambda o: built.append(o.id) or post_init(o))
+    portfolio = pf.parse_portfolio(pf.serialize_portfolio(reference_portfolio))
+    engine = eng.LossEngine(eng.assemble(portfolio, eng.suggest_truncation(portfolio) + 40))
+    cfg = mc.SimConfig(draws=1000, seed=1)
+    mc.simulate(portfolio, cfg)
+    mc.estimate_conditional_one_default(portfolio, "A", cfg, engine.system.limit)
+    mc.verify_fundamental_identity(portfolio, "A", "C", 3, cfg)
+    cd.loss_given_one_default(engine, portfolio, "A")
+    cd.loss_given_two_defaults(engine, portfolio, "B", "E", writeoff=True)
+    cd.cond_default_intensity(engine, portfolio, "C", 4)
+    cd.joint_cond_intensity(engine, portfolio, "C", "D", 8)
+    cli._stressed_input_pmf(engine, portfolio, "E")
+    assert built == [] and portfolio.expected_loss() == reference_portfolio.expected_loss()
+    assert portfolio.obligor("B") == reference_portfolio.obligor("B")
+    assert built == ["B"]

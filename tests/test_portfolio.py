@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crplus import portfolio as pf
+from crplus.cli import main
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
 from conftest import make_reference_portfolio
@@ -114,3 +115,120 @@ def test_zero_pd_obligor_is_allowed():
     p = Portfolio((), (Obligor("Z", 0.0, [1.0], SeverityDist({3: 1.0})),))
     assert pf.validate(p) == []
     assert p.expected_loss() == 0.0
+
+
+def test_sector_id_idiosyncratic_is_reserved():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["sectors"].append({"id": "idiosyncratic", "alpha": 2.0})
+    doc["obligors"][0]["weights"] = {"s1": 0.5, "idiosyncratic": 0.5}
+    with pytest.raises(PortfolioError, match="sector idiosyncratic: sector id 'idiosyncratic' "
+                                             "is reserved for the idiosyncratic weight"):
+        pf.parse_portfolio(json.dumps(doc))
+    p = Portfolio((Sector("idiosyncratic", 1.0),),
+                  (Obligor("A", 0.1, [0.0, 1.0], SeverityDist({1: 1.0})),))
+    assert pf.validate(p) == ["sector idiosyncratic: sector id 'idiosyncratic' is reserved "
+                              "for the idiosyncratic weight"]
+
+
+def _edit(path, value):
+    """MINIMAL, with a two-point pmf severity, and ``value`` set (or appended) at ``path``."""
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["obligors"][0]["severity"] = {"type": "pmf", "values": [[1, 0.5], [2, 0.5]]}
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if isinstance(node, list) and path[-1] == len(node):
+        node.append(value)
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+PMF = ("obligors", 0, "severity")
+# Each malformed document with the PortfolioError message it must raise.
+MALFORMED = {
+    "pd_string": (_edit(("obligors", 0, "pd"), "abc"),
+                  "obligor A: pd must be a number (got 'abc')"),
+    "pd_numeric_string": (_edit(("obligors", 0, "pd"), "0.1"),
+                          "obligor A: pd must be a number (got '0.1')"),
+    "pd_null": (_edit(("obligors", 0, "pd"), None), "obligor A: pd must be a number (got None)"),
+    "pd_list": (_edit(("obligors", 0, "pd"), [0.1]),
+                "obligor A: pd must be a number (got [0.1])"),
+    "pd_bool": (_edit(("obligors", 0, "pd"), True), "obligor A: pd must be a number (got True)"),
+    "pd_beyond_float": (_edit(("obligors", 0, "pd"), 10**400),
+                        "obligor A: pd must be a number (got 1000"),
+    "alpha_string": (_edit(("sectors", 0, "alpha"), "abc"),
+                     "sector s1: alpha must be a number (got 'abc')"),
+    "alpha_bool": (_edit(("sectors", 0, "alpha"), True),
+                   "sector s1: alpha must be a number (got True)"),
+    "weight_string": (_edit(("obligors", 0, "weights", "s1"), "abc"),
+                      "obligor A: weight 's1' must be a number (got 'abc')"),
+    "weight_null": (_edit(("obligors", 0, "weights", "s1"), None),
+                    "obligor A: weight 's1' must be a number (got None)"),
+    "weight_bool": (_edit(("obligors", 0, "weights", "idiosyncratic"), False),
+                    "obligor A: weight 'idiosyncratic' must be a number (got False)"),
+    "weights_list": (_edit(("obligors", 0, "weights"), [1.0]),
+                     "obligor A: weights must be an object (got [1.0])"),
+    "weights_string": (_edit(("obligors", 0, "weights"), "s1"),
+                       "obligor A: weights must be an object (got 's1')"),
+    "probability_string": (_edit(PMF + ("values", 0, 1), "abc"),
+                           "obligor A: pmf probability of loss 1 must be a number (got 'abc')"),
+    "probability_null": (_edit(PMF + ("values", 1, 1), None),
+                         "obligor A: pmf probability of loss 2 must be a number (got None)"),
+    "probability_list": (_edit(PMF + ("values", 0, 1), [0.5]),
+                         "obligor A: pmf probability of loss 1 must be a number (got [0.5])"),
+    "probability_bool": (_edit(PMF + ("values", 0, 1), True),
+                         "obligor A: pmf probability of loss 1 must be a number (got True)"),
+    "loss_bool": (_edit(PMF + ("values", 0, 0), True),
+                  "obligor A: pmf loss True is not a non-negative integer"),
+    "loss_float": (_edit(PMF + ("values", 0, 0), 1.0),
+                   "obligor A: pmf loss 1.0 is not a non-negative integer"),
+    "value_bool": (_edit(PMF, {"type": "deterministic", "value": True}),
+                   "obligor A: deterministic severity needs a non-negative integer 'value'"),
+    "value_string": (_edit(PMF, {"type": "deterministic", "value": "1"}),
+                     "obligor A: deterministic severity needs a non-negative integer 'value'"),
+    "reserved_sector": (_edit(("sectors", 1), {"id": "idiosyncratic", "alpha": 2.0}),
+                        "invalid portfolio: sector idiosyncratic: sector id 'idiosyncratic' is "
+                        "reserved"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_fields_are_named(name, tmp_path, capsys):
+    doc, message = MALFORMED[name]
+    with pytest.raises(PortfolioError) as info:
+        pf.parse_portfolio(json.dumps(doc))
+    assert str(info.value).startswith(message)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dist", "--portfolio", str(path), "--max-loss", "10",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+def test_integer_numbers_are_accepted():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["sectors"][0]["alpha"] = 2
+    doc["obligors"][0]["pd"] = 0
+    doc["obligors"][0]["weights"] = {"s1": 1}
+    doc["obligors"][0]["severity"] = {"type": "pmf", "values": [[3, 1]]}
+    p = pf.parse_portfolio(json.dumps(doc))
+    assert p.sectors[0].alpha == 2.0 and p.obligor("A").pd == 0.0
+    assert p.obligor("A").severity.probabilities == {3: 1.0}
+    assert p == pf.parse_portfolio(pf.serialize_portfolio(p))
+
+
+def test_losses_beyond_int64_keep_their_exact_value():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["obligors"][0]["severity"] = {"type": "pmf", "values": [[10**19, 0.5], [2, 0.5]]}
+    doc["obligors"].append(dict(doc["obligors"][0], id="B"))
+    p = pf.parse_portfolio(json.dumps(doc))
+    assert p.columns.value.tolist() == [np.iinfo(np.int64).max, 2] * 2
+    assert p.obligor("B").severity.probabilities == {10**19: 0.5, 2: 0.5}
+    assert p.expected_loss() == 2 * 0.1 * (10**19 * 0.5 + 2 * 0.5)
+    built = Portfolio(p.sectors, p.obligors)
+    assert built.columns.exact == p.columns.exact == {0: 10**19, 2: 10**19}
+    assert p == built and p.expected_loss() == built.expected_loss()
+    kept = p.restricted(np.array([False, True]), p.columns.pd)
+    assert kept.obligor("B") == p.obligor("B") and kept.columns.exact == {0: 10**19}
