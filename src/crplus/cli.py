@@ -8,6 +8,14 @@ the portfolio base or of a stress kernel would need more than
 ``pmf.MAX_GRID`` points).
 Every JSON output carries a metadata block (tool version, input digest,
 config echo) so runs can be reproduced byte for byte.
+
+Repeated calls in one process reuse the last portfolio text they prepared.
+Each call still reads the file and hashes its text; while the SHA-256 is
+the one of the previous call, the validated portfolio, the base engine of
+each (L, tail tolerance) and the base's ``pmf.csv`` text and risk reports
+are taken from that record, and a new digest replaces it.  Only successes
+are recorded, so a failing call fails again when repeated.  Write-off and
+stressed-input engines are built on every call.
 """
 
 from __future__ import annotations
@@ -77,17 +85,62 @@ def build_parser():
     return parser
 
 
+class _Base:
+    """An engine whose base met its tail tolerance, with the base's outputs
+    (``pmf.csv`` text and risk report per tuple of thetas) rendered once."""
+
+    def __init__(self, engine, pmf):
+        self.engine = engine
+        self.pmf = pmf
+        self._risk = {}
+
+    @functools.cached_property
+    def csv(self):
+        return pm.to_csv(self.pmf)
+
+    def risk(self, thetas):
+        key = tuple(thetas)
+        if key not in self._risk:
+            self._risk[key] = eng.risk_report(self.pmf, thetas)
+        return self._risk[key]
+
+
+class _Prepared:
+    """A validated portfolio and its bases, for one portfolio text.
+
+    ``digest`` is the text's SHA-256; ``bases`` maps (L, tail_tol) to the
+    ``_Base`` built there.  Only successes are stored: a call that raises
+    leaves nothing behind, so the next one raises afresh.
+    """
+
+    def __init__(self, digest, portfolio):
+        self.digest = digest
+        self.portfolio = portfolio
+        self.bases = {}
+
+
+_last = None  # the _Prepared of the last portfolio text this process parsed
+
+
 def _load(args):
+    """The ``_Prepared`` record of the portfolio file's current text.
+
+    The file is read and hashed on every call; the record is reused while
+    the digest matches and replaced when it does not.
+    """
+    global _last
     path = Path(args.portfolio)
     if not path.is_file():
         raise CliError(f"portfolio file not found: {path}", EXIT_INPUT)
     text = path.read_text()
-    try:
-        port = pf.parse_portfolio(text)
-    except PortfolioError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from exc
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return port, digest
+    if _last is None or _last.digest != digest:
+        try:
+            port = pf.parse_portfolio(text)
+        except PortfolioError as exc:
+            raise CliError(str(exc), EXIT_INPUT) from exc
+        _last = _Prepared(digest, port)
+    return _last
 
 
 def _resolve_limit(args, port):
@@ -122,34 +175,42 @@ def _metadata(args, digest):
             "portfolio_sha256": digest, "config": echo}
 
 
-def _engine_for(args, port):
-    limit = _resolve_limit(args, port)
-    system = eng.assemble(port, limit)
-    engine = eng.LossEngine(system, tail_tol=args.tail_tol)
+def _base_for(args, prepared):
+    """The ``_Base`` at the resolved L and ``--tail-tol``, built on first use."""
+    limit = _resolve_limit(args, prepared.portfolio)
+    key = (limit, args.tail_tol)
+    if key in prepared.bases:
+        return prepared.bases[key]
+    engine = eng.LossEngine(eng.assemble(prepared.portfolio, limit), tail_tol=args.tail_tol)
     try:
         base = engine.loss_distribution()
     except TruncationError as exc:
         raise CliError(
             f"tail tolerance {args.tail_tol:g} not met at L={limit}: "
             f"achieved tail mass {exc.tail_mass:.3e}", EXIT_TOLERANCE) from exc
-    return engine, base
+    prepared.bases[key] = out = _Base(engine, base)
+    return out
 
 
 def _write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _write_base(out, base, args, digest, thetas):
+    """The unconditional ``pmf.csv`` and ``report.json``, from the base's rendered outputs."""
+    (out / "pmf.csv").write_text(base.csv)
+    _write_json(out / "report.json",
+                {"metadata": _metadata(args, digest), "risk": base.risk(thetas),
+                 "pmf_csv": "pmf.csv"})
+
+
 def cmd_dist(args):
-    port, digest = _load(args)
+    prepared = _load(args)
     thetas = _thetas(args)
-    engine, base = _engine_for(args, port)
+    base = _base_for(args, prepared)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "pmf.csv").write_text(pm.to_csv(base))
-    report = {"metadata": _metadata(args, digest),
-              "risk": eng.risk_report(base, thetas),
-              "pmf_csv": "pmf.csv"}
-    _write_json(out / "report.json", report)
+    _write_base(out, base, args, prepared.digest, thetas)
     print(f"wrote {out / 'pmf.csv'} and {out / 'report.json'}")
     return EXIT_OK
 
@@ -171,44 +232,42 @@ def _scenario_obligors(args, port, expected=None):
 
 
 def cmd_cond(args):
-    port, digest = _load(args)
+    prepared = _load(args)
+    port = prepared.portfolio
     thetas = _thetas(args)
     ids = _scenario_obligors(args, port)
-    engine, base = _engine_for(args, port)
+    base = _base_for(args, prepared)
     if len(ids) == 1:
         report = conditional.loss_given_one_default(
-            engine, port, ids[0], writeoff=args.writeoff, thetas=thetas)
+            base.engine, port, ids[0], writeoff=args.writeoff, thetas=thetas)
     else:
         report = conditional.loss_given_two_defaults(
-            engine, port, ids[0], ids[1], writeoff=args.writeoff, thetas=thetas)
+            base.engine, port, ids[0], ids[1], writeoff=args.writeoff, thetas=thetas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tag = "_".join(ids) + ("_writeoff" if args.writeoff else "")
     pmf_name = f"conditional_{tag}.csv"
     (out / pmf_name).write_text(pm.to_csv(report.conditional_pmf))
     doc = report.to_json_dict(pmf_csv_path=pmf_name)
-    doc["metadata"] = _metadata(args, digest)
+    doc["metadata"] = _metadata(args, prepared.digest)
     _write_json(out / f"scenario_{tag}.json", doc)
     # Unconditional distribution alongside, for side-by-side comparison.
-    (out / "pmf.csv").write_text(pm.to_csv(base))
-    _write_json(out / "report.json",
-                {"metadata": _metadata(args, digest),
-                 "risk": eng.risk_report(base, thetas), "pmf_csv": "pmf.csv"})
+    _write_base(out, base, args, prepared.digest, thetas)
     print(f"wrote {out / ('scenario_' + tag + '.json')}")
     return EXIT_OK
 
 
 def cmd_mc(args):
-    port, digest = _load(args)
+    prepared = _load(args)
     _thetas(args)
     if args.draws < 1:
         raise CliError("--draws must be >= 1", EXIT_INPUT)
-    result = mc.simulate(port, mc.SimConfig(draws=args.draws, seed=args.seed))
+    result = mc.simulate(prepared.portfolio, mc.SimConfig(draws=args.draws, seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "mc_losses.csv").write_text(result.to_csv())
     doc = result.sidecar()
-    doc["metadata"] = _metadata(args, digest)
+    doc["metadata"] = _metadata(args, prepared.digest)
     _write_json(out / "mc_result.json", doc)
     print(f"wrote {out / 'mc_losses.csv'} and {out / 'mc_result.json'}")
     return EXIT_OK
@@ -243,13 +302,14 @@ def _stressed_input_pmf(engine, port, obligor_id):
 
 
 def cmd_compare(args):
-    port, digest = _load(args)
+    prepared = _load(args)
+    port = prepared.portfolio
     thetas = _thetas(args)
     ids = _scenario_obligors(args, port, expected=1)
     oid = ids[0]
     if port.columns.pd[port.row(oid)] == 0.0:
         raise CliError(f"obligor {oid}: pd is 0, cannot condition on its default", EXIT_INPUT)
-    engine, _ = _engine_for(args, port)
+    engine = _base_for(args, prepared).engine
     limit = engine.system.limit
 
     analytic = conditional.loss_given_one_default(engine, port, oid, thetas=thetas)
@@ -272,7 +332,7 @@ def cmd_compare(args):
     se = estimate.weighted_se
     resolved = se > 0
     doc = {
-        "metadata": _metadata(args, digest),
+        "metadata": _metadata(args, prepared.digest),
         "obligor": oid,
         "risk": {
             "analytic": analytic.risk,

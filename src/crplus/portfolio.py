@@ -361,6 +361,22 @@ def _number(x, where, field):
     raise PortfolioError(f"{where}: {field} must be a number (got {x!r})")
 
 
+def _array(doc, field):
+    """The top-level ``field`` if it is a JSON array, [] if it is left out, else PortfolioError."""
+    value = doc.get(field, [])
+    if type(value) is not list:
+        raise PortfolioError(f"{field} must be an array (got {value!r})")
+    return value
+
+
+def _string_id(entry, where):
+    """The entry's ``id`` if it is a JSON string, else PortfolioError naming ``where``."""
+    value = entry["id"]
+    if type(value) is not str:
+        raise PortfolioError(f"{where}: id must be a string (got {value!r})")
+    return value
+
+
 def _parse_severity(spec, oid):
     """The losses and probabilities of the severity ``spec``, equal losses merged."""
     if not isinstance(spec, dict) or "type" not in spec:
@@ -399,9 +415,11 @@ def parse_portfolio(text, renormalize_weights=False):
     Omitted weight keys default to 0; "idiosyncratic" maps to weight index 0.
     With ``renormalize_weights`` the weight vectors are rescaled to sum to 1
     instead of rejecting near-miss inputs (off by default on purpose).
-    ``alpha``, ``pd``, the weights and the pmf probabilities must be JSON
-    numbers, severity losses JSON integers and ``weights`` an object.  The
-    entries go straight into ``Portfolio.columns``; no ``Obligor`` is built.
+    ``sectors`` and ``obligors`` must be JSON arrays (left out, empty),
+    every id a JSON string, ``alpha``, ``pd``, the weights and the pmf
+    probabilities JSON numbers, severity losses JSON integers and
+    ``weights`` an object.  The entries go straight into
+    ``Portfolio.columns``; no ``Obligor`` is built.
     """
     try:
         doc = json.loads(text)
@@ -411,20 +429,20 @@ def parse_portfolio(text, renormalize_weights=False):
         raise PortfolioError("portfolio file must contain a JSON object")
 
     sectors = []
-    for entry in doc.get("sectors", []):
+    for i, entry in enumerate(_array(doc, "sectors")):
         if not isinstance(entry, dict) or "id" not in entry or "alpha" not in entry:
             raise PortfolioError("each sector needs 'id' and 'alpha'")
-        sid = str(entry["id"])
+        sid = _string_id(entry, f"sectors[{i}]")
         sectors.append(Sector(sid, _number(entry["alpha"], f"sector {sid}", "alpha")))
     column = {s.id: k + 1 for k, s in enumerate(sectors)}
     column[IDIOSYNCRATIC] = 0
 
     ids, pds, sizes, values, probs = [], [], [], [], []
     cell_row, cell_col, cell_w = [], [], []  # the weights present in the file
-    for entry in doc.get("obligors", []):
+    for i, entry in enumerate(_array(doc, "obligors")):
         if not isinstance(entry, dict) or "id" not in entry:
             raise PortfolioError("each obligor needs an 'id'")
-        oid = str(entry["id"])
+        oid = _string_id(entry, f"obligors[{i}]")
         if "pd" not in entry or "severity" not in entry:
             raise PortfolioError(f"obligor {oid}: 'pd' and 'severity' are required")
         weights = entry.get("weights")

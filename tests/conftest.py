@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crplus import LossEngine, Obligor, Portfolio, Sector, SectorSystem, SeverityDist, assemble
+from crplus import cli
 from crplus import pmf as pm
 from crplus.pmf import Pmf
 from crplus.portfolio import IDIOSYNCRATIC, SEVERITY_SUM_TOL, WEIGHT_SUM_TOL, PortfolioError
@@ -23,6 +24,12 @@ def make_reference_portfolio():
             Obligor("E", 0.35, [0.3, 0.2, 0.5], SeverityDist({1: 0.25, 2: 0.5, 5: 0.25})),
         ),
     )
+
+
+@pytest.fixture(autouse=True)
+def cold_cli(monkeypatch):
+    """Each test starts with no portfolio remembered by the CLI."""
+    monkeypatch.setattr(cli, "_last", None)
 
 
 @pytest.fixture(scope="session")

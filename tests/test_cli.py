@@ -229,3 +229,140 @@ def test_mc_and_compare_report_standard_errors(portfolio_file, tmp_path):
     dev = np.abs(cols[:, 2] - cols[:, 1])[se > 0] / se[se > 0]
     assert doc["max_abs_deviation_se"] == pytest.approx(dev.max(), rel=1e-12)
     assert 0 < doc["max_abs_deviation_se"] < 10
+
+
+# Repeated calls in one process reuse the last prepared portfolio text.
+
+def _files(out):
+    """Every file under ``out`` by relative path, as bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _cold(argv, out):
+    """``argv`` run with nothing remembered, and the files it wrote."""
+    cli._last = None
+    assert run(argv + ["--out", out]) == 0
+    return _files(out)
+
+
+def _seeded_basket(path, seed=11, n=30, n_sectors=3):
+    """A random book of ``n`` obligors on ``n_sectors`` sectors, written to ``path``."""
+    rng = np.random.default_rng(seed)
+    sectors = tuple(Sector(f"s{k}", a) for k, a in enumerate(rng.uniform(1.0, 4.0, n_sectors), 1))
+    obligors = []
+    for i in range(n):
+        w = np.zeros(n_sectors + 1)
+        w[0] = rng.uniform(0.2, 0.8)
+        loaded = rng.choice(n_sectors, size=1 + i % 2, replace=False) + 1
+        w[loaded] = rng.dirichlet(np.ones(loaded.size)) * (1.0 - w[0])
+        losses = rng.choice(np.arange(1, 9), size=1 + i % 3, replace=False)
+        sev = SeverityDist(dict(zip(losses.tolist(), rng.dirichlet(np.ones(losses.size)))))
+        obligors.append(Obligor(f"b{i}", rng.uniform(0.02, 0.2), w, sev))
+    path.write_text(serialize_portfolio(Portfolio(sectors, tuple(obligors))))
+    return path
+
+
+def _command_argvs(path, max_loss, a, b):
+    common = ["--portfolio", path, "--max-loss", max_loss]
+    mc_flags = ["--draws", 3000, "--seed", 5]
+    return {
+        "dist": ["dist", *common, "--theta", 0.9, "--theta", 0.999],
+        "cond": ["cond", *common, "--obligor", a],
+        "cond_pair": ["cond", *common, "--obligor", a, "--obligor", b],
+        "writeoff": ["cond", *common, "--obligor", a, "--writeoff"],
+        "writeoff_pair": ["cond", *common, "--obligor", b, "--obligor", a, "--writeoff"],
+        "mc": ["mc", *common, *mc_flags],
+        "compare": ["compare", *common, "--obligor", b, *mc_flags],
+    }
+
+
+@pytest.mark.parametrize("book, max_loss, a, b", [
+    ("reference", 200, "A", "C"),
+    ("reference", 600, "E", "B"),  # the Fourier path: lazy kernels kept between calls
+    ("basket", "auto", "b3", "b17"),
+])
+def test_warm_calls_write_the_cold_files(tmp_path, book, max_loss, a, b):
+    if book == "reference":
+        path = tmp_path / "p.json"
+        path.write_text(serialize_portfolio(make_reference_portfolio()))
+    else:
+        path = _seeded_basket(tmp_path / "p.json")
+    argvs = _command_argvs(path, max_loss, a, b)
+    cold = {name: _cold(argv, tmp_path / "cold" / name) for name, argv in argvs.items()}
+    cli._last = None
+    for rnd in ("warm1", "warm2"):  # in sequence on one record, then again fully warm
+        for name, argv in argvs.items():
+            out = tmp_path / rnd / name
+            assert run(argv + ["--out", out]) == 0
+            assert _files(out) == cold[name], (rnd, name)
+    assert cli._last.digest == json.loads(
+        (tmp_path / "cold" / "dist" / "report.json").read_text())["metadata"]["portfolio_sha256"]
+
+
+def test_second_cond_reuses_the_base(portfolio_file, tmp_path, panjer_passes):
+    argv = ["cond", "--portfolio", portfolio_file, "--max-loss", 200, "--out", tmp_path / "o"]
+    assert run(argv + ["--obligor", "A"]) == 0
+    assert len(panjer_passes) == 1
+    assert run(argv + ["--obligor", "C", "--obligor", "E"]) == 0
+    assert len(panjer_passes) == 1  # no pass: the base and its kernels are remembered
+    assert run(argv + ["--obligor", "A", "--writeoff"]) == 0
+    assert len(panjer_passes) == 2  # the write-off engine's changed sectors only
+
+
+def test_parse_runs_once_per_text(portfolio_file, tmp_path, monkeypatch):
+    texts = []
+    parse = cli.pf.parse_portfolio
+    monkeypatch.setattr(cli.pf, "parse_portfolio", lambda text: texts.append(text) or parse(text))
+    argv = ["--portfolio", portfolio_file, "--max-loss", 200, "--out", tmp_path / "o"]
+    assert run(["dist", *argv]) == 0
+    assert run(["cond", *argv, "--obligor", "B"]) == 0
+    assert run(["mc", *argv, "--draws", 100]) == 0
+    assert len(texts) == 1
+    portfolio_file.write_text(portfolio_file.read_text() + "\n")  # same book, new text
+    assert run(["dist", *argv]) == 0
+    assert len(texts) == 2
+
+
+def test_rewritten_file_is_read_afresh(portfolio_file, tmp_path):
+    argv = ["cond", "--portfolio", portfolio_file, "--max-loss", 200, "--obligor", "A"]
+    assert run(argv + ["--out", tmp_path / "old"]) == 0
+    doc = json.loads(portfolio_file.read_text())
+    doc["obligors"][1]["pd"] = 0.45
+    portfolio_file.write_text(json.dumps(doc))
+    assert run(argv + ["--out", tmp_path / "new"]) == 0
+    new = _files(tmp_path / "new")
+    assert new == _cold(argv, tmp_path / "cold")
+    assert new["pmf.csv"] != _files(tmp_path / "old")["pmf.csv"]
+
+
+def test_failures_are_not_remembered(portfolio_file, tmp_path, capsys):
+    argv = ["dist", "--portfolio", portfolio_file, "--out", tmp_path / "o"]
+    for _ in range(2):
+        assert run(argv + ["--max-loss", 3]) == 3
+        assert "tail tolerance 1e-09 not met at L=3" in capsys.readouterr().err
+    assert run(argv + ["--max-loss", 200]) == 0
+    assert _files(tmp_path / "o") == _cold(argv + ["--max-loss", 200], tmp_path / "cold")
+    assert run(argv + ["--max-loss", 3]) == 3
+
+
+@pytest.mark.parametrize("first, then", [
+    (["--max-loss", 200], ["--max-loss", 150]),
+    (["--max-loss", 150], ["--max-loss", "auto", "--tail-tol", 1e-5]),
+    (["--max-loss", 80, "--tail-tol", 1e-5], ["--max-loss", 80, "--tail-tol", 1e-6]),
+])
+@pytest.mark.parametrize("command", [["dist"], ["cond", "--obligor", "E"]])
+def test_other_limit_or_tolerance_gives_the_cold_result(portfolio_file, tmp_path, command,
+                                                        first, then):
+    argv = [*command, "--portfolio", portfolio_file]
+    assert run(argv + first + ["--out", tmp_path / "first"]) == 0
+    assert run(argv + then + ["--out", tmp_path / "then"]) == 0
+    assert _files(tmp_path / "then") == _cold(argv + then, tmp_path / "cold")
+
+
+def test_stricter_tolerance_at_the_same_limit_still_fails(portfolio_file, tmp_path, capsys):
+    # At L = 60 the base's tail is 3.5e-8: within 1e-6, beyond 1e-9.
+    argv = ["dist", "--portfolio", portfolio_file, "--max-loss", 60, "--out", tmp_path / "o"]
+    assert run(argv + ["--tail-tol", 1e-6]) == 0
+    assert run(argv + ["--tail-tol", 1e-9]) == 3
+    assert "achieved tail mass 3.534e-08" in capsys.readouterr().err
+    assert run(argv + ["--tail-tol", 1e-6]) == 0

@@ -187,6 +187,24 @@ MALFORMED = {
                    "obligor A: deterministic severity needs a non-negative integer 'value'"),
     "value_string": (_edit(PMF, {"type": "deterministic", "value": "1"}),
                      "obligor A: deterministic severity needs a non-negative integer 'value'"),
+    "sectors_number": (_edit(("sectors",), 5), "sectors must be an array (got 5)"),
+    "sectors_object": (_edit(("sectors",), {}), "sectors must be an array (got {})"),
+    "sectors_null": (_edit(("sectors",), None), "sectors must be an array (got None)"),
+    "obligors_string": (_edit(("obligors",), "ab"), "obligors must be an array (got 'ab')"),
+    "obligors_object": (_edit(("obligors",), {"id": "A"}),
+                        "obligors must be an array (got {'id': 'A'})"),
+    "obligor_id_null": (_edit(("obligors", 0, "id"), None),
+                        "obligors[0]: id must be a string (got None)"),
+    "obligor_id_bool": (_edit(("obligors", 0, "id"), True),
+                        "obligors[0]: id must be a string (got True)"),
+    "obligor_id_list": (_edit(("obligors", 0, "id"), [1]),
+                        "obligors[0]: id must be a string (got [1])"),
+    "obligor_id_number": (_edit(("obligors", 1), dict(MINIMAL["obligors"][0], id=7)),
+                          "obligors[1]: id must be a string (got 7)"),
+    "sector_id_null": (_edit(("sectors", 0, "id"), None),
+                       "sectors[0]: id must be a string (got None)"),
+    "sector_id_number": (_edit(("sectors", 1), {"id": 2, "alpha": 2.0}),
+                         "sectors[1]: id must be a string (got 2)"),
     "reserved_sector": (_edit(("sectors", 1), {"id": "idiosyncratic", "alpha": 2.0}),
                         "invalid portfolio: sector idiosyncratic: sector id 'idiosyncratic' is "
                         "reserved"),
