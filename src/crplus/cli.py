@@ -273,32 +273,19 @@ def cmd_mc(args):
     return EXIT_OK
 
 
-def _stressed_pds(port, system, obligor_id):
-    """Every obligor's PD conditional on ``obligor_id``'s default, one product.
-
-    ``conditional.stressed_pd`` for all obligors B at once over
-    ``port.columns``: p_B (1 + sum_k w_Bk w_Ak / alpha_k).  The entry of
-    ``obligor_id`` itself is not a conditional PD and goes unused.
-    """
-    c = port.columns
-    return c.pd * (1.0 + c.W[:, 1:] @ (c.W[port.row(obligor_id), 1:] / system.alphas))
-
-
 def _stressed_input_pmf(engine, port, obligor_id):
     """Biased comparison model: re-run with conditional PDs for the others.
 
-    The scenario obligor is removed, every other obligor gets its PD
-    conditional on the scenario default (``_stressed_pds``), and the result
-    is shifted by the scenario obligor's severity (the occurred-loss socket).
+    The scenario obligor's pd is set to 0, every other obligor gets its PD
+    conditional on the scenario default (``conditional.stressed_pds``), and
+    the result is shifted by the scenario obligor's severity (the
+    occurred-loss socket).
     """
     system = engine.system
-    others = np.ones(len(port.ids), dtype=bool)
-    others[port.row(obligor_id)] = False
-    stressed = port.restricted(others, _stressed_pds(port, system, obligor_id))
-    stressed_engine = eng.LossEngine(eng.assemble(stressed, system.limit))
-    base = stressed_engine.loss_distribution()
-    sev = pm.from_dict(port.severity_of(obligor_id), system.limit)
-    return pm.convolve(base, sev)
+    pd = conditional.stressed_pds(port, system, obligor_id)
+    pd[port.row(obligor_id)] = 0.0
+    base = eng.LossEngine(eng.assemble(port.with_pds(pd), system.limit)).loss_distribution()
+    return pm.convolve(base, pm.from_dict(port.severity_of(obligor_id), system.limit))
 
 
 def cmd_compare(args):

@@ -9,10 +9,17 @@ mean of those kernel products.  The write-off variant zeroes the defaulted
 severities and recomposes the sector severity mixtures before evaluating
 the components, so that occurred losses are excluded from the
 forward-looking metrics.
+
+One path builds every scenario: ``_components`` gives each mixture
+component's raw weight and the sectors it stresses, ``_scenario`` adds the
+normalizer and evaluates the mixture, and the four public conditionals are
+``_report`` (loss distributions) or ``_intensity`` (conditional default
+intensities) over it.  ``stressed_pds`` is the one stressed-pd formula.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,46 +62,42 @@ class ScenarioReport:
         return doc
 
 
-def _severity_pmf(engine, portfolio, obligor_id):
-    return pm.from_dict(portfolio.severity_of(obligor_id), engine.system.limit)
+def _distinct(ids):
+    """Raise PortfolioError when a two-default scenario names one obligor twice."""
+    if len(ids) == 2 and ids[0] == ids[1]:
+        raise PortfolioError(f"obligors must differ, got {ids[0]!r} twice")
 
 
-def _stress(n, offsets):
-    stress = [0] * n
-    for j, off in offsets:
-        stress[j - 1] += off
-    return tuple(stress)
+def _coupling(portfolio, system, id1, id2):
+    """sum_k w_1k w_2k / alpha_k over the factor sectors."""
+    W = portfolio.columns.W
+    return float(np.sum(W[portfolio.row(id1), 1:] * W[portfolio.row(id2), 1:] / system.alphas))
 
 
-def _single_weights(weights, n):
-    """Mixture weights of the single-default conditional: base + one stress per sector."""
-    out = {"base": (float(weights[0]), _stress(n, []))}
+def _components(loadings, alphas):
+    """Descriptor -> (raw weight, stressed sectors, one entry per unit of
+    stress) given the default of the obligors with weight vectors ``loadings``.
+
+    One default: base and the +e_j with w_j > 0.  Two defaults: those of
+    base, +e_j, +2e_j and +e_i+e_j with weight > 0, summing to the normalizer.
+    """
+    n = alphas.size
+    if len(loadings) == 1:
+        (w,) = loadings
+        out = {"base": (float(w[0]), [])}
+        out.update((f"+e_{j}", (float(w[j]), [j])) for j in range(1, n + 1) if w[j] > 0.0)
+        return out
+    w1, w2 = loadings
+    terms = [("base", w1[0] * w2[0], [])]
     for j in range(1, n + 1):
-        if weights[j] > 0.0:
-            out[f"+e_{j}"] = (float(weights[j]), _stress(n, [(j, 1)]))
-    return out
+        terms.append((f"+e_{j}", w1[0] * w2[j] + w1[j] * w2[0], [j]))
+        terms.append((f"+2e_{j}", w1[j] * w2[j] * (alphas[j - 1] + 1.0) / alphas[j - 1], [j, j]))
+    terms += [(f"+e_{i}+e_{j}", w1[i] * w2[j] + w1[j] * w2[i], [i, j])
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return {key: (weight, sectors) for key, weight, sectors in terms if weight > 0.0}
 
 
-def _double_weights(w1, w2, alphas, n):
-    """Mixture weights of the two-default conditional (raw, summing to the normalizer)."""
-    out = {}
-
-    def add(key, weight, offsets):
-        if weight > 0.0:
-            prev = out.get(key, (0.0, None))[0]
-            out[key] = (prev + weight, _stress(n, offsets))
-
-    add("base", w1[0] * w2[0], [])
-    for j in range(1, n + 1):
-        add(f"+e_{j}", w1[0] * w2[j] + w1[j] * w2[0], [(j, 1)])
-        add(f"+2e_{j}", w1[j] * w2[j] * (alphas[j - 1] + 1.0) / alphas[j - 1], [(j, 2)])
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            add(f"+e_{i}+e_{j}", w1[i] * w2[j] + w1[j] * w2[i], [(i, 1), (j, 1)])
-    return out
-
-
-def _mixture(engine, weights, shift_pmfs, normalizer):
+def _mixture(engine, components, shift_pmfs, normalizer):
     """Weighted mean of stressed pmfs, each convolved with the shift severities.
 
     Every component is base (*) K_c with K_c the engine's stress kernel, so
@@ -105,8 +108,8 @@ def _mixture(engine, weights, shift_pmfs, normalizer):
     base = engine.loss_distribution()
     base_cdf_rev = base.cdf()[::-1]
     acc = np.zeros(engine.system.limit + 1)
-    for weight, stress in weights.values():
-        kernel = engine.stress_kernel(stress)
+    for weight, sectors in components.values():
+        kernel = engine.stress_kernel(sectors)
         engine.check_tail(1.0 - np.dot(kernel.probs, base_cdf_rev))
         acc += weight * kernel.probs
     acc /= normalizer
@@ -116,34 +119,37 @@ def _mixture(engine, weights, shift_pmfs, normalizer):
     return out
 
 
-def _writeoff_engine(engine, portfolio, obligor_ids):
-    """Engine of the portfolio with the scenario severities set to 0.
-
-    The sector intensities mu_k are unchanged (pds do not move); the
-    severity mixtures of the sectors the defaulted obligors load on gain
-    mass at 0.  ``assemble`` builds that system from the portfolio's columns
-    (``written_off``), and only the changed sectors are recomputed: the
-    others keep the parent engine's sector pmfs and kernels.
-    """
-    return engine.derive(eng.assemble(portfolio, engine.system.limit, written_off=obligor_ids))
-
-
 def _scenario(engine, portfolio, ids, writeoff=False):
-    """Mixture weights, normalizer and conditional pmf given the default of ``ids``."""
-    loadings = [portfolio.columns.W[portfolio.row(oid)] for oid in ids]
+    """Mixture components, normalizer and conditional pmf given the default of ``ids``.
+
+    A write-off takes the mixture, unshifted, on the engine of the book with
+    the scenario severities at 0: mu_k stay, the severity mixtures of the
+    sectors they load on gain mass at 0, and ``derive`` recomputes only those.
+    """
     system = engine.system
-    if len(loadings) == 1:
-        weights = _single_weights(loadings[0], system.n_sectors)
-        normalizer = 1.0
-    else:
-        w1, w2 = loadings
-        weights = _double_weights(w1, w2, system.alphas, system.n_sectors)
-        normalizer = 1.0 + float(np.sum(w1[1:] * w2[1:] / system.alphas))
+    components = _components([portfolio.columns.W[portfolio.row(oid)] for oid in ids],
+                             system.alphas)
+    normalizer = 1.0 if len(ids) == 1 else 1.0 + _coupling(portfolio, system, *ids)
     if writeoff:
-        used, shift = _writeoff_engine(engine, portfolio, ids), []
+        engine = engine.derive(eng.assemble(portfolio, system.limit, written_off=ids))
+        shifts = []
     else:
-        used, shift = engine, [_severity_pmf(engine, portfolio, oid) for oid in ids]
-    return weights, normalizer, _mixture(used, weights, shift, normalizer)
+        shifts = [pm.from_dict(portfolio.severity_of(oid), system.limit) for oid in ids]
+    return components, normalizer, _mixture(engine, components, shifts, normalizer)
+
+
+def _report(engine, portfolio, ids, writeoff, thetas):
+    """The ``ScenarioReport`` of the default of ``ids``."""
+    _distinct(ids)
+    components, normalizer, cond = _scenario(engine, portfolio, ids, writeoff)
+    return ScenarioReport(
+        scenario=tuple(ids),
+        writeoff=writeoff,
+        conditional_pmf=cond,
+        mixture_weights={k: w for k, (w, _) in components.items()},
+        normalizer=normalizer,
+        risk=eng.risk_report(cond, thetas),
+    )
 
 
 def _check_level(engine, x):
@@ -172,8 +178,21 @@ def _check_level(engine, x):
     raise ValueError("no loss level given")
 
 
-def _per_level(x, values):
-    """``values`` as a float for a scalar loss level x, else as an array."""
+def _intensity(engine, portfolio, ids, x):
+    """E[prod_{A in ids} D_A | X = x] = (prod_A p_A) c P[X = x | ids] / P[X = x].
+
+    c is the scenario's normalizer; a float for a scalar loss level x, else
+    an array of x's shape.
+    """
+    _distinct(ids)
+    c = portfolio.columns
+    pds = [float(c.pd[portfolio.row(oid)]) for oid in ids]
+    p_x = _check_level(engine, x)
+    if 0.0 in pds:
+        values = np.zeros_like(p_x)
+    else:
+        _, normalizer, cond = _scenario(engine, portfolio, ids)
+        values = math.prod(pds) * normalizer * cond.probs[x] / p_x
     return float(values) if np.ndim(x) == 0 else values
 
 
@@ -184,35 +203,21 @@ def cond_default_intensity(engine, portfolio, obligor_id, x):
     the unstressed parameters.  ``x`` is a loss level or an array of them
     (the result then has its shape); the conditional pmf is built once.
     """
-    pd = float(portfolio.columns.pd[portfolio.row(obligor_id)])
-    p_x = _check_level(engine, x)
-    if pd == 0.0:
-        return _per_level(x, np.zeros_like(p_x))
-    _, _, cond = _scenario(engine, portfolio, [obligor_id])
-    return _per_level(x, pd * cond.probs[x] / p_x)
+    return _intensity(engine, portfolio, [obligor_id], x)
 
 
 def loss_given_one_default(engine, portfolio, obligor_id, writeoff=False,
                            thetas=DEFAULT_THETAS):
     """Portfolio loss distribution conditional on one obligor's default."""
-    weights, normalizer, cond = _scenario(engine, portfolio, [obligor_id], writeoff)
-    return ScenarioReport(
-        scenario=(obligor_id,),
-        writeoff=writeoff,
-        conditional_pmf=cond,
-        mixture_weights={k: w for k, (w, _) in weights.items()},
-        normalizer=normalizer,
-        risk=eng.risk_report(cond, thetas),
-    )
+    return _report(engine, portfolio, [obligor_id], writeoff, thetas)
 
 
 def joint_default_intensity(portfolio, system, id1, id2):
     """Unconditional E[D_1 D_2] = p1 p2 (1 + sum_k w1k w2k / alpha_k)."""
-    if id1 == id2:
-        raise PortfolioError(f"obligors must differ, got {id1!r} twice")
-    c, a1, a2 = portfolio.columns, portfolio.row(id1), portfolio.row(id2)
-    coupling = float(np.sum(c.W[a1, 1:] * c.W[a2, 1:] / system.alphas))
-    return float(c.pd[a1]) * float(c.pd[a2]) * (1.0 + coupling)
+    _distinct([id1, id2])
+    pd = portfolio.columns.pd
+    return (float(pd[portfolio.row(id1)]) * float(pd[portfolio.row(id2)])
+            * (1.0 + _coupling(portfolio, system, id1, id2)))
 
 
 def joint_cond_intensity(engine, portfolio, id1, id2, x):
@@ -222,45 +227,31 @@ def joint_cond_intensity(engine, portfolio, id1, id2, x):
     two-default normalizer 1 + sum_k w1k w2k / alpha_k.  ``x`` is a loss
     level or an array of them, as in ``cond_default_intensity``.
     """
-    if id1 == id2:
-        raise PortfolioError(f"obligors must differ, got {id1!r} twice")
-    c = portfolio.columns
-    pd1, pd2 = float(c.pd[portfolio.row(id1)]), float(c.pd[portfolio.row(id2)])
-    p_x = _check_level(engine, x)
-    if pd1 == 0.0 or pd2 == 0.0:
-        return _per_level(x, np.zeros_like(p_x))
-    _, normalizer, cond = _scenario(engine, portfolio, [id1, id2])
-    return _per_level(x, pd1 * pd2 * normalizer * cond.probs[x] / p_x)
+    return _intensity(engine, portfolio, [id1, id2], x)
 
 
 def loss_given_two_defaults(engine, portfolio, id1, id2, writeoff=False,
                             thetas=DEFAULT_THETAS):
     """Portfolio loss distribution conditional on two obligors' joint default."""
-    if id1 == id2:
-        raise PortfolioError(f"obligors must differ, got {id1!r} twice")
-    weights, normalizer, cond = _scenario(engine, portfolio, [id1, id2], writeoff)
-    return ScenarioReport(
-        scenario=(id1, id2),
-        writeoff=writeoff,
-        conditional_pmf=cond,
-        mixture_weights={k: w for k, (w, _) in weights.items()},
-        normalizer=normalizer,
-        risk=eng.risk_report(cond, thetas),
-    )
+    return _report(engine, portfolio, [id1, id2], writeoff, thetas)
 
 
-def stressed_pd(portfolio, system, other_id, defaulted_id):
-    """Conditional PD of ``other_id`` given ``defaulted_id``'s default.
+def stressed_pds(portfolio, system, defaulted_id):
+    """Every obligor's PD conditional on ``defaulted_id``'s default.
 
-    E[D_A D_B] / p_A = p_B (1 + sum_k w_Ak w_Bk / alpha_k).  Intended as a
-    re-parameterized model input for the biased stressed-input comparison,
-    not as a substitute for the exact conditional distribution.
+    E[D_A D_B] / p_A = p_B (1 + sum_k w_Ak w_Bk / alpha_k) for all obligors
+    B at once over ``portfolio.columns``, A = ``defaulted_id``; the entry
+    of A itself is not a conditional PD.  Intended as re-parameterized model
+    inputs for the biased stressed-input comparison, not as a substitute for
+    the exact conditional distribution.
     """
-    if other_id == defaulted_id:
-        raise PortfolioError(f"obligors must differ, got {other_id!r} twice")
     c, a = portfolio.columns, portfolio.row(defaulted_id)
     if c.pd[a] == 0.0:
         raise PortfolioError(f"obligor {defaulted_id}: pd is 0, cannot condition on its default")
-    b = portfolio.row(other_id)
-    coupling = float(np.sum(c.W[a, 1:] * c.W[b, 1:] / system.alphas))
-    return float(c.pd[b]) * (1.0 + coupling)
+    return c.pd * (1.0 + c.W[:, 1:] @ (c.W[a, 1:] / system.alphas))
+
+
+def stressed_pd(portfolio, system, other_id, defaulted_id):
+    """Conditional PD of ``other_id`` given ``defaulted_id``'s default (``stressed_pds``)."""
+    _distinct([other_id, defaulted_id])
+    return float(stressed_pds(portfolio, system, defaulted_id)[portfolio.row(other_id)])

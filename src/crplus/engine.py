@@ -18,6 +18,7 @@ its pmf and kernel are exact point masses at 0 and its PGF is 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -117,7 +118,7 @@ def _claims(system, kind, k):
 
 
 class LossEngine:
-    """Cached evaluator of loss distributions over stress vectors.
+    """Cached evaluator of stressed loss distributions.
 
     With delta_k held fixed, raising alpha_k by one multiplies sector k's
     probability generating function ((1-delta_k)/(1-delta_k Q_k(z)))**alpha_k
@@ -126,6 +127,9 @@ class LossEngine:
     T_N^(*s_N), with (*) the truncated convolution of ``pmf.convolve``
     (direct below ``pmf.FFT_MIN_SIZE`` points, FFT above it).  On the
     reference portfolio this matches Panjer run at alpha_k + s_k to 3e-17.
+    ``stress_kernel`` takes the stressed sectors as a list, one entry per
+    unit of stress, as the conditionals' mixture components carry them;
+    only ``loss_distribution`` takes and checks an offset vector s.
 
     The base is built two ways, by L alone.  Below ``pmf.FFT_MIN_SIZE``
     points it is the convolution of the N+1 sector pmfs, and the first call
@@ -168,13 +172,12 @@ class LossEngine:
         return self._cached(("kernel", k), lambda: pm.compound_negbin(
             1.0, system.delta[k - 1], system.q_polys[k], system.limit))
 
-    def stress_kernel(self, stress):
-        """T_1^(*s_1) (*) ... (*) T_N^(*s_N): base (*) this is the stressed pmf."""
-        out = None
-        for k, s in enumerate(self._checked(stress), start=1):
-            for _ in range(s):
-                out = self.kernel(k) if out is None else pm.convolve(out, self.kernel(k))
-        return out if out is not None else pm.point_mass(0, self.system.limit)
+    def stress_kernel(self, sectors):
+        """T_j1 (*) T_j2 (*) ... over the listed sectors j (one entry per unit
+        of stress): base (*) this is the stressed pmf."""
+        if not sectors:
+            return pm.point_mass(0, self.system.limit)
+        return functools.reduce(pm.convolve, map(self.kernel, sectors))
 
     def _fill(self):
         """Below ``pmf.FFT_MIN_SIZE`` points: every missing sector pmf and the
@@ -192,14 +195,14 @@ class LossEngine:
         keys = [("sector", k) for k in range(n + 1)] + [("kernel", k) for k in range(1, n + 1)]
         with self._lock:
             keys = [key for key in keys if key not in self._cache]
-        filled, rows = [], []
+        filled, terms = [], []
         for key in keys:
             claims = _claims(system, *key)
             if claims.a or claims.b:
                 filled.append(key)
-                rows.append(pm.panjer_row(claims, system.q_polys[key[1]]))
-        if rows:
-            pmfs = pm.panjer(rows, system.limit)
+                terms.append((claims, system.q_polys[key[1]]))
+        if terms:
+            pmfs = pm.panjer(terms, system.limit)
             with self._lock:
                 for key, out in zip(filled, pmfs):
                     self._cache.setdefault(key, out)
@@ -262,10 +265,10 @@ class LossEngine:
         limited to {0, 1, 2} (only single and double stresses occur in the
         supported conditioning scenarios).
         """
-        stress = self._checked(stress)
+        sectors = [k for k, s in enumerate(self._checked(stress), start=1) for _ in range(s)]
         out = self._base()
-        if any(stress):
-            out = pm.convolve(out, self.stress_kernel(stress))
+        if sectors:
+            out = pm.convolve(out, self.stress_kernel(sectors))
         self.check_tail(out.tail_mass)
         return out
 

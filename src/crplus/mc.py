@@ -14,8 +14,7 @@ triple per default event; nothing is b x obligors.
 
 A counter-based Philox stream drives everything, in a fixed call order per
 batch (gamma, poisson, uniform), so a given (seed, config) pair reproduces
-tallies byte for byte.  A seed's tallies differ from those of the earlier
-per-obligor sampler; the distribution sampled is the same.
+tallies byte for byte.
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ class SimResult:
     factor_sums: np.ndarray  # per sector: sum of S_k
     factor_sumsq: np.ndarray  # per sector: sum of S_k^2
     default_counts: np.ndarray | None = None  # (draws, n_obligors) if recorded
-
-    def empirical_pmf(self):
-        return self.loss_counts / self.draws
 
     def loss_mean(self):
         """Sample mean of the loss and its standard error."""

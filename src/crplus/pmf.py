@@ -60,18 +60,16 @@ FFT_MIN_SIZE = 500
 # the N+1 sectors, G their product on the grid).  Measured maxima: 1.7e-18
 # for convolve at L = 50 000; for sector pmfs against Panjer over 1500
 # random cases (alpha <= 50, delta <= 0.999, intensities <= 700,
-# L <= 4000) 2.7e-15 at alpha = 44, delta = 1e-8, where Panjer's start value
-# was then ((1 - delta) / (1 - delta q0))**alpha, with alpha times the
-# rounding of 1 - delta (through log1p it is now within 1 ulp of exact, as
-# the Fourier value was), 3e-16 elsewhere; for the base against the Panjer
-# fold over 3000 random systems (an idiosyncratic sector with mu <= 50, one
-# to three factor sectors with alpha in [0.05, 50], delta <= 0.999 and mean
-# claim counts <= 700, an unloaded sector, q0 > 0 allowed, L <= 4000, grids
-# up to 2**18 points) 2.0e-15, and at most 0.30 of the first-order bound
-# over 1500 of them.  negbin_claims takes log1p(-delta) from the complex
-# routine on the grid (see there): with the real one, a system with a factor
-# sector of alpha = 49.6, delta = 0.99 and all severities 0 read 1.4e-14.
-# The tests hold the Fourier path to this bound.
+# L <= 4000) 2.7e-15 at alpha = 44, delta = 1e-8, 3e-16 elsewhere; for the
+# base against the Panjer fold over 3000 random systems (an idiosyncratic
+# sector with mu <= 50, one to three factor sectors with alpha in
+# [0.05, 50], delta <= 0.999 and mean claim counts <= 700, an unloaded
+# sector, q0 > 0 allowed, L <= 4000, grids up to 2**18 points) 2.0e-15, and
+# at most 0.30 of the first-order bound over 1500 of them.  negbin_claims
+# takes log1p(-delta) from the complex routine on the grid (see there): with
+# the real one, a system with a factor sector of alpha = 49.6, delta = 0.99
+# and all severities 0 read 1.4e-14.  The tests hold the Fourier path to
+# this bound.
 FFT_ABS_ERROR = 1e-14
 
 # The Fourier sector pmfs grow their grid until the Chernoff bound on the
@@ -309,47 +307,37 @@ def _compound(claims, severity, limit):
         return point_mass(0, limit)
     if limit + 1 >= FFT_MIN_SIZE:
         return fourier_sum([(claims, severity)], limit, f"the compound pmf ({claims.params})")[0]
-    return panjer([panjer_row(claims, severity)], limit)[0]
+    return panjer([(claims, severity)], limit)[0]
 
 
-class PanjerRow(NamedTuple):
-    """One compound pmf for ``panjer``: the claim count's (a, b), the start
-    value g_0 and the trimmed severity vector q."""
+def panjer(terms, limit):
+    """The pmfs on {0..L} of several compounds by one batched recursion.
 
-    a: float
-    b: float
-    g0: float
-    q: np.ndarray
-
-
-def panjer_row(claims, severity):
-    """The recursion's inputs for one compound pmf.
-
-    Raises UnderflowError, naming the row's parameters, when its start value
-    g_0 = exp(log_pgf(q_0)) is below the smallest normal double.
+    ``terms`` are (``Claims``, severity ``Pmf``) pairs, as for
+    ``fourier_sum``.  Raises UnderflowError, naming the first term (in
+    order) whose start value g_0 = exp(log_pgf(q_0)) is below the smallest
+    normal double.  Shorter severity vectors are padded with zeros to the
+    longest; a term's values do not depend on the other terms in the batch
+    (see ``_panjer``).
     """
-    q = _trimmed(severity.probs)
-    g0 = math.exp(claims.log_pgf(q[0]))
-    if g0 < np.finfo(float).tiny:
-        raise UnderflowError(
-            f"Panjer start value g0 = {claims.g0_formula} = {g0:g} underflows "
-            f"({claims.params}, q0 {q[0]:g}); the recursion cannot represent this "
-            "sector's loss distribution"
-        )
-    return PanjerRow(claims.a, claims.b, g0, q)
-
-
-def panjer(rows, limit):
-    """The pmfs on {0..L} of several ``PanjerRow``s by one batched recursion.
-
-    Shorter severity vectors are padded with zeros to the longest; a row's
-    values do not depend on the other rows in the batch (see ``_panjer``).
-    """
-    q = np.zeros((len(rows), max(row.q.size for row in rows)))
-    for i, row in enumerate(rows):
-        q[i, : row.q.size] = row.q
-    a, b, g0 = np.array([row[:3] for row in rows], dtype=float).T
-    return [Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0)) for g in _panjer(a, b, g0, q, limit)]
+    qs, g0 = [], []
+    for claims, severity in terms:
+        q = _trimmed(severity.probs)
+        g = math.exp(claims.log_pgf(q[0]))
+        if g < np.finfo(float).tiny:
+            raise UnderflowError(
+                f"Panjer start value g0 = {claims.g0_formula} = {g:g} underflows "
+                f"({claims.params}, q0 {q[0]:g}); the recursion cannot represent this "
+                "sector's loss distribution"
+            )
+        qs.append(q)
+        g0.append(g)
+    q = np.zeros((len(terms), max(v.size for v in qs)))
+    for i, v in enumerate(qs):
+        q[i, : v.size] = v
+    a, b = np.array([claims[:2] for claims, _ in terms], dtype=float).T
+    return [Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
+            for g in _panjer(a, b, np.array(g0), q, limit)]
 
 
 def _panjer(a, b, g0, q, limit):

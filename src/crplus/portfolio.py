@@ -241,21 +241,11 @@ class Portfolio:
         mean = np.bincount(c.owner, v * c.prob, c.pd.size)  # each obligor's, in entry order
         return sum((c.pd * mean).tolist())
 
-    def restricted(self, keep, pd):
-        """The portfolio of the rows where the mask ``keep`` holds, with pds ``pd[keep]``.
-
-        Built from the columns, without obligor objects.
-        """
-        c = self.columns
-        entries = keep[c.owner]
-        values = c.value[entries]
-        if c.exact:
-            values = [c.exact.get(j, x)
-                      for j, x in zip(np.flatnonzero(entries).tolist(), values.tolist())]
-        ids = [oid for oid, k in zip(self.ids, keep.tolist()) if k]
-        columns = _columns(ids, np.asarray(pd, dtype=float)[keep], c.W[keep], c.wsize[keep],
-                           np.diff(c.start)[keep], values, c.prob[entries])
-        return Portfolio._from_columns(self.sectors, ids, columns)
+    def with_pds(self, pd):
+        """Copy of the portfolio with the pd vector ``pd``, built from the columns."""
+        pd = np.array(pd, dtype=float)
+        pd.setflags(write=False)
+        return Portfolio._from_columns(self.sectors, self.ids, self.columns._replace(pd=pd))
 
     def with_severity(self, obligor_id, severity):
         """Copy of the portfolio with one obligor's severity replaced."""

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from crplus import pmf as pm
-from crplus import Obligor, Portfolio, Sector, SeverityDist, serialize_portfolio
+from crplus import Obligor, Portfolio, Sector, SeverityDist, parse_portfolio, serialize_portfolio
 from crplus import cli, conditional, engine as eng
 from crplus.cli import main
 
@@ -176,25 +176,20 @@ def test_compare_runs(portfolio_file, tmp_path):
     assert header == "x,analytic,mc_weighted,mc_weighted_se,stressed_inputs"
 
 
-def test_stressed_pds_match_stressed_pd(reference_portfolio):
-    rng = np.random.default_rng(800)
-    sectors = tuple(Sector(f"s{k}", a) for k, a in enumerate(rng.uniform(0.3, 4.0, 16), 1))
-    obligors = []
-    for i in range(800):
-        w = np.zeros(17)
-        w[0] = rng.uniform(0.05, 0.6)
-        loaded = rng.choice(16, size=1 + i % 3, replace=False) + 1
-        w[loaded] = rng.dirichlet(np.ones(loaded.size)) * (1.0 - w[0])
-        obligors.append(Obligor(f"o{i}", rng.uniform(0.001, 0.05), w, SeverityDist({1: 1.0})))
-    for port, defaulted in ((reference_portfolio, ["A", "C", "E"]),
-                            (Portfolio(sectors, tuple(obligors)), ["o0", "o401", "o799"])):
-        system = eng.assemble(port, 10)
-        for oid in defaulted:
-            pds = cli._stressed_pds(port, system, oid)
-            ref = np.array([conditional.stressed_pd(port, system, o.id, oid)
-                            for o in port.obligors if o.id != oid])
-            np.testing.assert_allclose(pds[np.arange(len(port.obligors)) != port.row(oid)],
-                                       ref, rtol=1e-15, atol=0)
+def test_stressed_input_pmf_is_the_book_without_the_scenario_obligor(reference_portfolio,
+                                                                     tmp_path):
+    basket = parse_portfolio(_seeded_basket(tmp_path / "p.json").read_text())
+    for port, limit in ((reference_portfolio, 200), (basket, eng.suggest_truncation(basket))):
+        engine = eng.LossEngine(eng.assemble(port, limit))
+        for o in port.obligors:
+            pds = conditional.stressed_pds(port, engine.system, o.id).tolist()
+            others = Portfolio(port.sectors, [Obligor(b.id, p, b.weights, b.severity)
+                                              for b, p in zip(port.obligors, pds) if b.id != o.id])
+            ref = pm.convolve(eng.loss_distribution(eng.assemble(others, limit)),
+                              pm.from_dict(o.severity.probabilities, limit))
+            out = cli._stressed_input_pmf(engine, port, o.id)
+            assert out.probs.tobytes() == ref.probs.tobytes(), o.id
+            assert out.tail_mass == ref.tail_mass
 
 
 def test_compare_zero_pd_obligor(tmp_path):

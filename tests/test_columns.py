@@ -293,16 +293,16 @@ def test_parse_decodes_straight_into_the_columns(case):
 
 @settings(max_examples=100, deadline=None)
 @given(books(), st.data())
-def test_restricted_book_matches_the_objects(case, data):
+def test_with_pds_book_matches_the_objects(case, data):
     portfolio, _ = case
     n = len(portfolio.obligors)
-    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    pd = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
-    objects = Portfolio(portfolio.sectors,
-                        [Obligor(o.id, p, o.weights, o.severity)
-                         for o, p, k in zip(portfolio.obligors, pd.tolist(), keep) if k])
-    assert_same_columns(portfolio.restricted(keep, pd).columns, objects.columns)
-    assert portfolio.restricted(keep, pd) == objects
+    pd = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    for book in (portfolio, pf.parse_portfolio(pf.serialize_portfolio(portfolio))):
+        stressed = book.with_pds(pd)
+        objects = Portfolio(book.sectors, [Obligor(o.id, p, o.weights, o.severity)
+                                           for o, p in zip(book.obligors, pd)])
+        assert_same_columns(stressed.columns, objects.columns)
+        assert stressed == objects
 
 
 def test_hot_paths_build_no_obligor(monkeypatch, reference_portfolio):

@@ -330,6 +330,41 @@ def test_two_defaults_rejects_same_obligor(reference_portfolio, reference_engine
         cd.loss_given_two_defaults(reference_engine, reference_portfolio, "A", "A")
 
 
+def test_components_match_their_descriptors():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(0, 6))
+        alphas = rng.uniform(0.1, 5.0, n)
+        loadings = []
+        for _ in range(2):
+            w = rng.dirichlet(np.ones(n + 1))
+            w[rng.random(n + 1) < 0.3] = 0.0  # unloaded sectors
+            w[0] += w.sum() == 0.0
+            loadings.append(w / w.sum())
+        w1, w2 = loadings
+        coupling = np.sum(w1[1:] * w2[1:] / alphas)
+        for scenario, normalizer in (([w1], 1.0), ([w1, w2], 1.0 + coupling)):
+            components = cd._components(scenario, alphas)
+            total = sum(weight for weight, _ in components.values())
+            assert total == pytest.approx(normalizer, rel=1e-14)
+            assert list(components)[0] == "base" or len(scenario) == 2
+            for key, (weight, sectors) in components.items():
+                assert weight > 0.0 or key == "base"
+                # One entry per unit of stress, in sector order.
+                assert sectors == sorted(sectors) and len(sectors) <= len(scenario)
+                assert all(1 <= j <= n for j in sectors)
+                if not sectors:
+                    assert key == "base"
+                elif len(sectors) == 2 and sectors[0] == sectors[1]:
+                    assert key == f"+2e_{sectors[0]}"
+                else:
+                    assert key == "".join(f"+e_{j}" for j in sectors)
+            if len(scenario) == 1:
+                assert components["base"][0] == w1[0]
+                assert {k: w for k, (w, _) in components.items() if k != "base"} == {
+                    f"+e_{j}": w1[j] for j in range(1, n + 1) if w1[j] > 0.0}
+
+
 # ------------------------------------------------------------- stressed_pd
 
 def test_stressed_pd_examples(reference_portfolio, reference_engine):
@@ -345,3 +380,27 @@ def test_stressed_pd_examples(reference_portfolio, reference_engine):
     zero = Portfolio(p.sectors, p.obligors[:2] + (Obligor("N", 0.0, [1.0, 0.0], SeverityDist({1: 1.0})),))
     with pytest.raises(PortfolioError, match="pd is 0"):
         cd.stressed_pd(zero, system, "A", "N")
+
+
+def test_stressed_pds_match_the_formula(reference_portfolio):
+    rng = np.random.default_rng(800)
+    sectors = tuple(Sector(f"s{k}", a) for k, a in enumerate(rng.uniform(0.3, 4.0, 16), 1))
+    obligors = []
+    for i in range(800):
+        w = np.zeros(17)
+        w[0] = rng.uniform(0.05, 0.6)
+        loaded = rng.choice(16, size=1 + i % 3, replace=False) + 1
+        w[loaded] = rng.dirichlet(np.ones(loaded.size)) * (1.0 - w[0])
+        obligors.append(Obligor(f"o{i}", rng.uniform(0.001, 0.05), w, SeverityDist({1: 1.0})))
+    for port, defaulted in ((reference_portfolio, ["A", "C", "E"]),
+                            (Portfolio(sectors, tuple(obligors)), ["o0", "o401", "o799"])):
+        system = eng.assemble(port, 10)
+        for oid in defaulted:
+            w_a = port.obligor(oid).weights
+            ref = []
+            for o in port.obligors:  # p_B (1 + sum_k w_Ak w_Bk / alpha_k)
+                coupling = 0.0
+                for k in range(1, port.n_sectors + 1):
+                    coupling += w_a[k] * o.weights[k] / port.sectors[k - 1].alpha
+                ref.append(o.pd * (1.0 + coupling))
+            np.testing.assert_allclose(cd.stressed_pds(port, system, oid), ref, rtol=1e-15, atol=0)

@@ -248,7 +248,7 @@ def panjer_batches(draw):
             ref = panjer_negbin(alpha, delta, severity, limit)
         else:  # mu = 0: no claims
             claims, ref = pm.poisson_claims(0.0), pm.point_mass(0, limit)
-        rows.append(pm.panjer_row(claims, severity))
+        rows.append((claims, severity))
         refs.append(ref)
     return rows, refs, limit
 
@@ -268,11 +268,11 @@ def test_batched_panjer_matches_the_scalar_reference(batch):
 
 def test_batched_row_is_bitwise_independent_of_its_batch():
     limit = 180
-    short = pm.panjer_row(pm.negbin_claims(0.6, 0.8), pmf_of({0: 0.1, 2: 0.9}, limit))
+    short = (pm.negbin_claims(0.6, 0.8), pmf_of({0: 0.1, 2: 0.9}, limit))
     others = [
-        pm.panjer_row(pm.poisson_claims(3.0), pmf_of({1: 0.2, 9: 0.5, 17: 0.3}, limit)),
-        pm.panjer_row(pm.negbin_claims(1.0, 0.95), pmf_of({5: 1.0}, limit)),
-        pm.panjer_row(pm.poisson_claims(0.0), pm.point_mass(0, limit)),
+        (pm.poisson_claims(3.0), pmf_of({1: 0.2, 9: 0.5, 17: 0.3}, limit)),
+        (pm.negbin_claims(1.0, 0.95), pmf_of({5: 1.0}, limit)),
+        (pm.poisson_claims(0.0), pm.point_mass(0, limit)),
     ]
     (alone,) = pm.panjer([short], limit)
     for batch in ([short] + others, others + [short], [others[0], short, others[1]]):

@@ -248,5 +248,7 @@ def test_losses_beyond_int64_keep_their_exact_value():
     built = Portfolio(p.sectors, p.obligors)
     assert built.columns.exact == p.columns.exact == {0: 10**19, 2: 10**19}
     assert p == built and p.expected_loss() == built.expected_loss()
-    kept = p.restricted(np.array([False, True]), p.columns.pd)
-    assert kept.obligor("B") == p.obligor("B") and kept.columns.exact == {0: 10**19}
+    zeroed = p.with_pds([0.0, 0.1])
+    assert zeroed.obligor("B") == p.obligor("B") and zeroed.columns.exact == p.columns.exact
+    assert zeroed.obligor("A").pd == 0.0
+    assert zeroed.expected_loss() == 0.1 * (10**19 * 0.5 + 2 * 0.5)
