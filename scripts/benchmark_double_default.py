@@ -2,15 +2,16 @@
 """Timing benchmark: double-default scenario on a 1000-obligor portfolio.
 
 10 factor sectors, deterministic severities up to 50, truncation at
-L = 50000.  Reports assembly, base-distribution and scenario timings.  A
-scenario reuses the engine's cached base and builds the kernels of the
-sectors its obligors load on; the second pair reuses only the kernels of
-sectors it shares with the first.  The write-off conditional of o0 builds a
-second engine that reuses the log-spectra of the sectors o0 does not load
-on, recomputes the others' and takes its base by one inverse FFT.  First,
-before any analytic work, it times ``mc.simulate`` at 10^6 draws on the
-same portfolio and prints the draw rate and the process's peak resident
-set size at that point.
+L = 50000.  Reports assembly, base-distribution and scenario timings.  The
+base is one inverse FFT on the engine's Fourier grid.  A scenario takes the
+kernel spectra of the sectors its obligors load on from the cached sector
+log-spectra (the second pair computes only those of sectors it does not
+share with the first) and its mixture by one more inverse FFT.  The
+write-off conditional of o0 builds a second engine that reuses the spectra
+of the sectors o0 does not load on, recomputes the others' and takes its
+mixture by one inverse FFT.  First, before any analytic work, it times
+``mc.simulate`` at 10^6 draws on the same portfolio and prints the draw
+rate and the process's peak resident set size at that point.
 """
 
 import resource

@@ -3,9 +3,11 @@
 Conditioning on defaults turns into a weighted mean of stressed portfolio
 loss distributions: each mixture component is the loss pmf with some sector
 exponents incremented, convolved with the severity pmf(s) of the defaulted
-obligor(s).  Since every stressed pmf is the base convolved with a product
-of sector kernels, the mean is the base convolved once with the weighted
-mean of those kernel products.  The write-off variant zeroes the defaulted
+obligor(s).  The engine evaluates the weighted mean of the stressed pmfs
+(``LossEngine.mixture``: one inverse FFT on its grid from
+``pmf.FFT_MIN_SIZE`` points on, the base convolved once with the weighted
+kernel products below); this module only names the components, their
+weights and the shifts.  The write-off variant zeroes the defaulted
 severities and recomposes the sector severity mixtures before evaluating
 the components, so that occurred losses are excluded from the
 forward-looking metrics.
@@ -100,20 +102,11 @@ def _components(loadings, alphas):
 def _mixture(engine, components, shift_pmfs, normalizer):
     """Weighted mean of stressed pmfs, each convolved with the shift severities.
 
-    Every component is base (*) K_c with K_c the engine's stress kernel, so
-    the mean is base (*) K (*) shifts with K = sum_c w_c K_c / normalizer.
-    Component c's tail beyond L is 1 - sum_j K_c[j] P[base <= L - j], which
-    is held to the engine's tail tolerance as the stressed pmf itself is.
+    ``LossEngine.mixture`` gives sum_c w_c (base (*) K_c) / normalizer and
+    holds every component's tail to the engine's tail tolerance; the shift
+    severities are convolved into it afterwards.
     """
-    base = engine.loss_distribution()
-    base_cdf_rev = base.cdf()[::-1]
-    acc = np.zeros(engine.system.limit + 1)
-    for weight, sectors in components.values():
-        kernel = engine.stress_kernel(sectors)
-        engine.check_tail(1.0 - np.dot(kernel.probs, base_cdf_rev))
-        acc += weight * kernel.probs
-    acc /= normalizer
-    out = pm.convolve(base, Pmf(acc, tail_mass=max(1.0 - acc.sum(), 0.0)))
+    out = engine.mixture(components.values(), normalizer)
     for shift in shift_pmfs:
         out = pm.convolve(out, shift)
     return out

@@ -7,13 +7,16 @@ negative binomial success number parameters alpha_k while the failure
 probabilities delta_k stay at their unstressed values; this is exactly the
 family of stressed distributions needed for conditioning on defaults, and
 re-deriving delta from a larger alpha would be wrong there.  Each unit of
-stress on sector k convolves the base distribution with one compound
-geometric kernel T_k (see ``LossEngine``).  Below ``pmf.FFT_MIN_SIZE``
-points sector pmfs and kernels come from one batched Panjer pass and the
-base is their convolution; from there on the base is one inverse FFT of the
-product of the sector PGFs and each kernel a Fourier compound of its own.
-An unloaded sector (mu_k = 0) has no claims and Q_k = point mass at 0, so
-its pmf and kernel are exact point masses at 0 and its PGF is 1.
+stress on sector k multiplies the PGF by one compound geometric kernel
+T_k = G_k^(1/alpha_k), so a conditional, a weighted mean of stressed pmfs,
+is the base convolved with a weighted sum of kernel products (see
+``LossEngine.mixture``).  Below ``pmf.FFT_MIN_SIZE`` points sector pmfs and
+kernels come from one batched Panjer pass and the convolutions are direct;
+from there on the engine works on one Fourier grid, sized for the heaviest
+supported stress, where the base and every mixture are one inverse FFT of
+products of cached sector spectra.  An unloaded sector (mu_k = 0) has no
+claims and Q_k = point mass at 0, so its pmf and kernel are exact point
+masses at 0 and its PGF is 1.
 """
 
 from __future__ import annotations
@@ -111,46 +114,56 @@ def sector_loss(system, k):
 
 
 def _claims(system, kind, k):
-    """Claim count of sector k's pmf (kind "sector") or of its kernel ("kernel")."""
+    """Claim count of sector k's pmf (kind "sector"), of its kernel ("kernel")
+    or of the sector at its heaviest supported stress ("stressed": alpha_k +
+    MAX_PUBLIC_OFFSET)."""
     if k == 0:
         return pm.poisson_claims(system.mu[0])
-    return pm.negbin_claims(system.alphas[k - 1] if kind == "sector" else 1.0, system.delta[k - 1])
+    alpha = system.alphas[k - 1]
+    alpha = {"sector": alpha, "kernel": 1.0, "stressed": alpha + MAX_PUBLIC_OFFSET}[kind]
+    return pm.negbin_claims(alpha, system.delta[k - 1])
 
 
 class LossEngine:
-    """Cached evaluator of stressed loss distributions.
+    """Cached evaluator of stressed loss distributions and their mixtures.
 
     With delta_k held fixed, raising alpha_k by one multiplies sector k's
-    probability generating function ((1-delta_k)/(1-delta_k Q_k(z)))**alpha_k
-    by the compound geometric kernel T_k(z) = (1-delta_k)/(1-delta_k Q_k(z)).
-    So the loss pmf under stress s is base (*) T_1^(*s_1) (*) ... (*)
-    T_N^(*s_N), with (*) the truncated convolution of ``pmf.convolve``
-    (direct below ``pmf.FFT_MIN_SIZE`` points, FFT above it).  On the
-    reference portfolio this matches Panjer run at alpha_k + s_k to 3e-17.
-    ``stress_kernel`` takes the stressed sectors as a list, one entry per
-    unit of stress, as the conditionals' mixture components carry them;
-    only ``loss_distribution`` takes and checks an offset vector s.
+    probability generating function G_k = ((1-delta_k)/(1-delta_k
+    Q_k(z)))**alpha_k by the compound geometric kernel T_k(z) =
+    (1-delta_k)/(1-delta_k Q_k(z)) = G_k(z)**(1/alpha_k).  So the loss pmf
+    under stress s is base (*) T_1^(*s_1) (*) ... (*) T_N^(*s_N), which on
+    the reference portfolio matches Panjer run at alpha_k + s_k to 3e-17.
+    ``mixture`` evaluates sum_c w_c (base (*) K_c) / normalizer, K_c the
+    product of the kernels of the sectors component c stresses (one entry
+    per unit of stress), and holds each component's tail to the engine's
+    tail tolerance; ``loss_distribution(stress)`` is its one-component case
+    and the only method that takes an offset vector.
 
-    The base is built two ways, by L alone.  Below ``pmf.FFT_MIN_SIZE``
-    points it is the convolution of the N+1 sector pmfs, and the first call
-    that needs it computes every missing sector pmf and the kernel of every
-    loaded sector in one batched Panjer pass (``_fill``): kernels are cheap
-    extra rows there.  From that size on it is one inverse FFT of the
-    product of the sector PGFs on the Chernoff grid of the whole portfolio
-    (``_spectral_base``), and the sector log-spectra are cached; sector pmfs
-    are not needed for it and, like the kernels, stay lazy, one Fourier
-    compound each when first asked for.  ``derive`` hands a write-off engine
-    everything cached for the sectors that did not change.  Thread-safe: the
-    caches are guarded by a lock and hold immutable results, so concurrent
-    evaluations return results identical to serial execution.
+    Two representations, by L alone.  Below ``pmf.FFT_MIN_SIZE`` points the
+    first call that needs the base computes every missing sector pmf and the
+    kernel of every loaded sector in one batched Panjer pass (``_fill``);
+    the base is the convolution of the sector pmfs and a mixture the base
+    convolved once with the weighted sum of the kernel products (direct
+    convolutions, ``pmf.convolve``).  From that size on the engine holds one
+    Fourier grid, sized once for the heaviest supported stress (``_pgf``),
+    and on it the sector log-spectra log G_k, the base's PGF G =
+    exp(sum_k log G_k) and, lazily per sector, the kernel spectra T_k =
+    exp(log G_k / alpha_k): the base is one inverse FFT of G and a mixture
+    one inverse FFT of G sum_c w_c prod_{k in c} T_k.  ``derive`` hands a
+    write-off engine everything cached for the sectors that did not change.
+    Thread-safe: the caches are guarded by a lock and hold immutable
+    results, so concurrent evaluations return results identical to serial
+    execution.
     """
 
     def __init__(self, system, tail_tol=None):
         self.system = system
         self.tail_tol = tail_tol
         self._lock = threading.Lock()
-        # ("sector", k), ("kernel", k) and "base" -> Pmf; ("spectrum", k) ->
-        # sector k's log-spectrum log G_k(Q_k) on the base's Fourier grid.
+        # Per sector k: ("sector", k) and ("kernel", k) -> Pmf; on the Fourier
+        # grid ("spectrum", k) -> log G_k and ("transform", k) -> T_k.  For the
+        # whole book: "base" -> Pmf, "pgf" -> (grid size, G), "window" -> the
+        # tail weights of ``_window``.
         self._cache = {}
 
     def _cached(self, key, compute):
@@ -163,21 +176,21 @@ class LossEngine:
             return self._cache.setdefault(key, out)
 
     def sector_loss(self, k):
-        """Sector k's unstressed loss pmf (cached); stresses go through ``kernel``."""
+        """Sector k's unstressed loss pmf (cached); stresses go through ``mixture``."""
         return self._cached(("sector", k), lambda: sector_loss(self.system, k))
 
     def kernel(self, k):
-        """Compound geometric kernel T_k that raises sector k's exponent by one."""
+        """Compound geometric kernel T_k that raises sector k's exponent by one:
+        a Panjer row below ``pmf.FFT_MIN_SIZE`` points, else the inverse FFT of
+        its spectrum on the engine's grid."""
         system = self.system
+        if not 1 <= k <= system.n_sectors:
+            raise ValueError(f"sector {k} has no kernel: the factor sectors are "
+                             f"1..{system.n_sectors}")
+        if system.limit + 1 >= pm.FFT_MIN_SIZE:
+            return pm.from_spectrum(self._transform(k), self._pgf()[0], system.limit)
         return self._cached(("kernel", k), lambda: pm.compound_negbin(
             1.0, system.delta[k - 1], system.q_polys[k], system.limit))
-
-    def stress_kernel(self, sectors):
-        """T_j1 (*) T_j2 (*) ... over the listed sectors j (one entry per unit
-        of stress): base (*) this is the stressed pmf."""
-        if not sectors:
-            return pm.point_mass(0, self.system.limit)
-        return functools.reduce(pm.convolve, map(self.kernel, sectors))
 
     def _fill(self):
         """Below ``pmf.FFT_MIN_SIZE`` points: every missing sector pmf and the
@@ -207,30 +220,65 @@ class LossEngine:
                 for key, out in zip(filled, pmfs):
                     self._cache.setdefault(key, out)
 
-    def _spectral_base(self):
-        """From ``pmf.FFT_MIN_SIZE`` points on: the base as one inverse FFT of
-        the product of the N+1 sector PGFs (``pmf.fourier_sum``).
+    def _pgf(self):
+        """From ``pmf.FFT_MIN_SIZE`` points on: the engine's grid size N and the
+        base's PGF G = exp(sum_k log G_k) on it.
 
-        The sector log-spectra are cached as ("spectrum", k).  A write-off
-        engine inherits the unchanged sectors' spectra from ``derive`` and
-        with them the parent's grid, so it computes only the changed
-        sectors' spectra and one inverse FFT.
+        N is ``pmf.grid_size`` of the heaviest supported stress, every factor
+        sector at alpha_k + MAX_PUBLIC_OFFSET, so no stressed pmf or mixture
+        aliases more than ``pmf.ALIAS_FLOOR`` of mass.  The sector log-spectra
+        are cached as ("spectrum", k).  Those that ``derive`` handed over on a
+        grid at least that large set the grid (a larger grid only lowers the
+        aliasing bound) and are used as they are; the others are computed
+        here, and any kernel spectrum handed over with them is dropped.
         """
-        system = self.system
-        terms = [(_claims(system, "sector", k), q) for k, q in enumerate(system.q_polys)]
-        keys = [("spectrum", k) for k in range(len(terms))]
-        with self._lock:
-            cached = [self._cache.get(key) for key in keys]
-        out, spectra = pm.fourier_sum(terms, system.limit, "the portfolio base", cached)
-        with self._lock:
-            self._cache.update(zip(keys, spectra))
-        return out
+        def compute():
+            system = self.system
+            keys = [("spectrum", k) for k in range(system.n_sectors + 1)]
+            with self._lock:
+                spectra = [self._cache.get(key) for key in keys]
+            stressed = [(_claims(system, "stressed", k), q) for k, q in enumerate(system.q_polys)]
+            n = pm.grid_size(stressed, system.limit, "the portfolio base under its heaviest "
+                             f"stress (alpha_k + {MAX_PUBLIC_OFFSET} in every factor sector)")
+            n = max(n, 2 * (max((s.size for s in spectra if s is not None), default=0) - 1))
+            stale = []
+            for k, q in enumerate(system.q_polys):
+                if spectra[k] is None or spectra[k].size != n // 2 + 1:
+                    spectra[k] = pm.log_spectrum(_claims(system, "sector", k), q, n)
+                    stale.append(("transform", k))
+            with self._lock:
+                self._cache.update(zip(keys, spectra))
+                for key in stale:
+                    self._cache.pop(key, None)
+            return n, np.exp(sum(spectra))
+        return self._cached("pgf", compute)
+
+    def _transform(self, k):
+        """Spectrum of the kernel T_k on the engine's grid: exp(log G_k / alpha_k)."""
+        self._pgf()
+        return self._cached(("transform", k), lambda: np.exp(
+            self._cache[("spectrum", k)] / self.system.alphas[k - 1]))
+
+    def _window(self):
+        """Weights w such that Re sum_j K_j w_j is the mass the pmf of G K
+        keeps on {0..L}, for a kernel spectrum K = prod_k T_k: w = G conj(h)
+        c / N over the rfft frequencies, with h the spectrum of the indicator
+        of {0..L} and c_j = 2 where frequency j stands for a conjugate pair,
+        else 1."""
+        def compute():
+            n, pgf = self._pgf()
+            weights = np.full(n // 2 + 1, 2.0 / n)
+            weights[[0, -1]] = 1.0 / n
+            return pgf * np.conj(np.fft.rfft(np.ones(self.system.limit + 1), n)) * weights
+        return self._cached("window", compute)
 
     def _base(self):
         """Unstressed loss pmf: the distribution of the sum of all N+1 sectors."""
         def fold():
-            if self.system.limit + 1 >= pm.FFT_MIN_SIZE:
-                return self._spectral_base()
+            limit = self.system.limit
+            if limit + 1 >= pm.FFT_MIN_SIZE:
+                n, pgf = self._pgf()
+                return pm.from_spectrum(pgf, n, limit)
             self._fill()
             out = self.sector_loss(0)
             for k in range(1, self.system.n_sectors + 1):
@@ -242,12 +290,12 @@ class LossEngine:
         n = self.system.n_sectors
         if stress is None:
             return (0,) * n
-        stress = tuple(int(s) for s in stress)
+        stress = tuple(stress)
         if len(stress) != n:
             raise ValueError(f"stress vector has length {len(stress)}, expected {n}")
-        if any(s < 0 or s > MAX_PUBLIC_OFFSET for s in stress):
+        if not all(s in range(MAX_PUBLIC_OFFSET + 1) for s in stress):
             raise ValueError(f"stress offsets must lie in 0..{MAX_PUBLIC_OFFSET}: {stress}")
-        return stress
+        return tuple(int(s) for s in stress)
 
     def check_tail(self, tail_mass):
         """Raise TruncationError when ``tail_mass`` exceeds the engine's tolerance."""
@@ -258,31 +306,69 @@ class LossEngine:
                 tail_mass=tail_mass,
             )
 
+    def mixture(self, components, normalizer=1.0):
+        """sum_c w_c (base (*) K_c) / normalizer over the (w_c, sectors) pairs
+        ``components``, K_c the product of the kernels of the listed sectors
+        (one entry per unit of stress; none for the base itself).
+
+        Each component's tail beyond L is held to the engine's tail
+        tolerance.  Below ``pmf.FFT_MIN_SIZE`` points the base's own tail is
+        checked first; component c's tail is 1 - sum_j K_c[j] P[base <= L -
+        j] and the result is the base convolved with K = sum_c w_c K_c /
+        normalizer.  From there on component c's tail is 1 - Re sum_j K_j w_j
+        with K = prod_{k in c} T_k and w the ``_window`` weights (at least
+        the base's tail, which therefore needs no check of its own), and the
+        result is one inverse FFT of G sum_c w_c prod_{k in c} T_k /
+        normalizer.
+        """
+        limit = self.system.limit
+        if limit + 1 >= pm.FFT_MIN_SIZE:
+            n, pgf = self._pgf()
+            window = None if self.tail_tol is None else self._window()
+            acc = np.zeros(n // 2 + 1, dtype=complex)
+            for weight, sectors in components:
+                kernel = math.prod(map(self._transform, sectors))
+                if window is not None:
+                    self.check_tail(1.0 - np.sum(kernel * window).real)
+                acc += weight * kernel
+            return pm.from_spectrum(pgf * acc / normalizer, n, limit)
+        base = self.loss_distribution()
+        base_cdf_rev = base.cdf()[::-1]
+        acc = np.zeros(limit + 1)
+        for weight, sectors in components:
+            kernel = (functools.reduce(pm.convolve, map(self.kernel, sectors)) if sectors
+                      else pm.point_mass(0, limit))
+            self.check_tail(1.0 - np.dot(kernel.probs, base_cdf_rev))
+            acc += weight * kernel.probs
+        acc /= normalizer
+        return pm.convolve(base, Pmf(acc, tail_mass=max(1.0 - acc.sum(), 0.0)))
+
     def loss_distribution(self, stress=None):
         """Portfolio loss pmf for a stress vector of exponent offsets.
 
         ``stress`` has one entry per non-idiosyncratic sector; offsets are
         limited to {0, 1, 2} (only single and double stresses occur in the
-        supported conditioning scenarios).
+        supported conditioning scenarios).  A stressed pmf is the
+        one-component ``mixture``.
         """
         sectors = [k for k, s in enumerate(self._checked(stress), start=1) for _ in range(s)]
-        out = self._base()
         if sectors:
-            out = pm.convolve(out, self.stress_kernel(sectors))
-        self.check_tail(out.tail_mass)
-        return out
+            return self.mixture([(1.0, sectors)])
+        base = self._base()
+        self.check_tail(base.tail_mass)
+        return base
 
     def derive(self, system):
         """Engine for ``system`` that reuses this engine's cached sector pmfs,
-        kernels and log-spectra for every sector whose parameters are
-        bitwise unchanged (with the spectra comes their grid; see
-        ``pmf.fourier_sum``)."""
+        kernels, log-spectra and kernel spectra for every sector whose
+        parameters are bitwise unchanged (with the spectra comes their grid;
+        see ``_pgf``)."""
         out = LossEngine(system, tail_tol=self.tail_tol)
         if (system.limit, system.n_sectors) != (self.system.limit, self.system.n_sectors):
             return out
         with self._lock:
             for key, value in self._cache.items():
-                if key != "base" and _same_sector(self.system, system, key[1]):
+                if isinstance(key, tuple) and _same_sector(self.system, system, key[1]):
                     out._cache[key] = value
         return out
 

@@ -56,8 +56,8 @@ FFT_MIN_SIZE = 500
 # FFT_MIN_SIZE (see abs_error_bound).  First-order round-off of one FFT
 # product is eps log2(n) |a|_2 |b|_2 (convolve), of one Fourier sector pmf
 # eps log2(N) (1 + mu) mean|G| (compound_*, mu the mean claim count) and of
-# the portfolio base eps log2(N) (1 + sum_k mu_k) mean|G| (fourier_sum over
-# the N+1 sectors, G their product on the grid).  Measured maxima: 1.7e-18
+# the portfolio base eps log2(N) (1 + sum_k mu_k) mean|G| (one inverse FFT of
+# the product G of the N+1 sector PGFs on the grid).  Measured maxima: 1.7e-18
 # for convolve at L = 50 000; for sector pmfs against Panjer over 1500
 # random cases (alpha <= 50, delta <= 0.999, intensities <= 700,
 # L <= 4000) 2.7e-15 at alpha = 44, delta = 1e-8, 3e-16 elsewhere; for the
@@ -73,7 +73,7 @@ FFT_MIN_SIZE = 500
 FFT_ABS_ERROR = 1e-14
 
 # The Fourier sector pmfs grow their grid until the Chernoff bound on the
-# mass that wraps around it is at most ALIAS_FLOOR (see _grid_size): far
+# mass that wraps around it is at most ALIAS_FLOOR (see grid_size): far
 # below FFT_ABS_ERROR, so aliasing never dominates round-off.
 ALIAS_FLOOR = 1e-20
 
@@ -155,9 +155,11 @@ class Pmf:
 
 def point_mass(value, limit):
     """Degenerate pmf concentrated at ``value`` (value > limit goes to tail)."""
+    if value < 0 or value != int(value):
+        raise ValueError(f"support point {value} is not a non-negative integer")
     probs = np.zeros(limit + 1)
     if value <= limit:
-        probs[value] = 1.0
+        probs[int(value)] = 1.0
         return Pmf(probs)
     return Pmf(probs, tail_mass=1.0)
 
@@ -306,7 +308,7 @@ def _compound(claims, severity, limit):
     if claims.a == 0.0 and claims.b == 0.0:
         return point_mass(0, limit)
     if limit + 1 >= FFT_MIN_SIZE:
-        return fourier_sum([(claims, severity)], limit, f"the compound pmf ({claims.params})")[0]
+        return fourier_sum([(claims, severity)], limit, f"the compound pmf ({claims.params})")
     return panjer([(claims, severity)], limit)[0]
 
 
@@ -368,24 +370,18 @@ def _panjer(a, b, g0, q, limit):
     return np.ascontiguousarray(g[m:].T)
 
 
-def fourier_sum(terms, limit, what, spectra=None):
+def fourier_sum(terms, limit, what):
     """Pmf of a sum of independent compounds by one inverse FFT of the product
     of their PGFs.
 
-    ``terms`` are (``Claims``, severity ``Pmf``) pairs.  One rfft of each
-    trimmed severity vector gives Q_k at the N-th roots of unity and the
-    closed form its log-spectrum log G_k(Q_k); the exponential of their sum
-    is the PGF of the sum there, and one irfft gives the circular pmf
-    sum_j P[X = n + jN], whose first L + 1 entries are kept.  N comes from ``_grid_size`` on all terms together, so the
-    aliased mass on those entries is at most ``ALIAS_FLOOR``; ``what`` names
-    the sum in its AliasingError.  No start value g_0 is needed, so large
-    intensities do not underflow.
-
-    ``spectra`` holds one entry per term: a log-spectrum from an earlier
-    call, or None.  Given spectra on a grid at least as large as the
-    Chernoff one set the grid (a larger grid only lowers the aliasing bound)
-    and are used as they are; only the others are computed.  Returns the
-    pmf and the log-spectra of all terms on the grid used.
+    ``terms`` are (``Claims``, severity ``Pmf``) pairs.  The grid size N is
+    ``grid_size`` of all terms together, so the aliased mass on the entries
+    0..L is at most ``ALIAS_FLOOR``; ``what`` names the sum in its
+    AliasingError.  One rfft of each severity vector gives Q_k at the
+    N-th roots of unity and the closed form its log-spectrum log G_k(Q_k)
+    (``log_spectrum``); the exponential of their sum is the PGF of the sum
+    there, and ``from_spectrum`` inverts it.  No start value g_0 is needed,
+    so large intensities do not underflow.
 
     Round-off to first order: Q_k is off by about eps log2(N) per grid
     point and log G_k by mu_k times that (mu_k the mean claim count; for
@@ -393,33 +389,39 @@ def fourier_sum(terms, limit, what, spectra=None):
     1 - delta), so an entry is off by at most eps log2(N) (1 + sum_k mu_k)
     mean|G| (see ``FFT_ABS_ERROR``).
     """
-    trimmed = [(claims, _trimmed(severity.probs)) for claims, severity in terms]
-    n = _grid_size(trimmed, limit, what)
-    spectra = list(spectra or [None] * len(terms))
-    given = max((s.size for s in spectra if s is not None), default=0)
-    n = max(n, 2 * (given - 1))
-    for k, (claims, q) in enumerate(trimmed):
-        if spectra[k] is None or spectra[k].size != n // 2 + 1:
-            spectra[k] = claims.log_pgf(np.fft.rfft(q, n))
-    g = np.fft.irfft(np.exp(sum(spectra)), n)[: limit + 1]
-    return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0)), spectra
+    n = grid_size(terms, limit, what)
+    return from_spectrum(np.exp(sum(log_spectrum(claims, severity, n)
+                                    for claims, severity in terms)), n, limit)
 
 
-def _grid_size(terms, limit, what):
+def log_spectrum(claims, severity, n):
+    """log G(Q(w)) of a compound at the rfft frequencies w of the n-point grid
+    (n > L: rfft pads the severity vector with zeros to n points)."""
+    return claims.log_pgf(np.fft.rfft(severity.probs, n))
+
+
+def from_spectrum(spectrum, n, limit):
+    """The pmf on {0..L} of the rfft ``spectrum`` of an n-point circular pmf
+    sum_j P[X = x + jn]: one irfft, its first L + 1 entries kept."""
+    g = np.fft.irfft(spectrum, n)[: limit + 1]
+    return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
+
+
+def grid_size(terms, limit, what):
     """Smallest power of two N >= 2(L + 1) whose aliasing bound is <= ALIAS_FLOOR.
 
-    ``terms`` are the (``Claims``, trimmed severity vector q) pairs of
-    independent compounds; X is their sum, with log G(z) = sum_k
-    log G_k(Q_k(z)).  The circular grid folds P[X = n + jN] onto n, so the
-    error it adds to the entries 0..L sums to at most P[X >= N] <=
-    G(e^t) e^(-tN) for every t > 0 (Chernoff; it holds for a defective Q as
-    well).  Hence N suffices once N >= phi(t) = (log G(e^t) - log
-    ALIAS_FLOOR) / t for some t; the smallest phi over 96 log-spaced t is
-    taken.  Every t gives a valid bound, so a coarse set of t can only
-    enlarge N.  Raises AliasingError, naming ``what`` and L, when that value
-    exceeds MAX_GRID.
+    ``terms`` are the (``Claims``, severity ``Pmf``) pairs of independent
+    compounds; X is their sum, with log G(z) = sum_k log G_k(Q_k(z)).  The
+    circular grid folds P[X = n + jN] onto n, so the error it adds to the
+    entries 0..L sums to at most P[X >= N] <= G(e^t) e^(-tN) for every
+    t > 0 (Chernoff; it holds for a defective Q as well).  Hence N suffices
+    once N >= phi(t) = (log G(e^t) - log ALIAS_FLOOR) / t for some t; the
+    smallest phi over 96 log-spaced t is taken.  Every t gives a valid
+    bound, so a coarse set of t can only enlarge N.  Raises AliasingError,
+    naming ``what`` and L, when that value exceeds MAX_GRID.
     """
     n = 1 << (2 * limit + 1).bit_length()
+    terms = [(claims, _trimmed(severity.probs)) for claims, severity in terms]
     m = max((q.size for _, q in terms), default=1)
     if m == 1:  # G is constant: all mass sits at 0
         return n

@@ -273,7 +273,7 @@ def _command_argvs(path, max_loss, a, b):
 
 @pytest.mark.parametrize("book, max_loss, a, b", [
     ("reference", 200, "A", "C"),
-    ("reference", 600, "E", "B"),  # the Fourier path: lazy kernels kept between calls
+    ("reference", 600, "E", "B"),  # the Fourier path: grid and spectra kept between calls
     ("basket", "auto", "b3", "b17"),
 ])
 def test_warm_calls_write_the_cold_files(tmp_path, book, max_loss, a, b):

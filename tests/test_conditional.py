@@ -10,6 +10,8 @@ from crplus.engine import LossEngine
 from crplus.pmf import TruncationError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
+from conftest import panjer_negbin, panjer_poisson
+
 
 def single_sector_engine(pd=0.1, alpha=1.0, limit=60):
     p = Portfolio((Sector("s1", alpha),),
@@ -309,20 +311,121 @@ def test_two_defaults_writeoff(reference_portfolio, reference_engine):
     assert pm.mean(rep.conditional_pmf) < pm.mean(plain.conditional_pmf)
 
 
+def spread(portfolio, factor):
+    """``portfolio`` with every loss ``factor`` times as large: its pmf at L
+    is the original's at L / factor, on a longer grid."""
+    return Portfolio(portfolio.sectors, tuple(
+        Obligor(o.id, o.pd, o.weights,
+                SeverityDist({factor * x: p for x, p in o.severity.probabilities.items()}))
+        for o in portfolio.obligors))
+
+
 def test_component_tail_gate(reference_portfolio):
     # A's components are the base and the +e_1 stress; the stressed one has
-    # the heavier tail, and the gate sits exactly at its tail mass.
-    system = eng.assemble(reference_portfolio, 60)
-    free = LossEngine(system)
-    base_tail = free.loss_distribution().tail_mass
-    stressed_tail = free.loss_distribution((1, 0)).tail_mass
-    assert 1e-12 < base_tail < 0.9 * stressed_tail
-    below = LossEngine(system, tail_tol=stressed_tail * (1 - 1e-6))
-    with pytest.raises(TruncationError) as exc:
-        cd.loss_given_one_default(below, reference_portfolio, "A")
-    assert exc.value.tail_mass == pytest.approx(stressed_tail, rel=1e-9)
-    above = LossEngine(system, tail_tol=stressed_tail * (1 + 1e-6))
-    cd.loss_given_one_default(above, reference_portfolio, "A")
+    # the heavier tail, and the gate sits exactly at its tail mass.  The
+    # same book with ten times the losses at L = 600 has the same tails and
+    # gates them on the Fourier path.
+    for port, limit in ((reference_portfolio, 60), (spread(reference_portfolio, 10), 600)):
+        system = eng.assemble(port, limit)
+        free = LossEngine(system)
+        base_tail = free.loss_distribution().tail_mass
+        stressed_tail = free.loss_distribution((1, 0)).tail_mass
+        assert 1e-12 < base_tail < 0.9 * stressed_tail
+        below = LossEngine(system, tail_tol=stressed_tail * (1 - 1e-6))
+        with pytest.raises(TruncationError) as exc:
+            cd.loss_given_one_default(below, port, "A")
+        assert exc.value.tail_mass == pytest.approx(stressed_tail, rel=1e-9)
+        above = LossEngine(system, tail_tol=stressed_tail * (1 + 1e-6))
+        cd.loss_given_one_default(above, port, "A")
+
+
+THETAS = (0.95, 0.99, 0.999)
+
+
+def _scenarios(portfolio):
+    """Every one- and two-default scenario, each with and without write-off."""
+    ids = portfolio.ids
+    return [(list(scenario), writeoff)
+            for scenario in [(a,) for a in ids] + list(itertools.combinations(ids, 2))
+            for writeoff in (False, True)]
+
+
+def _conditional(engine, portfolio, scenario, writeoff):
+    if len(scenario) == 1:
+        return cd.loss_given_one_default(engine, portfolio, *scenario, writeoff=writeoff,
+                                         thetas=THETAS)
+    return cd.loss_given_two_defaults(engine, portfolio, *scenario, writeoff=writeoff,
+                                      thetas=THETAS)
+
+
+def panjer_fold_mixture(system, components, shifts, memo):
+    """The weighted mean of the components' stressed pmfs, each a direct fold
+    of Panjer pmfs at alpha_k + s_k, shifted by direct convolution with
+    ``shifts``: the reference for the engine's mixture.  ``memo`` keeps the
+    Panjer pmfs by parameters across calls."""
+    limit = system.limit
+
+    def sector(k, stress):
+        q = system.q_polys[k]
+        key = (k, stress, q.probs.tobytes())
+        if key not in memo:
+            memo[key] = (panjer_poisson(system.mu[0], q, limit) if k == 0 else panjer_negbin(
+                system.alphas[k - 1] + stress, system.delta[k - 1], q, limit)).probs
+        return memo[key]
+
+    out = np.zeros(limit + 1)
+    for weight, sectors in components.values():
+        fold = sector(0, 0)
+        for k in range(1, system.n_sectors + 1):
+            fold = np.convolve(fold, sector(k, sectors.count(k)))[: limit + 1]
+        out += weight * fold
+    out /= sum(weight for weight, _ in components.values())
+    for shift in shifts:
+        out = np.convolve(out, shift.probs)[: limit + 1]
+    return pm.Pmf(out, tail_mass=max(1.0 - out.sum(), 0.0))
+
+
+def test_fourier_conditionals_match_panjer_fold_mixtures(reference_portfolio):
+    port, limit = spread(reference_portfolio, 3), 2 * pm.FFT_MIN_SIZE
+    engine = LossEngine(eng.assemble(port, limit), tail_tol=1e-9)
+    W, memo = port.columns.W, {}
+    for scenario, writeoff in _scenarios(port):
+        rep = _conditional(engine, port, scenario, writeoff)
+        system = eng.assemble(port, limit, written_off=scenario if writeoff else ())
+        components = cd._components([W[port.row(oid)] for oid in scenario], system.alphas)
+        shifts = [] if writeoff else [pm.from_dict(port.severity_of(oid), limit)
+                                      for oid in scenario]
+        ref = panjer_fold_mixture(system, components, shifts, memo)
+        out = rep.conditional_pmf
+        assert np.max(np.abs(out.probs - ref.probs)) <= pm.FFT_ABS_ERROR, (scenario, writeoff)
+        assert out.tail_mass == pytest.approx(ref.tail_mass, abs=pm.FFT_ABS_ERROR)
+        assert rep.risk["quantiles"] == {str(t): pm.quantile(ref, t) for t in THETAS}
+
+
+def test_fourier_conditionals_build_no_kernel_pmfs(reference_portfolio, monkeypatch):
+    # From FFT_MIN_SIZE points on every stressed pmf comes from the kernel
+    # spectra on the engine's grid: no Fourier compound, no convolution of
+    # two long inputs and no kernel pmf, for a conditional or a write-off.
+    negbins, long_convolutions, engines = [], [], []
+    compound_negbin, convolve, derive = pm.compound_negbin, pm.convolve, LossEngine.derive
+
+    def counted_convolve(a, b):
+        sizes = (pm._trimmed(a.probs).size, pm._trimmed(b.probs).size)
+        if min(sizes) >= pm.FFT_MIN_SIZE:
+            long_convolutions.append(sizes)
+        return convolve(a, b)
+
+    monkeypatch.setattr(pm, "compound_negbin", lambda *args: negbins.append(args)
+                        or compound_negbin(*args))
+    monkeypatch.setattr(pm, "convolve", counted_convolve)
+    monkeypatch.setattr(LossEngine, "derive", lambda self, system: engines.append(
+        derive(self, system)) or engines[-1])
+    engines.append(LossEngine(eng.assemble(reference_portfolio, 600), tail_tol=1e-9))
+    for scenario, writeoff in _scenarios(reference_portfolio):
+        _conditional(engines[0], reference_portfolio, scenario, writeoff)
+    assert len(engines) == 1 + 15
+    assert negbins == [] and long_convolutions == []
+    assert not [key for engine in engines for key in engine._cache if key[0] == "kernel"]
 
 
 def test_two_defaults_rejects_same_obligor(reference_portfolio, reference_engine):

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -194,9 +195,11 @@ def test_stressed_distribution_matches_panjer_fold_above_fft_crossover():
     system = eng.assemble(Portfolio(sectors, obligors), 1200)
     engine = LossEngine(system)
     assert system.limit >= 2 * pm.FFT_MIN_SIZE
-    assert engine.kernel(2)[system.limit] > 0  # full-length kernel: the FFT path
     stress = (2, 1, 0)
     out = engine.loss_distribution(stress)
+    # The Fourier path: the kernel spectra on the engine's grid, no kernel pmf.
+    assert {("transform", 1), ("transform", 2)} <= set(engine._cache)
+    assert not [key for key in engine._cache if key[0] == "kernel"]
     ref = panjer_fold(system, stress)
     np.testing.assert_allclose(out.probs, ref.probs, rtol=0, atol=1e-15)
     assert pm.quantile(out, 0.999) == pm.quantile(ref, 0.999)
@@ -236,14 +239,6 @@ def test_base_fills_every_sector_and_loaded_kernel_in_one_pass(panjer_passes):
         np.testing.assert_array_equal(engine.kernel(k).probs, ref.probs)
     engine.loss_distribution((2, 1, 1))
     assert panjer_passes == [5]
-
-
-def test_fourier_engine_keeps_kernels_lazy(reference_portfolio):
-    engine = LossEngine(eng.assemble(reference_portfolio, pm.FFT_MIN_SIZE - 1))
-    engine.loss_distribution()
-    assert not [key for key in engine._cache if key[0] == "kernel"]
-    engine.loss_distribution((0, 1))
-    assert [key for key in engine._cache if key[0] == "kernel"] == [("kernel", 2)]
 
 
 # ------------------------------------------------- spectral base above FFT_MIN_SIZE
@@ -293,10 +288,10 @@ def spectral_systems(draw):
                               q_polys=q_polys, limit=limit,
                               sector_ids=tuple(f"s{k}" for k in range(1, n + 2)))
     # delta near 1 with large severities needs grids of millions of points:
-    # up to 2**18 keeps each example small.
-    terms = [(eng._claims(system, "sector", k), pm._trimmed(q.probs))
-             for k, q in enumerate(q_polys)]
-    assume(pm._grid_size(terms, limit, "the base") <= 1 << 18)
+    # an engine grid (sized for the heaviest stress) up to 2**18 keeps each
+    # example small.
+    terms = [(eng._claims(system, "stressed", k), q) for k, q in enumerate(q_polys)]
+    assume(pm.grid_size(terms, limit, "the base") <= 1 << 18)
     return system
 
 
@@ -310,8 +305,9 @@ def test_spectral_base_matches_panjer_fold(system):
 
 
 def spectral_book(heavy=True):
-    """A book whose base needs a 4096-point grid at L = 600 when H's loss on
-    s1 (alpha 0.5, delta 0.73) is 30, and the 2048-point minimum when it is 1."""
+    """A book whose engine grid at L = 600 has 8192 points when H's loss on
+    s1 (alpha 0.5, delta 0.73; 2.5 at the heaviest stress) is 30, and the
+    2048-point minimum when it is 1."""
     return Portfolio(
         (Sector("s1", 0.5), Sector("s2", 2.0), Sector("s3", 1.0)),
         (Obligor("H", 1.0, [0.0, 1.0, 0.0, 0.0], SeverityDist({30 if heavy else 1: 1.0})),
@@ -324,16 +320,15 @@ def _grid(engine, k):
     return 2 * (engine._cache[("spectrum", k)].size - 1)
 
 
-def _spectra_given(monkeypatch):
-    """Which spectra each ``pmf.fourier_sum`` call of the test was handed."""
-    given, fourier_sum = [], pm.fourier_sum
-
-    def recorded(terms, limit, what, spectra=None):
-        given.append([s is not None for s in spectra or [None] * len(terms)])
-        return fourier_sum(terms, limit, what, spectra)
-
-    monkeypatch.setattr(pm, "fourier_sum", recorded)
-    return given
+def _fourier_calls(monkeypatch):
+    """The ``pmf.log_spectrum`` and ``pmf.from_spectrum`` calls of the test, by name."""
+    calls = []
+    for name in ("log_spectrum", "from_spectrum"):
+        def recorded(*args, _name=name, _fn=getattr(pm, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(pm, name, recorded)
+    return calls
 
 
 def test_derive_on_the_spectral_path_reuses_the_grid_and_unchanged_spectra(monkeypatch):
@@ -341,11 +336,12 @@ def test_derive_on_the_spectral_path_reuses_the_grid_and_unchanged_spectra(monke
     port = spectral_book(heavy=False)
     engine = LossEngine(eng.assemble(port, SPECTRAL_LIMIT))
     engine.loss_distribution()
-    given = _spectra_given(monkeypatch)
+    calls = _fourier_calls(monkeypatch)
     written_off = eng.assemble(port, SPECTRAL_LIMIT, written_off=("C",))
     derived = engine.derive(written_off)
     base = derived.loss_distribution()
-    assert given == [[False, True, True, False]]
+    # The log-spectra of sectors 0 and 3, then one inverse FFT.
+    assert calls == ["log_spectrum", "log_spectrum", "from_spectrum"]
     for k in range(4):
         assert _grid(derived, k) == _grid(engine, k) == 2048
         reused = derived._cache[("spectrum", k)] is engine._cache[("spectrum", k)]
@@ -359,13 +355,13 @@ def test_derive_keeps_a_larger_parent_grid_and_replaces_a_smaller_one():
     heavy, light = spectral_book(heavy=True), spectral_book(heavy=False)
     engine = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT))
     engine.loss_distribution()
-    assert _grid(engine, 0) == 4096
+    assert _grid(engine, 0) == 8192
     # Writing off H moves its mass on s1 to loss 0: the system's own grid
-    # would be 2048 points, and the parent's 4096 still bounds the aliasing.
+    # would be 2048 points, and the parent's 8192 still bounds the aliasing.
     written_off = eng.assemble(heavy, SPECTRAL_LIMIT, written_off=("H",))
     derived = engine.derive(written_off)
     base = derived.loss_distribution()
-    assert _grid(derived, 1) == 4096
+    assert _grid(derived, 1) == 8192
     assert derived._cache[("spectrum", 0)] is engine._cache[("spectrum", 0)]
     fresh = LossEngine(written_off)
     fresh_base = fresh.loss_distribution()
@@ -373,20 +369,24 @@ def test_derive_keeps_a_larger_parent_grid_and_replaces_a_smaller_one():
     assert np.max(np.abs(base.probs - fresh_base.probs)) <= pm.FFT_ABS_ERROR
     assert base.tail_mass == pytest.approx(fresh_base.tail_mass, abs=1e-12)
     # The other way round the inherited 2048-point spectra are too coarse:
-    # every sector is recomputed on the 4096-point grid.
+    # every sector is recomputed on the 8192-point grid, and the kernel
+    # spectra handed over with the unchanged ones are dropped.
     engine = LossEngine(eng.assemble(light, SPECTRAL_LIMIT))
-    engine.loss_distribution()
+    engine.loss_distribution((1, 1, 1))
     derived = engine.derive(eng.assemble(heavy, SPECTRAL_LIMIT))
     base = derived.loss_distribution()
     for k in range(4):
-        assert _grid(derived, k) == 4096
+        assert _grid(derived, k) == 8192
         assert derived._cache[("spectrum", k)] is not engine._cache[("spectrum", k)]
-    np.testing.assert_array_equal(
-        base.probs, LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT)).loss_distribution().probs)
+    fresh = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT))
+    np.testing.assert_array_equal(base.probs, fresh.loss_distribution().probs)
+    np.testing.assert_array_equal(derived.loss_distribution((1, 1, 1)).probs,
+                                  fresh.loss_distribution((1, 1, 1)).probs)
 
 
 def test_base_grid_above_max_grid_names_the_base(monkeypatch):
-    # Each sector alone fits a 2048-point grid at L = 600; their sum needs 4096.
+    # Each sector alone fits a 2048-point grid at L = 600; their sum at the
+    # heaviest stress, which sizes the engine's one grid, needs 4096.
     p = Portfolio((Sector("s1", 1.0), Sector("s2", 1.0)),
                   (Obligor("A", 1.0, [0.0, 1.0, 0.0], SeverityDist({25: 1.0})),
                    Obligor("B", 1.0, [0.0, 0.0, 1.0], SeverityDist({25: 1.0}))))
@@ -394,9 +394,11 @@ def test_base_grid_above_max_grid_names_the_base(monkeypatch):
     engine = LossEngine(eng.assemble(p, SPECTRAL_LIMIT))
     for k in (1, 2):
         assert engine.sector_loss(k).truncation_limit == SPECTRAL_LIMIT
-        assert engine.kernel(k).truncation_limit == SPECTRAL_LIMIT
-    with pytest.raises(AliasingError, match=r"^the portfolio base at L=600 needs a Fourier grid"):
-        engine.loss_distribution()
+    message = (r"^the portfolio base under its heaviest stress \(alpha_k \+ 2 in every factor "
+               r"sector\) at L=600 needs a Fourier grid")
+    for call in (engine.loss_distribution, lambda: engine.kernel(1)):
+        with pytest.raises(AliasingError, match=message):
+            call()
 
 
 def test_underflowing_row_in_a_batch_names_its_own_parameters():
@@ -427,6 +429,15 @@ def test_kernel_rows_pass_where_their_sector_passes():
     assert kernel.probs[0] == pytest.approx(1.0 - system.delta[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("limit", [200, 600])
+def test_kernel_exists_for_factor_sectors_only(reference_portfolio, limit):
+    # Index 0 would read the last sector's parameters.
+    engine = LossEngine(eng.assemble(reference_portfolio, limit))
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=rf"sector {k} has no kernel"):
+            engine.kernel(k)
+
+
 def test_stress_vector_validation(reference_engine):
     with pytest.raises(ValueError, match="length"):
         reference_engine.loss_distribution((1,))
@@ -434,6 +445,8 @@ def test_stress_vector_validation(reference_engine):
         reference_engine.loss_distribution((3, 0))
     with pytest.raises(ValueError, match="offsets"):
         reference_engine.loss_distribution((-1, 0))
+    with pytest.raises(ValueError, match="offsets"):
+        reference_engine.loss_distribution((1.7, 0))
 
 
 def test_concurrent_evaluation_matches_serial(reference_portfolio):
@@ -455,6 +468,34 @@ def test_concurrent_evaluation_matches_serial(reference_portfolio):
         t.join()
     for s in stresses:
         np.testing.assert_allclose(results[s].probs, serial[s].probs, atol=1e-13)
+
+
+def test_concurrent_fourier_evaluation_matches_serial(reference_portfolio):
+    # Threads race to size the grid, fill the spectra and the kernel spectra
+    # of one engine and of engines derived from it; every result is bitwise
+    # the serial one.
+    stresses = [(i, j) for i in range(3) for j in range(3)] * 2
+    systems = [eng.assemble(reference_portfolio, 600, written_off=w) for w in ((), ("C",))]
+    serial = {(w, s): LossEngine(systems[w]).loss_distribution(s) for w in (0, 1) for s in stresses}
+    shared = LossEngine(systems[0], tail_tol=1e-9)
+    results, interval = {}, sys.getswitchinterval()
+
+    def run(w, s):
+        engine = shared.derive(systems[1]) if w else shared
+        results[(w, s)] = engine.loss_distribution(s)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=key) for key in serial]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for key, out in serial.items():
+        np.testing.assert_array_equal(results[key].probs, out.probs)
 
 
 def test_tail_tolerance_enforced():

@@ -43,6 +43,19 @@ def test_convolve_rejects_mismatched_limits():
         pm.convolve(pm.point_mass(0, 5), pm.point_mass(0, 6))
 
 
+@pytest.mark.parametrize("value", [-1, 1.5])
+def test_point_mass_rejects_a_negative_or_fractional_value(value):
+    # Index -1 would put the mass at L: the value is rejected as from_dict does.
+    for build in (lambda: pm.point_mass(value, 10), lambda: pm.from_dict({value: 1.0}, 10)):
+        with pytest.raises(ValueError, match=f"support point {value} is not a non-negative"):
+            build()
+
+
+def test_point_mass_beyond_limit_is_tail():
+    out = pm.point_mass(12, 10)
+    assert out.tail_mass == 1.0 and not out.probs.any()
+
+
 @st.composite
 def small_pmfs(draw, limit=12):
     n = draw(st.integers(1, 6))
