@@ -12,6 +12,10 @@ of the sectors o0 does not load on, recomputes the others' and takes its
 mixture by one inverse FFT.  First, before any analytic work, it times
 ``mc.simulate`` at 10^6 draws on the same portfolio and prints the draw
 rate and the process's peak resident set size at that point.
+
+Exits 1 when the simulated mean loss is more than ``MAX_Z`` standard
+errors from the mean of the analytic base distribution: a check of the
+sampler at the criterion-12 scale.
 """
 
 import resource
@@ -28,6 +32,7 @@ from crplus import conditional as cd  # noqa: E402
 from crplus import mc  # noqa: E402
 
 MC_DRAWS = 1_000_000
+MAX_Z = 5.0
 
 
 def build_portfolio(n_obligors=1000, n_sectors=10, seed=2024):
@@ -76,6 +81,15 @@ def main():
     print(f"second double-default:    {t4 - t3:7.2f} s  (mean {mean(rep2.conditional_pmf):.1f})")
     print(f"write-off o0:             {t5 - t4:7.2f} s  (mean {mean(rep3.conditional_pmf):.1f})")
 
+    mc_mean, mc_se = sim.loss_mean()
+    z = (mc_mean - mean(base)) / mc_se
+    print(f"MC mean vs base mean:     z = {z:+.2f}")
+    if abs(z) > MAX_Z:
+        print(f"error: the simulated mean loss {mc_mean:.3f} is {z:+.2f} standard errors "
+              f"from the base mean {mean(base):.3f} (bound {MAX_Z:g})", file=sys.stderr)
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -143,9 +143,10 @@ def _load(args):
     return _last
 
 
-def _resolve_limit(args, port):
+def _max_loss(args):
+    """``--max-loss`` as an int, or None for 'auto'."""
     if args.max_loss == "auto":
-        return eng.suggest_truncation(port)
+        return None
     try:
         limit = int(args.max_loss)
     except ValueError:
@@ -154,6 +155,18 @@ def _resolve_limit(args, port):
     if limit < 0:
         raise CliError("--max-loss must be non-negative", EXIT_INPUT)
     return limit
+
+
+def _resolve_limit(args, port):
+    limit = _max_loss(args)
+    return eng.suggest_truncation(port) if limit is None else limit
+
+
+def _draws(args):
+    """``--draws``, checked before ``mc`` or ``compare`` does any work."""
+    if args.draws < 1:
+        raise CliError(f"--draws must be >= 1, got {args.draws}", EXIT_INPUT)
+    return args.draws
 
 
 def _thetas(args):
@@ -258,11 +271,11 @@ def cmd_cond(args):
 
 
 def cmd_mc(args):
+    draws = _draws(args)
     prepared = _load(args)
     _thetas(args)
-    if args.draws < 1:
-        raise CliError("--draws must be >= 1", EXIT_INPUT)
-    result = mc.simulate(prepared.portfolio, mc.SimConfig(draws=args.draws, seed=args.seed))
+    _max_loss(args)  # unused by the sampler, but echoed in mc_result.json
+    result = mc.simulate(prepared.portfolio, mc.SimConfig(draws=draws, seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "mc_losses.csv").write_text(result.to_csv())
@@ -289,6 +302,7 @@ def _stressed_input_pmf(engine, port, obligor_id):
 
 
 def cmd_compare(args):
+    draws = _draws(args)
     prepared = _load(args)
     port = prepared.portfolio
     thetas = _thetas(args)
@@ -300,8 +314,12 @@ def cmd_compare(args):
     limit = engine.system.limit
 
     analytic = conditional.loss_given_one_default(engine, port, oid, thetas=thetas)
-    estimate = mc.estimate_conditional_one_default(
-        port, oid, mc.SimConfig(draws=args.draws, seed=args.seed), limit)
+    try:
+        estimate = mc.estimate_conditional_one_default(
+            port, oid, mc.SimConfig(draws=draws, seed=args.seed), limit)
+    except mc.NoAcceptedDrawsError as exc:
+        raise CliError(f"obligor {oid} defaults in none of the {draws} draws; raise --draws",
+                       EXIT_INPUT) from exc
     stressed = _stressed_input_pmf(engine, port, oid)
 
     out = Path(args.out)

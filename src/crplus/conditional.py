@@ -81,7 +81,9 @@ def _components(loadings, alphas):
     stress) given the default of the obligors with weight vectors ``loadings``.
 
     One default: base and the +e_j with w_j > 0.  Two defaults: those of
-    base, +e_j, +2e_j and +e_i+e_j with weight > 0, summing to the normalizer.
+    base, +e_j, +2e_j and +e_i+e_j with weight > 0, summing to the normalizer,
+    in that order with j and (i, j) ascending.  A term of a sector neither
+    obligor loads on has weight 0, so only the loaded sectors are visited.
     """
     n = alphas.size
     if len(loadings) == 1:
@@ -90,12 +92,13 @@ def _components(loadings, alphas):
         out.update((f"+e_{j}", (float(w[j]), [j])) for j in range(1, n + 1) if w[j] > 0.0)
         return out
     w1, w2 = loadings
+    loaded = (np.flatnonzero((w1[1:] > 0.0) | (w2[1:] > 0.0)) + 1).tolist()
     terms = [("base", w1[0] * w2[0], [])]
-    for j in range(1, n + 1):
+    for j in loaded:
         terms.append((f"+e_{j}", w1[0] * w2[j] + w1[j] * w2[0], [j]))
         terms.append((f"+2e_{j}", w1[j] * w2[j] * (alphas[j - 1] + 1.0) / alphas[j - 1], [j, j]))
     terms += [(f"+e_{i}+e_{j}", w1[i] * w2[j] + w1[j] * w2[i], [i, j])
-              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+              for a, i in enumerate(loaded) for j in loaded[a + 1:]]
     return {key: (weight, sectors) for key, weight, sectors in terms if weight > 0.0}
 
 

@@ -10,7 +10,13 @@ the default counts D_A are independent Poisson(p_A^S), p_A^S = p_A sum_k
 w_Ak S_k, and every default carries an independent severity drawn from q_A:
 exactly the factor model.  A batch of b draws holds the (b, N) factors, the
 (N+1, b) sector intensities and counts, and one (draw, obligor, severity)
-triple per default event; nothing is b x obligors.
+triple and one uniform per default event; nothing is b x obligors.
+
+A uniform u picks its pair through a guide table (Chen & Asau 1974; Devroye
+1986, ch. III): bucket floor(u M) of the sector's M buckets names the first
+pair the bucket can hold, one comparison settles the pick, and only buckets
+that straddle two or more pair boundaries fall back to a binary search.  The
+picks are those of a binary search over the whole table, bit for bit.
 
 A counter-based Philox stream drives everything, in a fixed call order per
 batch (gamma, poisson, uniform), so a given (seed, config) pair reproduces
@@ -26,6 +32,11 @@ import numpy as np
 from .portfolio import check_obligors
 
 BATCH = 100_000
+CHUNK = 8192  # events per guide lookup; bounds the lookup's scratch arrays
+
+
+class NoAcceptedDrawsError(ValueError):
+    """No draw holds a default of the obligor an estimate conditions on."""
 
 
 @dataclass(frozen=True)
@@ -82,14 +93,54 @@ def _sample_severities(rng, vals, probs, size):
     return rng.choice(vals, size=size, p=probs)
 
 
+@dataclass(frozen=True)
+class _Table:
+    """One sector's default table and its guide (``_table``)."""
+
+    cum: np.ndarray  # running sum of the pair masses
+    owner: np.ndarray  # obligor row of each pair (int32)
+    vals: np.ndarray  # severity value of each pair
+    bound: np.ndarray  # cum with its last entry +inf
+    guide: np.ndarray  # M entries: the first pair of bucket i, -1 if it needs a search
+
+
+def _table(cum, owner, vals):
+    """The ``_Table`` of the pairs with running mass ``cum``.
+
+    A uniform u picks pair j = #{i < n - 1: cum[i] <= v}, v = u cum[-1]:
+    the binary search ``searchsorted(cum, v, "right")`` clipped to n - 1, as
+    v can round up to cum[-1].  The guide splits [0, 1) into M buckets, M
+    the power of two >= 4n, and holds for bucket i the pick at its left
+    edge, lo_i = #{cum[:-1] <= fl((i/M) cum[-1])}.  fl(x cum[-1]) is
+    monotone in x, so every u of bucket i picks a pair in [lo_i, lo_{i+1}];
+    where lo_{i+1} - lo_i <= 1 the pick is lo_i + (bound[lo_i] <= v), and
+    ``bound`` (cum with cum[-1] replaced by +inf) makes that comparison
+    false at the last pair.  Buckets that straddle two or more boundaries
+    hold -1 and are searched.  At most (n - 1)/2 of the M >= 4n buckets do,
+    so they take at most 1/8 of the uniforms; the guide costs M intp
+    entries.
+    """
+    n = cum.size
+    if n == 0:
+        return _Table(cum, owner, vals, cum, np.zeros(0, dtype=np.intp))
+    buckets = 1 << (4 * n - 1).bit_length()
+    first = np.searchsorted(cum[:-1], (np.arange(buckets + 1) / buckets) * cum[-1], side="right")
+    guide = first[:-1].copy()
+    guide[np.diff(first) > 1] = -1
+    bound = cum.copy()
+    bound[-1] = np.inf
+    return _Table(cum, owner, vals, bound, guide)
+
+
 def _sector_tables(portfolio):
-    """Intensities mu_k and default tables of the sectors k = 0..N.
+    """Intensities mu_k and default tables (``_Table``) of the sectors k = 0..N.
 
     Sector k's table lists the (obligor, severity value) pairs (A, v) of
     positive mass p_A w_Ak q_A(v), with the running sum of those masses, so
     a uniform u picks pair j with cum[j-1] <= u cum[-1] < cum[j].  The pairs
     come from ``portfolio.columns``, each obligor's by ascending value (the
-    order of ``SeverityDist.values_and_probs``).  Raises PortfolioError
+    order of ``SeverityDist.values_and_probs``).  Each table carries the
+    guide of ``_table``.  Raises PortfolioError
     (``portfolio.check_obligors``) for an obligor that ``validate`` reports.
     """
     check_obligors(portfolio)
@@ -102,8 +153,36 @@ def _sector_tables(portfolio):
     for w in c.W[owner].T:
         m = mass * w
         keep = m > 0.0
-        tables.append((np.cumsum(m[keep]), owner[keep], vals[keep].astype(sev_type)))
+        tables.append(_table(np.cumsum(m[keep]), owner[keep], vals[keep].astype(sev_type)))
     return c.pd @ c.W, tables, sev_type
+
+
+def _scratch(size):
+    """Work arrays for ``_pick`` on up to ``size`` uniforms: two intp, a float64, a mask."""
+    return (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp), np.empty(size),
+            np.empty(size, dtype=bool))
+
+
+def _pick(table, u, scratch):
+    """Pair index of each uniform in ``u`` (``_table``); scales ``u`` to v in place.
+
+    Works in the ``_scratch`` arrays and returns a view of one of them; only
+    the binary search of the uniforms in buckets marked -1 makes new arrays.
+    ``take`` in mode "wrap" writes straight into ``out`` (mode "raise" fills
+    a fresh copy per call) and maps -1 to the last entry.
+    """
+    bucket, pick, x, hit = (a[:u.size] for a in scratch)
+    np.multiply(u, table.guide.size, out=x)
+    np.copyto(bucket, x, casting="unsafe")  # floor(u M): u M >= 0 is exact
+    np.take(table.guide, bucket, out=pick, mode="wrap")
+    u *= table.cum[-1]
+    np.take(table.bound, pick, out=x, mode="wrap")  # a -1 reads bound[-1] = +inf, stays -1
+    np.less_equal(x, u, out=hit)
+    pick += hit
+    if pick.min() < 0:
+        search = pick < 0
+        pick[search] = np.searchsorted(table.cum[:-1], u[search], side="right")
+    return pick
 
 
 def _batches(portfolio, cfg):
@@ -113,16 +192,19 @@ def _batches(portfolio, cfg):
     hold one entry per default event: the batch row it falls in and the
     obligor that defaults.  Per batch the sector counts N_k ~ Poisson(S_k
     mu_k) come from one (N+1, b) call, each event takes one uniform, and
-    one ``searchsorted`` per sector maps the uniforms to (obligor, severity)
-    pairs; X is the per-row sum of the event severities.  Memory per batch
-    is about (N+1) b numbers plus three int32 entries and one uniform per
-    event.
+    the sector's guide table (``_pick``) maps the uniforms to (obligor,
+    severity) pairs, ``CHUNK`` events at a time, written straight into the
+    event arrays; X is the per-row sum of the event severities.  Memory per
+    batch is about (N+1) b numbers plus three int32 entries and one uniform
+    per event.  The lookup's work arrays hold 25 bytes per event of one
+    chunk (200 kB) and are allocated once per call, not per chunk.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     mu, tables, sev_type = _sector_tables(portfolio)
     alphas = np.array([s.alpha for s in portfolio.sectors])
     n = alphas.size
-    rows = np.arange(BATCH, dtype=np.int32)
+    rows = np.arange(min(BATCH, cfg.draws), dtype=np.int32)
+    scratch = _scratch(CHUNK)
     done = 0
     while done < cfg.draws:
         b = min(BATCH, cfg.draws - done)
@@ -142,17 +224,16 @@ def _batches(portfolio, cfg):
         obligor = np.empty(u.size, dtype=np.int32)
         sev = np.empty(u.size, dtype=sev_type)
         start = 0
-        for (cum, owner, vals), count, total in zip(tables, counts, totals):
+        for table, count, total in zip(tables, counts, totals):
             if total == 0:
                 continue
             stop = start + int(total)
             draw[start:stop] = np.repeat(rows[:b], count)
-            u[start:stop] *= cum[-1]
-            pick = np.searchsorted(cum, u[start:stop], side="right")
-            # u * cum[-1] can round up to cum[-1]; the last pair has positive mass.
-            np.minimum(pick, cum.size - 1, out=pick)
-            obligor[start:stop] = owner[pick]
-            sev[start:stop] = vals[pick]
+            for lo in range(start, stop, CHUNK):
+                hi = min(lo + CHUNK, stop)
+                pick = _pick(table, u[lo:hi], scratch)
+                np.take(table.owner, pick, out=obligor[lo:hi], mode="wrap")
+                np.take(table.vals, pick, out=sev[lo:hi], mode="wrap")
             start = stop
         del counts, u  # before bincount's float copy of sev, and not held across the yield
         losses = np.bincount(draw, weights=sev, minlength=b).astype(np.int64)
@@ -241,7 +322,7 @@ def estimate_conditional_one_default(portfolio, obligor_id, cfg, limit):
         accepted += int(hit.sum())
         acc_counts += np.bincount(losses[inside & hit], minlength=size)
     if accepted == 0 or sum_w == 0:
-        raise ValueError(f"obligor {obligor_id}: zero accepted draws")
+        raise NoAcceptedDrawsError(f"obligor {obligor_id}: zero accepted draws")
     n = cfg.draws
     ratio = sum_wx / sum_w
     # Delta-method SE of the ratio estimator sum(D I)/sum(D).

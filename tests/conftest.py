@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crplus import LossEngine, Obligor, Portfolio, Sector, SectorSystem, SeverityDist, assemble
-from crplus import cli
+from crplus import cli, mc
 from crplus import pmf as pm
 from crplus.pmf import Pmf
 from crplus.portfolio import IDIOSYNCRATIC, SEVERITY_SUM_TOL, WEIGHT_SUM_TOL, PortfolioError
@@ -210,3 +210,71 @@ def validate_loop(p):
         if abs(total - 1.0) > SEVERITY_SUM_TOL:
             diagnostics.append(f"obligor {o.id}: severity probabilities sum to {total!r}, not 1")
     return diagnostics
+
+
+def batches_searchsorted(portfolio, cfg):
+    """``mc._batches`` with one binary search per sector for the pair lookup: the tests' reference.
+
+    The Philox calls, the tables and the batch size (``mc.BATCH``, read per
+    call) are the sampler's; each sector's uniforms are scaled by its total
+    mass and mapped to pairs by ``searchsorted`` over the whole cumulative
+    table, clipped to the last pair, with no guide table.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+    mu, tables, sev_type = mc._sector_tables(portfolio)
+    alphas = np.array([s.alpha for s in portfolio.sectors])
+    n = alphas.size
+    rows = np.arange(mc.BATCH, dtype=np.int32)
+    done = 0
+    while done < cfg.draws:
+        b = min(mc.BATCH, cfg.draws - done)
+        done += b
+        if n:
+            factors = rng.gamma(shape=alphas, scale=1.0 / alphas, size=(b, n))
+        else:
+            factors = np.zeros((b, 0))
+        intensity = np.empty((n + 1, b))
+        intensity[0] = mu[0]
+        np.multiply(factors.T, mu[1:, None], out=intensity[1:])
+        counts = rng.poisson(intensity)
+        totals = counts.sum(axis=1)
+        u = rng.random(int(totals.sum()))
+        draw = np.empty(u.size, dtype=np.int32)
+        obligor = np.empty(u.size, dtype=np.int32)
+        sev = np.empty(u.size, dtype=sev_type)
+        start = 0
+        for table, count, total in zip(tables, counts, totals):
+            if total == 0:
+                continue
+            stop = start + int(total)
+            draw[start:stop] = np.repeat(rows[:b], count)
+            u[start:stop] *= table.cum[-1]
+            pick = np.searchsorted(table.cum, u[start:stop], side="right")
+            np.minimum(pick, table.cum.size - 1, out=pick)
+            obligor[start:stop] = table.owner[pick]
+            sev[start:stop] = table.vals[pick]
+            start = stop
+        losses = np.bincount(draw, weights=sev, minlength=b).astype(np.int64)
+        yield factors, draw, obligor, losses
+
+
+def components_enumerated(loadings, alphas):
+    """``conditional._components`` by enumerating every candidate term: the tests' reference.
+
+    Builds all of base, +e_j, +2e_j (j = 1..N) and +e_i+e_j (i < j) in that
+    order, then drops the terms of weight 0.
+    """
+    n = alphas.size
+    if len(loadings) == 1:
+        (w,) = loadings
+        out = {"base": (float(w[0]), [])}
+        out.update((f"+e_{j}", (float(w[j]), [j])) for j in range(1, n + 1) if w[j] > 0.0)
+        return out
+    w1, w2 = loadings
+    terms = [("base", w1[0] * w2[0], [])]
+    for j in range(1, n + 1):
+        terms.append((f"+e_{j}", w1[0] * w2[j] + w1[j] * w2[0], [j]))
+        terms.append((f"+2e_{j}", w1[j] * w2[j] * (alphas[j - 1] + 1.0) / alphas[j - 1], [j, j]))
+    terms += [(f"+e_{i}+e_{j}", w1[i] * w2[j] + w1[j] * w2[i], [i, j])
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return {key: (weight, sectors) for key, weight, sectors in terms if weight > 0.0}

@@ -203,6 +203,43 @@ def test_compare_zero_pd_obligor(tmp_path):
                 "--obligor", "Z", "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("command", ["mc", "compare"])
+@pytest.mark.parametrize("draws", [0, -3])
+def test_draws_checked_before_any_work(portfolio_file, tmp_path, monkeypatch, capsys,
+                                       command, draws):
+    def no_work(args):
+        raise AssertionError("the portfolio was read before --draws was checked")
+
+    monkeypatch.setattr(cli, "_load", no_work)
+    argv = [command, "--portfolio", portfolio_file, "--max-loss", 200, "--draws", draws,
+            "--out", tmp_path / "o"]
+    assert run(argv + (["--obligor", "A"] if command == "compare" else [])) == 2
+    assert capsys.readouterr().err == f"error: --draws must be >= 1, got {draws}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("max_loss, message", [
+    ("abc", "--max-loss must be an integer or 'auto', got 'abc'"),
+    ("1.5", "--max-loss must be an integer or 'auto', got '1.5'"),
+    ("-1", "--max-loss must be non-negative"),
+])
+def test_mc_rejects_a_malformed_max_loss(portfolio_file, tmp_path, capsys, max_loss, message):
+    assert run(["mc", "--portfolio", portfolio_file, "--max-loss", max_loss,
+                "--draws", 100, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_with_no_sampled_default_names_the_obligor_and_draws(portfolio_file, tmp_path,
+                                                                     capsys):
+    # The first draw of seed 1 holds no default of E.
+    assert run(["compare", "--portfolio", portfolio_file, "--max-loss", 200, "--obligor", "E",
+                "--draws", 1, "--seed", 1, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == \
+        "error: obligor E defaults in none of the 1 draws; raise --draws\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_mc_and_compare_report_standard_errors(portfolio_file, tmp_path):
     out = tmp_path / "mc"
     assert run(["mc", "--portfolio", portfolio_file, "--max-loss", 200,

@@ -10,7 +10,7 @@ from crplus.engine import LossEngine
 from crplus.pmf import TruncationError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
-from conftest import panjer_negbin, panjer_poisson
+from conftest import components_enumerated, panjer_negbin, panjer_poisson
 
 
 def single_sector_engine(pd=0.1, alpha=1.0, limit=60):
@@ -466,6 +466,69 @@ def test_components_match_their_descriptors():
                 assert components["base"][0] == w1[0]
                 assert {k: w for k, (w, _) in components.items() if k != "base"} == {
                     f"+e_{j}": w1[j] for j in range(1, n + 1) if w1[j] > 0.0}
+
+
+def sixteen_sector_book(n_obligors=40):
+    """Obligors on 16 sectors loading 1 to 3 of them; every fifth has no
+    idiosyncratic weight and every seventh (from o3) only that one."""
+    rng = np.random.default_rng(16)
+    sectors = tuple(Sector(f"s{k + 1}", float(a)) for k, a in enumerate(rng.uniform(0.3, 4.0, 16)))
+    obligors = []
+    for i in range(n_obligors):
+        w = np.zeros(17)
+        if i % 7 == 3:
+            w[0] = 1.0
+        else:
+            w[0] = rng.uniform(0.1, 0.6) if i % 5 else 0.0
+            ks = rng.choice(16, size=1 + i % 3, replace=False) + 1
+            w[ks] = (1.0 - w[0]) * rng.dirichlet(np.ones(ks.size))
+        obligors.append(Obligor(f"o{i}", float(rng.uniform(0.005, 0.03)), w,
+                                SeverityDist({int(rng.integers(1, 9)): 1.0})))
+    return Portfolio(sectors, tuple(obligors))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_two_default_components_equal_the_full_enumeration():
+    book = sixteen_sector_book()
+    alphas = np.array([s.alpha for s in book.sectors])
+    W = book.columns.W
+    for a, b in itertools.permutations(range(W.shape[0]), 2):
+        got = cd._components([W[a], W[b]], alphas)
+        want = components_enumerated([W[a], W[b]], alphas)
+        assert list(got) == list(want), (a, b)
+        for key, (weight, sectors) in want.items():
+            assert got[key][1] == sectors and _bits(got[key][0]) == _bits(weight), (a, b, key)
+
+
+@pytest.mark.parametrize("limit", [None, 600])
+def test_two_default_pmfs_equal_those_of_the_full_enumeration(limit, monkeypatch):
+    # Pairs sharing a sector, on disjoint sectors, with no idiosyncratic
+    # weight (o0, o5) and with an idiosyncratic-only obligor (o3, o10).
+    book = sixteen_sector_book()
+    limit = limit or eng.suggest_truncation(book)
+    pairs = [("o1", "o2"), ("o0", "o5"), ("o3", "o8"), ("o10", "o11"), ("o4", "o9")]
+    W = book.columns.W
+
+    def loaded(oid):
+        return set(np.flatnonzero(W[book.row(oid), 1:]).tolist())
+
+    shared = [bool(loaded(a) & loaded(b)) for a, b in pairs]
+    assert any(shared) and not all(shared)
+
+    def reports():
+        engine = LossEngine(eng.assemble(book, limit))
+        return [cd.loss_given_two_defaults(engine, book, a, b, writeoff=writeoff)
+                for a, b in pairs for writeoff in (False, True)]
+
+    got = reports()
+    monkeypatch.setattr(cd, "_components", components_enumerated)
+    for g, w in zip(got, reports()):
+        assert list(g.mixture_weights.items()) == list(w.mixture_weights.items())
+        assert g.conditional_pmf.probs.tobytes() == w.conditional_pmf.probs.tobytes()
+        assert _bits(g.conditional_pmf.tail_mass) == _bits(w.conditional_pmf.tail_mass)
 
 
 # ------------------------------------------------------------- stressed_pd

@@ -10,7 +10,8 @@ from crplus import mc
 from crplus.engine import LossEngine
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
-from conftest import UNVALIDATED, unvalidated_portfolio
+from conftest import (UNVALIDATED, batches_searchsorted, make_reference_portfolio,
+                      unvalidated_portfolio)
 
 DRAWS = 200_000
 
@@ -112,6 +113,13 @@ def test_idiosyncratic_conditional_is_shift():
     assert within.mean() >= 0.95
 
 
+def test_no_accepted_draw_is_its_own_value_error(reference_portfolio):
+    cfg = mc.SimConfig(draws=1, seed=1)  # draw 1 holds no default of E
+    with pytest.raises(mc.NoAcceptedDrawsError, match="obligor E: zero accepted draws"):
+        mc.estimate_conditional_one_default(reference_portfolio, "E", cfg, 200)
+    assert issubclass(mc.NoAcceptedDrawsError, ValueError)
+
+
 def test_zero_pd_conditioning_rejected():
     p = Portfolio((), (Obligor("A", 0.0, [1.0], SeverityDist({1: 1.0})),))
     with pytest.raises(ValueError, match="pd is 0"):
@@ -186,8 +194,8 @@ def test_zero_pd_obligor_and_empty_sector_yield_no_events():
                   (Obligor("A", 0.3, [0.5, 0.5, 0.0], SeverityDist({1: 0.5, 2: 0.5})),
                    Obligor("Z", 0.0, [0.0, 1.0, 0.0], SeverityDist({4: 1.0}))))
     mu, tables, _ = mc._sector_tables(p)
-    assert mu[2] == 0.0 and tables[2][0].size == 0
-    assert all(1 not in owner for _, owner, _ in tables)
+    assert mu[2] == 0.0 and tables[2].cum.size == 0
+    assert all(1 not in t.owner for t in tables)
     events = 0
     for _, draw, obligor, _ in mc._batches(p, mc.SimConfig(draws=50_000, seed=52)):
         assert not np.any(obligor == 1)
@@ -245,3 +253,124 @@ def test_empty_book_has_zero_losses():
     res = mc.simulate(Portfolio((Sector("s1", 1.0),), ()), mc.SimConfig(draws=1000, seed=55))
     assert res.loss_counts.tolist() == [1000]
     assert res.loss_mean() == (0.0, 0.0)
+
+
+# ------------------------------------------------ guide-table pair lookup
+
+def criterion12_portfolio(seed=2024, n_obligors=1000, n_sectors=10):
+    """The criterion-12 recipe: two sectors per obligor, deterministic severities 1-50."""
+    rng = np.random.default_rng(seed)
+    sectors = tuple(Sector(f"s{k + 1}", float(a))
+                    for k, a in enumerate(rng.uniform(0.5, 3.0, n_sectors)))
+    obligors = []
+    for i in range(n_obligors):
+        w = np.zeros(n_sectors + 1)
+        w[0] = rng.uniform(0.1, 0.5)
+        ks = rng.choice(n_sectors, size=2, replace=False) + 1
+        split = rng.uniform(0.2, 0.8)
+        w[ks[0]] = (1 - w[0]) * split
+        w[ks[1]] = (1 - w[0]) * (1 - split)
+        obligors.append(Obligor(f"o{i}", float(rng.uniform(0.002, 0.02)), w,
+                                SeverityDist({int(rng.integers(1, 51)): 1.0})))
+    return Portfolio(sectors, tuple(obligors))
+
+
+def pd_spread_portfolio(n_obligors=300):
+    """pds from 1e-9 to 0.05 in shuffled order: runs of tiny pair masses share guide buckets."""
+    rng = np.random.default_rng(61)
+    pds = rng.permutation(np.geomspace(1e-9, 0.05, n_obligors))
+    sectors = (Sector("s1", 0.7), Sector("s2", 2.0), Sector("s3", 4.0))
+    obligors = []
+    for i, pd in enumerate(pds):
+        w = rng.dirichlet(np.ones(4))
+        points = rng.choice(np.arange(1, 30), size=int(rng.integers(1, 4)), replace=False)
+        probs = rng.dirichlet(np.ones(points.size))
+        obligors.append(Obligor(f"o{i}", float(pd), w,
+                                SeverityDist(dict(zip(points.tolist(), probs.tolist())))))
+    return Portfolio(sectors, tuple(obligors))
+
+
+def one_pair_portfolio():
+    """The reference book plus sector s3, whose table holds one (obligor, value) pair."""
+    ref = make_reference_portfolio()
+    obligors = [Obligor(o.id, o.pd, np.append(o.weights, 0.0), o.severity) for o in ref.obligors]
+    obligors.append(Obligor("F", 0.3, [0.4, 0.0, 0.0, 0.6], SeverityDist({3: 1.0})))
+    return Portfolio(ref.sectors + (Sector("s3", 1.2),), tuple(obligors))
+
+
+LOOKUP_BOOKS = {
+    "reference": make_reference_portfolio,
+    "criterion12": criterion12_portfolio,
+    "pd_spread": pd_spread_portfolio,
+    "one_pair": one_pair_portfolio,
+}
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("book, draws, batch, chunk", [
+    pytest.param("reference", 100_000, None, None, id="reference"),
+    pytest.param("criterion12", 20_000, None, None, id="criterion12"),
+    pytest.param("pd_spread", 20_000, None, None, id="pd_spread"),
+    pytest.param("one_pair", 20_000, None, None, id="one_pair"),
+    pytest.param("reference", 3_500, 1_000, 64, id="reference_multi_batch"),
+])
+def test_batches_match_the_binary_search_bitwise(book, draws, batch, chunk, monkeypatch):
+    if batch is not None:
+        monkeypatch.setattr(mc, "BATCH", batch)
+        monkeypatch.setattr(mc, "CHUNK", chunk)
+    p = LOOKUP_BOOKS[book]()
+    cfg = mc.SimConfig(draws=draws, seed=71)
+    got = list(mc._batches(p, cfg))
+    want = list(batches_searchsorted(p, cfg))
+    assert len(got) == len(want) == -(-draws // mc.BATCH)
+    for g, w in zip(got, want):
+        for name, a, b in zip(("factors", "draw", "obligor", "losses"), g, w):
+            assert _same_bits(a, b), name
+    mu, tables, _ = mc._sector_tables(p)
+    if book == "reference":
+        # Each sector expects more than two chunks of events per batch.
+        assert (mu * min(draws, mc.BATCH) > 2 * mc.CHUNK).all()
+    if book == "pd_spread":
+        # Expected number of uniforms that land in a searched bucket.
+        searched = sum(m * np.mean(t.guide < 0) for m, t in zip(mu, tables)) * draws
+        assert searched > 100
+    if book == "one_pair":
+        assert tables[3].cum.size == 1 and tables[3].guide.tolist() == [0, 0, 0, 0]
+
+
+def _searchsorted_pick(cum, u):
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+
+
+@pytest.mark.parametrize("masses, searched", [
+    pytest.param(np.geomspace(1e-12, 1.0, 37)[np.random.default_rng(3).permutation(37)], True,
+                 id="spread"),
+    pytest.param(np.full(50, 0.02), False, id="equal"),
+    pytest.param(np.array([0.3]), False, id="one_pair"),
+    pytest.param(np.array([3.0, 2.0]) * 5e-324, False, id="subnormal"),
+])
+def test_pick_at_bucket_edges_matches_the_binary_search(masses, searched):
+    cum = np.cumsum(masses)
+    n = cum.size
+    table = mc._table(cum, np.arange(n, dtype=np.int32), np.arange(n, dtype=np.int32))
+    buckets = table.guide.size
+    assert buckets & (buckets - 1) == 0 and 4 * n <= buckets < 8 * n
+    edges = np.arange(buckets) / buckets
+    u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)]])
+    v = u.copy()
+    pick = mc._pick(table, v, mc._scratch(v.size))
+    np.testing.assert_array_equal(pick, _searchsorted_pick(cum, u))
+    assert _same_bits(v, u * cum[-1])
+    assert (table.guide < 0).any() == searched
+
+
+def test_pick_where_the_scaled_uniform_rounds_up_to_the_total():
+    cum = np.array([3.0, 5.0]) * 5e-324
+    u = np.array([np.nextafter(1.0, 0.0)])
+    assert u[0] * cum[-1] == cum[-1]
+    assert np.searchsorted(cum, u * cum[-1], side="right").tolist() == [2]  # past the table
+    table = mc._table(cum, np.array([7, 8], dtype=np.int32), np.array([1, 2], dtype=np.int32))
+    assert mc._pick(table, u.copy(), mc._scratch(1)).tolist() == [1]
