@@ -7,9 +7,12 @@ base is one inverse FFT on the engine's Fourier grid.  A scenario takes the
 kernel spectra of the sectors its obligors load on from the cached sector
 log-spectra (the second pair computes only those of sectors it does not
 share with the first) and its mixture by one more inverse FFT.  The
-write-off conditional of o0 builds a second engine that reuses the spectra
-of the sectors o0 does not load on, recomputes the others' and takes its
-mixture by one inverse FFT.  First, before any analytic work, it times
+write-off conditional of o0 patches the base engine
+(``LossEngine.written_off``): it keeps the base's grid with no grid
+search, as writing off severities inside {0..L} can only lower the
+aliasing bound, takes over the spectra of the sectors o0 does not load on,
+recomputes the others' and takes its mixture by one inverse FFT.  First,
+before any analytic work, it times
 ``mc.simulate`` at 10^6 draws on the same portfolio and prints the draw
 rate and the process's peak resident set size at that point.
 

@@ -11,11 +11,12 @@ config echo) so runs can be reproduced byte for byte.
 
 Repeated calls in one process reuse the last portfolio text they prepared.
 Each call still reads the file and hashes its text; while the SHA-256 is
-the one of the previous call, the validated portfolio, the base engine of
-each (L, tail tolerance) and the base's ``pmf.csv`` text and risk reports
-are taken from that record, and a new digest replaces it.  Only successes
-are recorded, so a failing call fails again when repeated.  Write-off and
-stressed-input engines are built on every call.
+the one of the previous call, the validated portfolio, the L of
+``--max-loss auto``, the base engine of each (L, tail tolerance) and the
+base's ``pmf.csv`` text and risk reports are taken from that record, and a
+new digest replaces it.  Only successes are recorded, so a failing call
+fails again when repeated.  Write-off and stressed-input engines are built
+on every call.
 """
 
 from __future__ import annotations
@@ -109,14 +110,19 @@ class _Prepared:
     """A validated portfolio and its bases, for one portfolio text.
 
     ``digest`` is the text's SHA-256; ``bases`` maps (L, tail_tol) to the
-    ``_Base`` built there.  Only successes are stored: a call that raises
-    leaves nothing behind, so the next one raises afresh.
+    ``_Base`` built there; ``auto_limit`` is ``--max-loss auto``'s L.  Only
+    successes are stored: a call that raises leaves nothing behind, so the
+    next one raises afresh.
     """
 
     def __init__(self, digest, portfolio):
         self.digest = digest
         self.portfolio = portfolio
         self.bases = {}
+
+    @functools.cached_property
+    def auto_limit(self):
+        return eng.suggest_truncation(self.portfolio)
 
 
 _last = None  # the _Prepared of the last portfolio text this process parsed
@@ -157,11 +163,6 @@ def _max_loss(args):
     return limit
 
 
-def _resolve_limit(args, port):
-    limit = _max_loss(args)
-    return eng.suggest_truncation(port) if limit is None else limit
-
-
 def _draws(args):
     """``--draws``, checked before ``mc`` or ``compare`` does any work."""
     if args.draws < 1:
@@ -190,7 +191,8 @@ def _metadata(args, digest):
 
 def _base_for(args, prepared):
     """The ``_Base`` at the resolved L and ``--tail-tol``, built on first use."""
-    limit = _resolve_limit(args, prepared.portfolio)
+    limit = _max_loss(args)
+    limit = prepared.auto_limit if limit is None else limit
     key = (limit, args.tail_tol)
     if key in prepared.bases:
         return prepared.bases[key]

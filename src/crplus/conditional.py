@@ -8,9 +8,9 @@ obligor(s).  The engine evaluates the weighted mean of the stressed pmfs
 ``pmf.FFT_MIN_SIZE`` points on, the base convolved once with the weighted
 kernel products below); this module only names the components, their
 weights and the shifts.  The write-off variant zeroes the defaulted
-severities and recomposes the sector severity mixtures before evaluating
-the components, so that occurred losses are excluded from the
-forward-looking metrics.
+severities and recomposes the severity mixtures of the sectors they load on
+(``LossEngine.written_off``) before evaluating the components, so that
+occurred losses are excluded from the forward-looking metrics.
 
 One path builds every scenario: ``_components`` gives each mixture
 component's raw weight and the sectors it stresses, ``_scenario`` adds the
@@ -102,36 +102,29 @@ def _components(loadings, alphas):
     return {key: (weight, sectors) for key, weight, sectors in terms if weight > 0.0}
 
 
-def _mixture(engine, components, shift_pmfs, normalizer):
-    """Weighted mean of stressed pmfs, each convolved with the shift severities.
-
-    ``LossEngine.mixture`` gives sum_c w_c (base (*) K_c) / normalizer and
-    holds every component's tail to the engine's tail tolerance; the shift
-    severities are convolved into it afterwards.
-    """
-    out = engine.mixture(components.values(), normalizer)
-    for shift in shift_pmfs:
-        out = pm.convolve(out, shift)
-    return out
-
-
 def _scenario(engine, portfolio, ids, writeoff=False):
     """Mixture components, normalizer and conditional pmf given the default of ``ids``.
 
-    A write-off takes the mixture, unshifted, on the engine of the book with
-    the scenario severities at 0: mu_k stay, the severity mixtures of the
-    sectors they load on gain mass at 0, and ``derive`` recomputes only those.
+    ``LossEngine.mixture`` gives sum_c w_c (base (*) K_c) / normalizer and
+    holds every component's tail to the engine's tail tolerance; the
+    defaulted severities are convolved into it afterwards.  A write-off
+    takes the mixture, unshifted, on ``engine.written_off(portfolio, ids)``,
+    the engine of the book with the scenario severities at 0: mu_k stay, the
+    severity mixtures of the sectors they load on gain mass at 0, and only
+    those sectors are recomputed.
     """
     system = engine.system
     components = _components([portfolio.columns.W[portfolio.row(oid)] for oid in ids],
                              system.alphas)
     normalizer = 1.0 if len(ids) == 1 else 1.0 + _coupling(portfolio, system, *ids)
     if writeoff:
-        engine = engine.derive(eng.assemble(portfolio, system.limit, written_off=ids))
-        shifts = []
+        engine, shifts = engine.written_off(portfolio, ids), []
     else:
         shifts = [pm.from_dict(portfolio.severity_of(oid), system.limit) for oid in ids]
-    return components, normalizer, _mixture(engine, components, shifts, normalizer)
+    out = engine.mixture(components.values(), normalizer)
+    for shift in shifts:
+        out = pm.convolve(out, shift)
+    return components, normalizer, out
 
 
 def _report(engine, portfolio, ids, writeoff, thetas):

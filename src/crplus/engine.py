@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,46 +62,46 @@ def assemble(portfolio, limit, written_off=()):
     """Derive the sector system from a portfolio at truncation limit L.
 
     mu_k = sum_A w_Ak p_A; delta_k = mu_k / (mu_k + alpha_k); Q_k is the
-    pd-weighted mixture of the obligors' severity pmfs, or a point mass at 0
-    when mu_k = 0.  From ``portfolio.columns``, mu is a column sum of
-    wp = p_A w_Ak and all Q_k one ``bincount`` over the bins (k, v), both
-    added in obligor order.  The obligors in ``written_off`` have severity
-    0, bitwise as ``with_severity(id, ZERO_SEVERITY)`` (the write-off
-    variant).  Raises PortfolioError as ``portfolio.check_obligors`` does.
+    pd-weighted mixture of the obligors' severity pmfs (``_mixtures``), or a
+    point mass at 0 when mu_k = 0.  From ``portfolio.columns``, mu is a
+    column sum of wp = p_A w_Ak added in obligor order.  The obligors in
+    ``written_off`` have severity 0, bitwise as ``with_severity(id,
+    ZERO_SEVERITY)`` (the write-off variant).  Raises PortfolioError as
+    ``portfolio.check_obligors`` does.
     """
     check_obligors(portfolio)
-    c = portfolio.columns
-    n, size = portfolio.n_sectors, limit + 1
+    c, n = portfolio.columns, portfolio.n_sectors
+    a, k = np.nonzero(c.W)  # the loaded (obligor, sector) pairs, in obligor order
+    mu = np.bincount(k, weights=c.W[a, k] * c.pd[a], minlength=n + 1)
+    alphas = np.array([s.alpha for s in portfolio.sectors])
+    return SectorSystem(mu=mu, delta=mu[1:] / (mu[1:] + alphas), alphas=alphas,
+                        q_polys=_mixtures(portfolio, limit, mu, np.arange(n + 1), written_off),
+                        limit=limit, sector_ids=tuple(s.id for s in portfolio.sectors))
+
+
+def _mixtures(portfolio, limit, mu, sectors, written_off):
+    """The severity mixtures Q_k of the ascending sector indices ``sectors``,
+    the obligors in ``written_off`` at severity 0 (``assemble``).
+
+    One ``bincount`` over the bins (k, v) of the (entry, sector) pairs with
+    mass inside {0..L}, added in obligor order: restricted to some sectors,
+    every bin sums the same terms in the same order as over all of them, so
+    each Q_k is bitwise the same whichever sectors are asked for.  A
+    written-off obligor's first entry takes the mass of ZERO_SEVERITY, {0: 1.0}.
+    """
+    c, size = portfolio.columns, limit + 1
     owner, value, prob = c.owner, c.value, c.prob
     if written_off:
         rows = [portfolio.row(oid) for oid in written_off]
         hit = np.isin(owner, rows)
         value, prob = np.where(hit, 0, value), np.where(hit, 0.0, prob)
-        # ZERO_SEVERITY is one entry {0: 1.0}: the first entry takes its mass.
         prob[np.searchsorted(owner, rows)] = 1.0
-    a, k = np.nonzero(c.W)  # the loaded (obligor, sector) pairs, in obligor order
-    mu = np.bincount(k, weights=c.W[a, k] * c.pd[a], minlength=n + 1)
-    # The (entry, sector) pairs with mass inside {0..L}, again in obligor order.
-    e, k = np.nonzero((c.W != 0.0)[owner] & (value <= limit)[:, None])
-    a = owner[e]
-    q_vecs = np.bincount(k * size + value[e], weights=c.W[a, k] * c.pd[a] * prob[e],
-                         minlength=(n + 1) * size).reshape(n + 1, size)
-    alphas = np.array([s.alpha for s in portfolio.sectors])
-    delta = mu[1:] / (mu[1:] + alphas)
-    q_polys = tuple(
-        Pmf(q_vecs[k] / mu[k], tail_mass=max(1.0 - q_vecs[k].sum() / mu[k], 0.0))
-        if mu[k] > 0
-        else pm.point_mass(0, limit)
-        for k in range(n + 1)
-    )
-    return SectorSystem(
-        mu=mu,
-        delta=delta,
-        alphas=alphas,
-        q_polys=q_polys,
-        limit=limit,
-        sector_ids=tuple(s.id for s in portfolio.sectors),
-    )
+    e, j = np.nonzero((c.W[:, sectors] != 0.0)[owner] & (value <= limit)[:, None])
+    a, k = owner[e], sectors[j]
+    q_vecs = np.bincount(j * size + value[e], weights=c.W[a, k] * c.pd[a] * prob[e],
+                         minlength=sectors.size * size).reshape(sectors.size, size)
+    return tuple(Pmf(q / mu[k], tail_mass=max(1.0 - q.sum() / mu[k], 0.0)) if mu[k] > 0
+                 else pm.point_mass(0, limit) for k, q in zip(sectors.tolist(), q_vecs))
 
 
 def sector_loss(system, k):
@@ -145,12 +145,13 @@ class LossEngine:
     the base is the convolution of the sector pmfs and a mixture the base
     convolved once with the weighted sum of the kernel products (direct
     convolutions, ``pmf.convolve``).  From that size on the engine holds one
-    Fourier grid, sized once for the heaviest supported stress (``_pgf``),
+    Fourier grid, sized once for the heaviest supported stress (``_grid``),
     and on it the sector log-spectra log G_k, the base's PGF G =
     exp(sum_k log G_k) and, lazily per sector, the kernel spectra T_k =
     exp(log G_k / alpha_k): the base is one inverse FFT of G and a mixture
-    one inverse FFT of G sum_c w_c prod_{k in c} T_k.  ``derive`` hands a
-    write-off engine everything cached for the sectors that did not change.
+    one inverse FFT of G sum_c w_c prod_{k in c} T_k.  ``written_off``
+    patches this engine into a write-off engine: only the sectors the
+    written-off obligors load on are recomputed, on this engine's grid.
     Thread-safe: the caches are guarded by a lock and hold immutable
     results, so concurrent evaluations return results identical to serial
     execution.
@@ -162,8 +163,8 @@ class LossEngine:
         self._lock = threading.Lock()
         # Per sector k: ("sector", k) and ("kernel", k) -> Pmf; on the Fourier
         # grid ("spectrum", k) -> log G_k and ("transform", k) -> T_k.  For the
-        # whole book: "base" -> Pmf, "pgf" -> (grid size, G), "window" -> the
-        # tail weights of ``_window``.
+        # whole book: "base" -> Pmf; on the grid "grid" -> its size N, "pgf"
+        # -> G, "indicator" and "window" -> the factors of ``_window``.
         self._cache = {}
 
     def _cached(self, key, compute):
@@ -188,7 +189,7 @@ class LossEngine:
             raise ValueError(f"sector {k} has no kernel: the factor sectors are "
                              f"1..{system.n_sectors}")
         if system.limit + 1 >= pm.FFT_MIN_SIZE:
-            return pm.from_spectrum(self._transform(k), self._pgf()[0], system.limit)
+            return pm.from_spectrum(self._transform(k), self._grid(), system.limit)
         return self._cached(("kernel", k), lambda: pm.compound_negbin(
             1.0, system.delta[k - 1], system.q_polys[k], system.limit))
 
@@ -220,44 +221,39 @@ class LossEngine:
                 for key, out in zip(filled, pmfs):
                     self._cache.setdefault(key, out)
 
-    def _pgf(self):
-        """From ``pmf.FFT_MIN_SIZE`` points on: the engine's grid size N and the
-        base's PGF G = exp(sum_k log G_k) on it.
+    def _grid(self):
+        """From ``pmf.FFT_MIN_SIZE`` points on: the engine's grid size N.
 
         N is ``pmf.grid_size`` of the heaviest supported stress, every factor
         sector at alpha_k + MAX_PUBLIC_OFFSET, so no stressed pmf or mixture
-        aliases more than ``pmf.ALIAS_FLOOR`` of mass.  The sector log-spectra
-        are cached as ("spectrum", k).  Those that ``derive`` handed over on a
-        grid at least that large set the grid (a larger grid only lowers the
-        aliasing bound) and are used as they are; the others are computed
-        here, and any kernel spectrum handed over with them is dropped.
+        aliases more than ``pmf.ALIAS_FLOOR`` of mass (see ``written_off``).
         """
         def compute():
             system = self.system
-            keys = [("spectrum", k) for k in range(system.n_sectors + 1)]
-            with self._lock:
-                spectra = [self._cache.get(key) for key in keys]
             stressed = [(_claims(system, "stressed", k), q) for k, q in enumerate(system.q_polys)]
-            n = pm.grid_size(stressed, system.limit, "the portfolio base under its heaviest "
-                             f"stress (alpha_k + {MAX_PUBLIC_OFFSET} in every factor sector)")
-            n = max(n, 2 * (max((s.size for s in spectra if s is not None), default=0) - 1))
-            stale = []
-            for k, q in enumerate(system.q_polys):
-                if spectra[k] is None or spectra[k].size != n // 2 + 1:
-                    spectra[k] = pm.log_spectrum(_claims(system, "sector", k), q, n)
-                    stale.append(("transform", k))
-            with self._lock:
-                self._cache.update(zip(keys, spectra))
-                for key in stale:
-                    self._cache.pop(key, None)
-            return n, np.exp(sum(spectra))
-        return self._cached("pgf", compute)
+            return pm.grid_size(stressed, system.limit, "the portfolio base under its heaviest "
+                                f"stress (alpha_k + {MAX_PUBLIC_OFFSET} in every factor sector)")
+        return self._cached("grid", compute)
+
+    def _spectrum(self, k):
+        """Sector k's log-spectrum log G_k on the engine's grid."""
+        return self._cached(("spectrum", k), lambda: pm.log_spectrum(
+            _claims(self.system, "sector", k), self.system.q_polys[k], self._grid()))
+
+    def _pgf(self):
+        """The base's PGF G = exp(sum_k log G_k) on the engine's grid."""
+        return self._cached("pgf", lambda: np.exp(
+            sum(map(self._spectrum, range(self.system.n_sectors + 1)))))
 
     def _transform(self, k):
         """Spectrum of the kernel T_k on the engine's grid: exp(log G_k / alpha_k)."""
-        self._pgf()
         return self._cached(("transform", k), lambda: np.exp(
-            self._cache[("spectrum", k)] / self.system.alphas[k - 1]))
+            self._spectrum(k) / self.system.alphas[k - 1]))
+
+    def _indicator(self):
+        """conj(h), h the spectrum of the indicator of {0..L} on the engine's grid."""
+        return self._cached("indicator", lambda: np.conj(
+            np.fft.rfft(np.ones(self.system.limit + 1), self._grid())))
 
     def _window(self):
         """Weights w such that Re sum_j K_j w_j is the mass the pmf of G K
@@ -266,10 +262,10 @@ class LossEngine:
         of {0..L} and c_j = 2 where frequency j stands for a conjugate pair,
         else 1."""
         def compute():
-            n, pgf = self._pgf()
+            n = self._grid()
             weights = np.full(n // 2 + 1, 2.0 / n)
             weights[[0, -1]] = 1.0 / n
-            return pgf * np.conj(np.fft.rfft(np.ones(self.system.limit + 1), n)) * weights
+            return self._pgf() * self._indicator() * weights
         return self._cached("window", compute)
 
     def _base(self):
@@ -277,8 +273,7 @@ class LossEngine:
         def fold():
             limit = self.system.limit
             if limit + 1 >= pm.FFT_MIN_SIZE:
-                n, pgf = self._pgf()
-                return pm.from_spectrum(pgf, n, limit)
+                return pm.from_spectrum(self._pgf(), self._grid(), limit)
             self._fill()
             out = self.sector_loss(0)
             for k in range(1, self.system.n_sectors + 1):
@@ -323,7 +318,7 @@ class LossEngine:
         """
         limit = self.system.limit
         if limit + 1 >= pm.FFT_MIN_SIZE:
-            n, pgf = self._pgf()
+            n, pgf = self._grid(), self._pgf()
             window = None if self.tail_tol is None else self._window()
             acc = np.zeros(n // 2 + 1, dtype=complex)
             for weight, sectors in components:
@@ -358,28 +353,38 @@ class LossEngine:
         self.check_tail(base.tail_mass)
         return base
 
-    def derive(self, system):
-        """Engine for ``system`` that reuses this engine's cached sector pmfs,
-        kernels, log-spectra and kernel spectra for every sector whose
-        parameters are bitwise unchanged (with the spectra comes their grid;
-        see ``_pgf``)."""
-        out = LossEngine(system, tail_tol=self.tail_tol)
-        if (system.limit, system.n_sectors) != (self.system.limit, self.system.n_sectors):
-            return out
+    def written_off(self, portfolio, ids):
+        """Engine of ``assemble(portfolio, L, written_off=ids)``, patched from
+        this engine of ``assemble(portfolio, L)``.
+
+        Only the severity mixtures Q_k of the sectors that the obligors
+        ``ids`` load on change (``_mixtures``, bitwise the full assembly's);
+        every other sector keeps its Q_k and all that is cached for it.  On
+        the Fourier path the grid N is kept, with no ``pmf.grid_size``
+        search, while every written-off severity lies in {0..L}: for t > 0,
+        Q_k^wo(e^t) = Q_k(e^t) - sum_A (w_Ak p_A / mu_k) (S_A(e^t) - 1) <=
+        Q_k(e^t), S_A the severity PGF of A, and both closed forms increase
+        in Q, so the Chernoff bound that sized N holds for the write-off too.
+        Mass beyond L, which the write-off moves to 0, can raise Q_k(e^t):
+        the grid is then the larger of the write-off system's own and N, and
+        the spectra carry over only if it is N.
+        """
+        system, c = self.system, portfolio.columns
+        rows = [portfolio.row(oid) for oid in ids]
+        kept = (c.W[rows] == 0.0).all(axis=0)  # the sectors no written-off obligor loads on
+        fresh = iter(_mixtures(portfolio, system.limit, system.mu, np.flatnonzero(~kept), ids))
+        q_polys = tuple(q if keep else next(fresh) for q, keep in zip(system.q_polys, kept))
+        out = LossEngine(replace(system, q_polys=q_polys), self.tail_tol)
+        kinds = {"sector", "kernel"}  # what does not depend on the grid
+        if system.limit + 1 >= pm.FFT_MIN_SIZE:
+            n = self._grid()
+            if not (c.value[np.isin(c.owner, rows)] > system.limit).any() or out._grid() <= n:
+                kinds |= {"spectrum", "transform"}
+                out._cache.update(grid=n, indicator=self._indicator())
         with self._lock:
-            for key, value in self._cache.items():
-                if isinstance(key, tuple) and _same_sector(self.system, system, key[1]):
-                    out._cache[key] = value
+            out._cache.update((key, value) for key, value in self._cache.items()
+                              if isinstance(key, tuple) and key[0] in kinds and kept[key[1]])
         return out
-
-
-def _same_sector(a, b, k):
-    """Whether sector k has bitwise equal parameters in systems a and b."""
-    # delta_k follows from mu_k and alpha_k.
-    if a.mu[k] != b.mu[k] or (k and a.alphas[k - 1] != b.alphas[k - 1]):
-        return False
-    qa, qb = a.q_polys[k], b.q_polys[k]
-    return qa.tail_mass == qb.tail_mass and np.array_equal(qa.probs, qb.probs)
 
 
 def loss_distribution(system, stress=None):

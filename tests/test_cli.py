@@ -355,6 +355,20 @@ def test_parse_runs_once_per_text(portfolio_file, tmp_path, monkeypatch):
     assert len(texts) == 2
 
 
+def test_auto_limit_runs_once_per_text(portfolio_file, tmp_path, monkeypatch):
+    books = []
+    suggest = eng.suggest_truncation
+    monkeypatch.setattr(cli.eng, "suggest_truncation", lambda p: books.append(p) or suggest(p))
+    argv = ["cond", "--portfolio", portfolio_file, "--max-loss", "auto", "--tail-tol", 1e-5,
+            "--out", tmp_path / "o"]
+    assert run(argv + ["--obligor", "A"]) == 0
+    assert run(argv + ["--obligor", "B", "--writeoff"]) == 0
+    assert len(books) == 1
+    portfolio_file.write_text(portfolio_file.read_text() + "\n")  # same book, new text
+    assert run(argv + ["--obligor", "A"]) == 0
+    assert len(books) == 2 and books[1] is not books[0]
+
+
 def test_rewritten_file_is_read_afresh(portfolio_file, tmp_path):
     argv = ["cond", "--portfolio", portfolio_file, "--max-loss", 200, "--obligor", "A"]
     assert run(argv + ["--out", tmp_path / "old"]) == 0

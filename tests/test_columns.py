@@ -2,8 +2,9 @@
 
 ``assemble``, ``suggest_truncation`` and ``validate`` are checked bitwise
 against the per-obligor loops in conftest, the write-off system against
-``assemble`` of the portfolio with the severity replaced, and the columns
-``parse_portfolio`` decodes against those built from obligor objects.
+``assemble`` of the portfolio with the severity replaced (and the write-off
+engine's patched system against that), and the columns ``parse_portfolio``
+decodes against those built from obligor objects.
 """
 
 import re
@@ -139,6 +140,25 @@ def test_writeoff_system_matches_on_random_books(case, data):
     chosen = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2, unique=True))
     assert_same_system(eng.assemble(portfolio, limit, written_off=chosen),
                        assemble_loop(_stripped(portfolio, chosen), limit))
+
+
+@settings(max_examples=100, deadline=None)
+@given(books(), st.data())
+def test_patched_writeoff_system_is_the_full_assembly(case, data):
+    portfolio, limit = case
+    ids = [o.id for o in portfolio.obligors]
+    chosen = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2, unique=True))
+    base = eng.assemble(portfolio, limit)
+    patched = eng.LossEngine(base).written_off(portfolio, chosen).system
+    full = eng.assemble(portfolio, limit, written_off=chosen)
+    assert_same_system(patched, full)
+    assert patched.alphas.tobytes() == full.alphas.tobytes()
+    assert (patched.limit, patched.sector_ids) == (full.limit, full.sector_ids)
+    # Shared with the base: the intensities and the untouched sectors' mixtures.
+    assert patched.mu is base.mu and patched.delta is base.delta
+    loaded = (portfolio.columns.W[[portfolio.row(oid) for oid in chosen]] != 0.0).any(axis=0)
+    for k, q in enumerate(patched.q_polys):
+        assert (q is base.q_polys[k]) == (not loaded[k])
 
 
 # ---------------------------------------------------------------- validate

@@ -407,7 +407,8 @@ def test_fourier_conditionals_build_no_kernel_pmfs(reference_portfolio, monkeypa
     # spectra on the engine's grid: no Fourier compound, no convolution of
     # two long inputs and no kernel pmf, for a conditional or a write-off.
     negbins, long_convolutions, engines = [], [], []
-    compound_negbin, convolve, derive = pm.compound_negbin, pm.convolve, LossEngine.derive
+    compound_negbin, convolve = pm.compound_negbin, pm.convolve
+    written_off = LossEngine.written_off
 
     def counted_convolve(a, b):
         sizes = (pm._trimmed(a.probs).size, pm._trimmed(b.probs).size)
@@ -418,14 +419,39 @@ def test_fourier_conditionals_build_no_kernel_pmfs(reference_portfolio, monkeypa
     monkeypatch.setattr(pm, "compound_negbin", lambda *args: negbins.append(args)
                         or compound_negbin(*args))
     monkeypatch.setattr(pm, "convolve", counted_convolve)
-    monkeypatch.setattr(LossEngine, "derive", lambda self, system: engines.append(
-        derive(self, system)) or engines[-1])
+    monkeypatch.setattr(LossEngine, "written_off", lambda self, portfolio, ids: engines.append(
+        written_off(self, portfolio, ids)) or engines[-1])
     engines.append(LossEngine(eng.assemble(reference_portfolio, 600), tail_tol=1e-9))
     for scenario, writeoff in _scenarios(reference_portfolio):
         _conditional(engines[0], reference_portfolio, scenario, writeoff)
     assert len(engines) == 1 + 15
     assert negbins == [] and long_convolutions == []
     assert not [key for engine in engines for key in engine._cache if key[0] == "kernel"]
+
+
+@pytest.mark.parametrize("book, limit, tail_tol", [
+    ("reference", 200, 1e-9), ("reference", 600, 1e-9),
+    ("sixteen", None, None), ("sixteen", 600, 1e-9),
+])
+def test_writeoff_conditionals_equal_those_of_a_fresh_engine(reference_portfolio, book, limit,
+                                                             tail_tol):
+    # Below FFT_MIN_SIZE the write-off engine patched from the base repeats a
+    # fresh engine's arithmetic; from there on it may keep a larger grid.
+    port = reference_portfolio if book == "reference" else sixteen_sector_book()
+    limit = limit or eng.suggest_truncation(port)
+    engine = LossEngine(eng.assemble(port, limit), tail_tol=tail_tol)
+    engine.loss_distribution()
+    ids = port.ids[:8]
+    for scenario in [[a] for a in ids] + [list(pair) for pair in itertools.combinations(ids, 2)]:
+        components, normalizer, got = cd._scenario(engine, port, scenario, writeoff=True)
+        fresh = LossEngine(eng.assemble(port, limit, written_off=scenario), tail_tol=tail_tol)
+        want = fresh.mixture(components.values(), normalizer)
+        if limit + 1 < pm.FFT_MIN_SIZE:
+            assert got.probs.tobytes() == want.probs.tobytes(), scenario
+            assert got.tail_mass == want.tail_mass, scenario
+        else:
+            assert np.max(np.abs(got.probs - want.probs)) <= pm.FFT_ABS_ERROR, scenario
+            assert got.tail_mass == pytest.approx(want.tail_mass, abs=pm.FFT_ABS_ERROR)
 
 
 def test_two_defaults_rejects_same_obligor(reference_portfolio, reference_engine):

@@ -205,12 +205,12 @@ def test_stressed_distribution_matches_panjer_fold_above_fft_crossover():
     assert pm.quantile(out, 0.999) == pm.quantile(ref, 0.999)
 
 
-def test_derive_reuses_only_unchanged_sectors(reference_portfolio):
+def test_writeoff_engine_reuses_only_unchanged_sectors(reference_portfolio):
     engine = LossEngine(eng.assemble(reference_portfolio, 200))
     engine.loss_distribution((1, 1))
     # C loads on s2 only: the idiosyncratic sector and s1 are untouched.
     stripped = reference_portfolio.with_severity("C", SeverityDist({0: 1.0}))
-    derived = engine.derive(eng.assemble(stripped, 200))
+    derived = engine.written_off(reference_portfolio, ("C",))
     assert derived.sector_loss(0) is engine.sector_loss(0)
     assert derived.sector_loss(1) is engine.sector_loss(1)
     assert derived.kernel(1) is engine.kernel(1)
@@ -331,14 +331,21 @@ def _fourier_calls(monkeypatch):
     return calls
 
 
-def test_derive_on_the_spectral_path_reuses_the_grid_and_unchanged_spectra(monkeypatch):
+def _no_grid_search(monkeypatch):
+    def refused(*args):
+        raise AssertionError("pmf.grid_size called")
+    monkeypatch.setattr(pm, "grid_size", refused)
+
+
+def test_writeoff_engine_on_the_spectral_path_reuses_the_grid_and_unchanged_spectra(
+        monkeypatch):
     # C loads on the idiosyncratic sector and s3: s1 and s2 are untouched.
     port = spectral_book(heavy=False)
     engine = LossEngine(eng.assemble(port, SPECTRAL_LIMIT))
     engine.loss_distribution()
     calls = _fourier_calls(monkeypatch)
-    written_off = eng.assemble(port, SPECTRAL_LIMIT, written_off=("C",))
-    derived = engine.derive(written_off)
+    _no_grid_search(monkeypatch)
+    derived = engine.written_off(port, ("C",))
     base = derived.loss_distribution()
     # The log-spectra of sectors 0 and 3, then one inverse FFT.
     assert calls == ["log_spectrum", "log_spectrum", "from_spectrum"]
@@ -346,42 +353,58 @@ def test_derive_on_the_spectral_path_reuses_the_grid_and_unchanged_spectra(monke
         assert _grid(derived, k) == _grid(engine, k) == 2048
         reused = derived._cache[("spectrum", k)] is engine._cache[("spectrum", k)]
         assert reused == (k in (1, 2))
-    fresh = LossEngine(written_off).loss_distribution()
+    monkeypatch.undo()
+    fresh = LossEngine(eng.assemble(port, SPECTRAL_LIMIT, written_off=("C",))).loss_distribution()
     np.testing.assert_array_equal(base.probs, fresh.probs)
     assert base.tail_mass == fresh.tail_mass
 
 
-def test_derive_keeps_a_larger_parent_grid_and_replaces_a_smaller_one():
-    heavy, light = spectral_book(heavy=True), spectral_book(heavy=False)
+def test_writeoff_engine_keeps_a_larger_base_grid(monkeypatch):
+    heavy = spectral_book(heavy=True)
     engine = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT))
     engine.loss_distribution()
     assert _grid(engine, 0) == 8192
     # Writing off H moves its mass on s1 to loss 0: the system's own grid
-    # would be 2048 points, and the parent's 8192 still bounds the aliasing.
-    written_off = eng.assemble(heavy, SPECTRAL_LIMIT, written_off=("H",))
-    derived = engine.derive(written_off)
+    # would be 2048 points, and the base's 8192 still bounds the aliasing.
+    _no_grid_search(monkeypatch)
+    derived = engine.written_off(heavy, ("H",))
     base = derived.loss_distribution()
     assert _grid(derived, 1) == 8192
     assert derived._cache[("spectrum", 0)] is engine._cache[("spectrum", 0)]
-    fresh = LossEngine(written_off)
+    monkeypatch.undo()
+    fresh = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT, written_off=("H",)))
     fresh_base = fresh.loss_distribution()
     assert _grid(fresh, 0) == 2048
     assert np.max(np.abs(base.probs - fresh_base.probs)) <= pm.FFT_ABS_ERROR
     assert base.tail_mass == pytest.approx(fresh_base.tail_mass, abs=1e-12)
-    # The other way round the inherited 2048-point spectra are too coarse:
-    # every sector is recomputed on the 8192-point grid, and the kernel
-    # spectra handed over with the unchanged ones are dropped.
-    engine = LossEngine(eng.assemble(light, SPECTRAL_LIMIT))
-    engine.loss_distribution((1, 1, 1))
-    derived = engine.derive(eng.assemble(heavy, SPECTRAL_LIMIT))
-    base = derived.loss_distribution()
-    for k in range(4):
-        assert _grid(derived, k) == 8192
-        assert derived._cache[("spectrum", k)] is not engine._cache[("spectrum", k)]
-    fresh = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT))
-    np.testing.assert_array_equal(base.probs, fresh.loss_distribution().probs)
-    np.testing.assert_array_equal(derived.loss_distribution((1, 1, 1)).probs,
-                                  fresh.loss_distribution((1, 1, 1)).probs)
+
+
+def test_writeoff_engine_grows_its_grid_for_mass_beyond_the_limit():
+    # H's loss 700 lies beyond L = 600, so Q_1 of the book leaves out 5/7 of
+    # its mass and the base's grid has the 2048-point minimum.  Written off,
+    # that mass sits at 0: Q_1(e^t) rises towards s1's pole 1 / delta_1 and
+    # the write-off needs a larger grid than the base's.
+    port = Portfolio((Sector("s1", 0.5),),
+                     (Obligor("H", 1.0, [0.0, 1.0], SeverityDist({700: 1.0})),
+                      Obligor("A", 0.4, [0.0, 1.0], SeverityDist({30: 1.0})),
+                      Obligor("B", 0.3, [1.0, 0.0], SeverityDist({2: 1.0}))))
+    # A tail tolerance that the base meets checks every tail on the grid.
+    engine = LossEngine(eng.assemble(port, SPECTRAL_LIMIT), tail_tol=0.99)
+    engine.loss_distribution((2,))
+    sector0 = engine.sector_loss(0)
+    system = eng.assemble(port, SPECTRAL_LIMIT, written_off=("H",))
+    own = LossEngine(system)._grid()
+    assert engine._grid() == 2048 < own
+    derived = engine.written_off(port, ("H",))
+    assert derived._grid() >= own
+    # The sector pmf does not depend on the grid; no spectrum carries over.
+    assert derived.sector_loss(0) is sector0
+    assert ("spectrum", 0) not in derived._cache
+    fresh = LossEngine(system)
+    for stress in [(0,), (1,), (2,)]:
+        out, ref = derived.loss_distribution(stress), fresh.loss_distribution(stress)
+        np.testing.assert_array_equal(out.probs, ref.probs)
+        assert out.tail_mass == ref.tail_mass
 
 
 def test_base_grid_above_max_grid_names_the_base(monkeypatch):
@@ -472,8 +495,8 @@ def test_concurrent_evaluation_matches_serial(reference_portfolio):
 
 def test_concurrent_fourier_evaluation_matches_serial(reference_portfolio):
     # Threads race to size the grid, fill the spectra and the kernel spectra
-    # of one engine and of engines derived from it; every result is bitwise
-    # the serial one.
+    # of one engine and of write-off engines patched from it; every result is
+    # bitwise the serial one.
     stresses = [(i, j) for i in range(3) for j in range(3)] * 2
     systems = [eng.assemble(reference_portfolio, 600, written_off=w) for w in ((), ("C",))]
     serial = {(w, s): LossEngine(systems[w]).loss_distribution(s) for w in (0, 1) for s in stresses}
@@ -481,7 +504,7 @@ def test_concurrent_fourier_evaluation_matches_serial(reference_portfolio):
     results, interval = {}, sys.getswitchinterval()
 
     def run(w, s):
-        engine = shared.derive(systems[1]) if w else shared
+        engine = shared.written_off(reference_portfolio, ("C",)) if w else shared
         results[(w, s)] = engine.loss_distribution(s)
 
     sys.setswitchinterval(1e-6)
