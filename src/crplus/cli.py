@@ -9,14 +9,20 @@ stress, would need more than ``pmf.MAX_GRID`` points).
 Every JSON output carries a metadata block (tool version, input digest,
 config echo) so runs can be reproduced byte for byte.
 
+Each subcommand writes only its own files: ``dist`` the unconditional
+``pmf.csv`` and ``report.json``; ``cond`` ``conditional_<tag>.csv`` and
+``scenario_<tag>.json``, whose ``base_risk`` is the unconditional risk
+report at the same L, tail tolerance and thetas; ``mc`` ``mc_losses.csv``
+and ``mc_result.json``; ``compare`` ``compare_<id>.csv`` and
+``compare_<id>.json``.
+
 Repeated calls in one process reuse the last portfolio text they prepared.
 Each call still reads the file and hashes its text; while the SHA-256 is
 the one of the previous call, the validated portfolio, the L of
 ``--max-loss auto``, the base engine of each (L, tail tolerance) and the
-base's ``pmf.csv`` text and risk reports are taken from that record, and a
-new digest replaces it.  Only successes are recorded, so a failing call
-fails again when repeated.  Write-off and stressed-input engines are built
-on every call.
+base's risk reports are taken from that record, and a new digest replaces
+it.  Only successes are recorded, so a failing call fails again when
+repeated.  Write-off and stressed-input engines are built on every call.
 """
 
 from __future__ import annotations
@@ -87,17 +93,13 @@ def build_parser():
 
 
 class _Base:
-    """An engine whose base met its tail tolerance, with the base's outputs
-    (``pmf.csv`` text and risk report per tuple of thetas) rendered once."""
+    """An engine whose base met its tail tolerance, with the base's risk
+    report computed once per tuple of thetas."""
 
     def __init__(self, engine, pmf):
         self.engine = engine
         self.pmf = pmf
         self._risk = {}
-
-    @functools.cached_property
-    def csv(self):
-        return pm.to_csv(self.pmf)
 
     def risk(self, thetas):
         key = tuple(thetas)
@@ -211,21 +213,16 @@ def _write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_base(out, base, args, digest, thetas):
-    """The unconditional ``pmf.csv`` and ``report.json``, from the base's rendered outputs."""
-    (out / "pmf.csv").write_text(base.csv)
-    _write_json(out / "report.json",
-                {"metadata": _metadata(args, digest), "risk": base.risk(thetas),
-                 "pmf_csv": "pmf.csv"})
-
-
 def cmd_dist(args):
     prepared = _load(args)
     thetas = _thetas(args)
     base = _base_for(args, prepared)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_base(out, base, args, prepared.digest, thetas)
+    (out / "pmf.csv").write_text(pm.to_csv(base.pmf))
+    _write_json(out / "report.json",
+                {"metadata": _metadata(args, prepared.digest), "risk": base.risk(thetas),
+                 "pmf_csv": "pmf.csv"})
     print(f"wrote {out / 'pmf.csv'} and {out / 'report.json'}")
     return EXIT_OK
 
@@ -264,10 +261,11 @@ def cmd_cond(args):
     pmf_name = f"conditional_{tag}.csv"
     (out / pmf_name).write_text(pm.to_csv(report.conditional_pmf))
     doc = report.to_json_dict(pmf_csv_path=pmf_name)
+    # The unconditional risk alongside, for side-by-side comparison; the
+    # unconditional pmf itself is dist's output.
+    doc["base_risk"] = base.risk(thetas)
     doc["metadata"] = _metadata(args, prepared.digest)
     _write_json(out / f"scenario_{tag}.json", doc)
-    # Unconditional distribution alongside, for side-by-side comparison.
-    _write_base(out, base, args, prepared.digest, thetas)
     print(f"wrote {out / ('scenario_' + tag + '.json')}")
     return EXIT_OK
 

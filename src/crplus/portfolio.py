@@ -38,10 +38,12 @@ class SeverityDist:
     """Loss severity as a finite pmf on non-negative integers.
 
     ``{v: 1.0}`` represents a deterministic severity v; severity 0 is allowed
-    (used by the write-off conditioning variant).
+    (used by the write-off conditioning variant).  Unhashable, like the dict
+    it holds; equality compares the dicts.
     """
 
     probabilities: dict
+    __hash__ = None
 
     def __post_init__(self):
         probs = {int(x): float(p) for x, p in self.probabilities.items()}
@@ -62,8 +64,11 @@ class SeverityDist:
 ZERO_SEVERITY = SeverityDist({0: 1.0})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Obligor:
+    """One obligor; unhashable, since its weights are an array.  Equality
+    compares every field, the weights element by element."""
+
     id: str
     pd: float
     weights: np.ndarray  # length N+1, index 0 idiosyncratic
@@ -84,6 +89,8 @@ class Obligor:
             and np.array_equal(self.weights, other.weights)
             and self.severity == other.severity
         )
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,8 @@ class Portfolio:
     derives ``columns`` from them on first use.  A parsed portfolio is built
     from its columns: ``obligor(id)`` then builds that one obligor from its
     row, and ``obligors`` builds the whole tuple on first access.  Equality
-    compares the sectors and the obligors.
+    compares the sectors and the obligors; a portfolio is unhashable, as
+    its obligors are.
     """
 
     def __init__(self, sectors, obligors):
@@ -151,8 +159,7 @@ class Portfolio:
             return NotImplemented
         return (self.sectors, self.obligors) == (other.sectors, other.obligors)
 
-    def __hash__(self):
-        return hash((self.sectors, self.obligors))
+    __hash__ = None
 
     def __repr__(self):
         return f"Portfolio(sectors={self.sectors!r}, obligors={self.obligors!r})"

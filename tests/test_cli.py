@@ -114,14 +114,27 @@ def test_dist_invalid_theta(portfolio_file, tmp_path):
 
 def test_cond_single_default(portfolio_file, tmp_path):
     out = tmp_path / "out"
-    code = run(["cond", "--portfolio", portfolio_file, "--max-loss", 200,
-                "--obligor", "A", "--out", out])
+    common = ["--portfolio", portfolio_file, "--max-loss", 200, "--theta", 0.9, "--theta", 0.999]
+    code = run(["cond", *common, "--obligor", "A", "--out", out])
     assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["conditional_A.csv", "scenario_A.json"]
     doc = json.loads((out / "scenario_A.json").read_text())
     assert doc["scenario"] == ["A"]
     assert doc["normalizer"] == 1.0
-    assert (out / "conditional_A.csv").is_file()
-    assert (out / "report.json").is_file()  # unconditional side-by-side
+    # The unconditional risk side by side: dist's report at the same L and thetas.
+    assert run(["dist", *common, "--out", tmp_path / "dist"]) == 0
+    assert doc["base_risk"] == json.loads((tmp_path / "dist" / "report.json").read_text())["risk"]
+
+
+def test_cond_leaves_the_dist_files_alone(portfolio_file, tmp_path):
+    out = tmp_path / "out"
+    common = ["--portfolio", portfolio_file, "--max-loss", 200, "--out", out]
+    assert run(["dist", *common, "--theta", 0.999]) == 0
+    written = _files(out)
+    assert sorted(written) == ["pmf.csv", "report.json"]
+    assert run(["cond", *common, "--obligor", "A"]) == 0
+    after = _files(out)
+    assert {name: after[name] for name in written} == written
 
 
 def test_cond_two_defaults_writeoff(portfolio_file, tmp_path):
@@ -378,7 +391,12 @@ def test_rewritten_file_is_read_afresh(portfolio_file, tmp_path):
     assert run(argv + ["--out", tmp_path / "new"]) == 0
     new = _files(tmp_path / "new")
     assert new == _cold(argv, tmp_path / "cold")
-    assert new["pmf.csv"] != _files(tmp_path / "old")["pmf.csv"]
+    old = _files(tmp_path / "old")
+    assert new["conditional_A.csv"] != old["conditional_A.csv"]
+    # B's pd moves the unconditional risk as well as A's conditional.
+    new_doc, old_doc = (json.loads(files["scenario_A.json"]) for files in (new, old))
+    assert new_doc["base_risk"] != old_doc["base_risk"]
+    assert new_doc["risk"] != old_doc["risk"]
 
 
 def test_failures_are_not_remembered(portfolio_file, tmp_path, capsys):

@@ -102,6 +102,21 @@ def test_round_trip_identity():
     assert pf.serialize_portfolio(back) == pf.serialize_portfolio(p)
 
 
+def test_portfolio_types_are_unhashable_and_compare_by_value():
+    p, q = make_reference_portfolio(), pf.parse_portfolio(
+        pf.serialize_portfolio(make_reference_portfolio()))
+    pairs = [(p, q), (p.obligor("A"), q.obligor("A")),
+             (p.obligor("A").severity, q.obligor("A").severity)]
+    for x, y in pairs:
+        name = type(x).__name__
+        with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+            hash(x)
+        assert x == y and not x != y
+    assert p.obligor("A") != p.obligor("B")
+    assert p.obligor("A").severity != p.obligor("B").severity
+    assert p != p.with_severity("A", pf.ZERO_SEVERITY)
+
+
 def test_with_severity_replaces_one_obligor():
     p = make_reference_portfolio()
     q = p.with_severity("A", pf.ZERO_SEVERITY)

@@ -15,11 +15,8 @@ REFERENCE_OUTPUTS = [
     "reference_portfolio.json",
     "dist/pmf.csv", "dist/report.json",
     "cond_A/conditional_A.csv", "cond_A/scenario_A.json",
-    "cond_A/pmf.csv", "cond_A/report.json",
     "cond_A_writeoff/conditional_A_writeoff.csv", "cond_A_writeoff/scenario_A_writeoff.json",
-    "cond_A_writeoff/pmf.csv", "cond_A_writeoff/report.json",
     "cond_A_C/conditional_A_C.csv", "cond_A_C/scenario_A_C.json",
-    "cond_A_C/pmf.csv", "cond_A_C/report.json",
     "mc/mc_losses.csv", "mc/mc_result.json",
     "compare_A/compare_A.csv", "compare_A/compare_A.json",
 ]
