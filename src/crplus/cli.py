@@ -23,6 +23,10 @@ the one of the previous call, the validated portfolio, the L of
 base's risk reports are taken from that record, and a new digest replaces
 it.  Only successes are recorded, so a failing call fails again when
 repeated.  Write-off and stressed-input engines are built on every call.
+As ``mc`` and a later ``compare`` on the same text get one portfolio
+object, a ``compare`` with the ``--seed`` and ``--draws`` (at most
+``mc.BATCH``) of the preceding ``mc`` reads that call's Monte Carlo sample
+instead of drawing it again (``mc._batches``); the files are the same.
 """
 
 from __future__ import annotations

@@ -21,10 +21,21 @@ picks are those of a binary search over the whole table, bit for bit.
 A counter-based Philox stream drives everything, in a fixed call order per
 batch (gamma, poisson, uniform), so a given (seed, config) pair reproduces
 tallies byte for byte.
+
+``simulate``, ``estimate_conditional_one_default`` and
+``verify_fundamental_identity`` share one sample: the process keeps the
+read-only batch of its last run of at most ``BATCH`` draws, keyed by the
+portfolio object, the seed and the number of draws, for as long as that
+portfolio lives and no one-batch run with another key replaces it
+(``_batches``).  The record holds 8 N bytes per draw for the factors, 8
+per draw for the losses and 8 per default for (draw, obligor): about
+3.6 MB for the reference book at 10^5 draws.  Runs of more than ``BATCH``
+draws are drawn every time and keep nothing.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,19 +196,63 @@ def _pick(table, u, scratch):
     return pick
 
 
+_kept = None  # (weakref to the portfolio, (seed, draws), batch): the one kept sample
+
+
+def _forget(ref):
+    """Weakref callback: drop the kept sample once its portfolio is gone."""
+    global _kept
+    if _kept is not None and _kept[0] is ref:
+        _kept = None
+
+
 def _batches(portfolio, cfg):
     """Yield (S, draw, obligor, X) per batch in a fixed deterministic order.
 
     S: (b, N) factors; X: (b,) losses.  ``draw`` and ``obligor`` (int32)
     hold one entry per default event: the batch row it falls in and the
-    obligor that defaults.  Per batch the sector counts N_k ~ Poisson(S_k
-    mu_k) come from one (N+1, b) call, each event takes one uniform, and
-    the sector's guide table (``_pick``) maps the uniforms to (obligor,
-    severity) pairs, ``CHUNK`` events at a time, written straight into the
-    event arrays; X is the per-row sum of the event severities.  Memory per
-    batch is about (N+1) b numbers plus three int32 entries and one uniform
-    per event.  The lookup's work arrays hold 25 bytes per event of one
-    chunk (200 kB) and are allocated once per call, not per chunk.
+    obligor that defaults.
+
+    A run of one batch (``cfg.draws <= BATCH``) is kept (module
+    docstring): the process holds the read-only tuple of its last such
+    run, keyed by the portfolio object (weakly referenced), ``cfg.seed``
+    and ``cfg.draws``, and a pass with that key yields it again after
+    ``check_obligors``.  ``record_default_counts`` does not change the
+    stream and is not part of the key.  Longer runs stream from
+    ``_sample`` every time and keep nothing.
+    """
+    global _kept
+    if cfg.draws > BATCH:
+        yield from _sample(portfolio, cfg)
+        return
+    kept = _kept
+    if kept is not None and kept[0]() is portfolio and kept[1] == (cfg.seed, cfg.draws):
+        check_obligors(portfolio)
+        yield kept[2]
+        return
+    _kept = None  # the old sample is not held while the new one is drawn
+    batch = next(_sample(portfolio, cfg))
+    for a in batch:
+        a.flags.writeable = False
+    _kept = (weakref.ref(portfolio, _forget), (cfg.seed, cfg.draws), batch)
+    yield batch
+
+
+def _sample(portfolio, cfg):
+    """Draw the batches of ``_batches`` afresh from the seed.
+
+    Per batch the sector counts N_k ~ Poisson(S_k mu_k) come from one (N+1,
+    b) call, each event takes one uniform, and the sector's guide table
+    (``_pick``) maps the uniforms to (obligor, severity) pairs, ``CHUNK``
+    events at a time, written straight into the event arrays.  X is the
+    per-row sum of the event severities, taken by ``np.bincount`` over each
+    half of the events in turn: its float copies of the draw and severity
+    entries, 16 bytes per event of one half, fit in the 8 bytes per event
+    of the uniforms freed before it, and float sums of integers are exact
+    below 2^53.  Memory per batch is about (N+1) b numbers plus three int32
+    entries and one uniform per event.  The lookup's work arrays hold 25
+    bytes per event of one chunk (200 kB) and are allocated once per call,
+    not per chunk.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     mu, tables, sev_type = _sector_tables(portfolio)
@@ -235,10 +290,13 @@ def _batches(portfolio, cfg):
                 np.take(table.owner, pick, out=obligor[lo:hi], mode="wrap")
                 np.take(table.vals, pick, out=sev[lo:hi], mode="wrap")
             start = stop
-        del counts, u  # before bincount's float copy of sev, and not held across the yield
-        losses = np.bincount(draw, weights=sev, minlength=b).astype(np.int64)
+        del counts, u  # before the float copies below, and not held across the yield
+        losses = np.zeros(b)
+        half = sev.size // 2 + 1
+        for lo in range(0, sev.size, half):
+            losses += np.bincount(draw[lo:lo + half], weights=sev[lo:lo + half], minlength=b)
         del sev
-        yield factors, draw, obligor, losses
+        yield factors, draw, obligor, losses.astype(np.int64)
 
 
 def _dense_counts(draw, obligor, b, n_obligors):

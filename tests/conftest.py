@@ -28,8 +28,10 @@ def make_reference_portfolio():
 
 @pytest.fixture(autouse=True)
 def cold_cli(monkeypatch):
-    """Each test starts with no portfolio remembered by the CLI."""
+    """Each test starts with no portfolio remembered by the CLI and no kept
+    Monte Carlo sample."""
     monkeypatch.setattr(cli, "_last", None)
+    monkeypatch.setattr(mc, "_kept", None)
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +47,14 @@ def reference_engine(reference_portfolio):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture
+def sampling_passes(monkeypatch):
+    """The portfolio of every fresh Monte Carlo pass (``mc._sector_tables`` call) in the test."""
+    passes, tables = [], mc._sector_tables
+    monkeypatch.setattr(mc, "_sector_tables", lambda p: passes.append(p) or tables(p))
+    return passes
 
 
 @pytest.fixture

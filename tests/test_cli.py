@@ -7,7 +7,7 @@ from scipy import stats
 
 from crplus import pmf as pm
 from crplus import Obligor, Portfolio, Sector, SeverityDist, parse_portfolio, serialize_portfolio
-from crplus import cli, conditional, engine as eng
+from crplus import cli, conditional, engine as eng, mc
 from crplus.cli import main
 
 from conftest import make_reference_portfolio
@@ -286,6 +286,7 @@ def _files(out):
 def _cold(argv, out):
     """``argv`` run with nothing remembered, and the files it wrote."""
     cli._last = None
+    mc._kept = None
     assert run(argv + ["--out", out]) == 0
     return _files(out)
 
@@ -342,6 +343,38 @@ def test_warm_calls_write_the_cold_files(tmp_path, book, max_loss, a, b):
             assert _files(out) == cold[name], (rnd, name)
     assert cli._last.digest == json.loads(
         (tmp_path / "cold" / "dist" / "report.json").read_text())["metadata"]["portfolio_sha256"]
+
+
+def _mc_and_compare(path, seed):
+    common = ["--portfolio", path, "--max-loss", 200, "--draws", 20_000, "--seed", seed]
+    return ["mc", *common], ["compare", *common, "--obligor", "B"]
+
+
+def test_compare_after_mc_reads_its_sample(portfolio_file, tmp_path, sampling_passes):
+    mc_argv, compare_argv = _mc_and_compare(portfolio_file, 91)
+    cold = _cold(compare_argv, tmp_path / "cold")
+    cli._last, mc._kept = None, None
+    sampling_passes.clear()
+    assert run(mc_argv + ["--out", tmp_path / "mc"]) == 0
+    assert run(compare_argv + ["--out", tmp_path / "warm"]) == 0
+    assert len(sampling_passes) == 1
+    assert _files(tmp_path / "warm") == cold
+    # Another seed is another sample, drawn afresh.
+    _, other_argv = _mc_and_compare(portfolio_file, 92)
+    assert run(other_argv + ["--out", tmp_path / "other"]) == 0
+    assert len(sampling_passes) == 2
+    assert _files(tmp_path / "other") == _cold(other_argv, tmp_path / "other_cold")
+
+
+def test_mc_after_compare_writes_the_cold_files(portfolio_file, tmp_path, sampling_passes):
+    mc_argv, compare_argv = _mc_and_compare(portfolio_file, 93)
+    cold = _cold(mc_argv, tmp_path / "cold")
+    cli._last, mc._kept = None, None
+    sampling_passes.clear()
+    assert run(compare_argv + ["--out", tmp_path / "compare"]) == 0
+    assert run(mc_argv + ["--out", tmp_path / "warm"]) == 0
+    assert len(sampling_passes) == 1
+    assert _files(tmp_path / "warm") == cold
 
 
 def test_second_cond_reuses_the_base(portfolio_file, tmp_path, panjer_passes):

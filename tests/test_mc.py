@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -374,3 +375,116 @@ def test_pick_where_the_scaled_uniform_rounds_up_to_the_total():
     assert np.searchsorted(cum, u * cum[-1], side="right").tolist() == [2]  # past the table
     table = mc._table(cum, np.array([7, 8], dtype=np.int32), np.array([1, 2], dtype=np.int32))
     assert mc._pick(table, u.copy(), mc._scratch(1)).tolist() == [1]
+
+
+def test_a_run_past_the_int32_range_sums_its_losses_exactly():
+    # Int32 severities whose sums in a draw pass 2^31 - 1: every loss is
+    # still the exact sum of its draw's severities.
+    big = 2**31 - 10
+    p = Portfolio((Sector("s", 0.3),),
+                  (Obligor("A", 2.0, [0.1, 0.9], SeverityDist({big: 0.5, 1: 0.5})),
+                   Obligor("B", 1.5, [0.0, 1.0], SeverityDist({big // 2: 1.0}))))
+    cfg = mc.SimConfig(draws=3000, seed=72)
+    (got,) = mc._batches(p, cfg)
+    (want,) = batches_searchsorted(p, cfg)
+    assert got[3].max() > 2 * big
+    for name, a, b in zip(("factors", "draw", "obligor", "losses"), got, want):
+        assert _same_bits(a, b), name
+
+
+# ------------------------------------------------ the kept one-batch sample
+
+def _three_estimates(p, cfg):
+    return (mc.simulate(p, cfg),
+            mc.estimate_conditional_one_default(p, "B", cfg, 200),
+            mc.verify_fundamental_identity(p, "A", "C", 7, cfg))
+
+
+def _fresh(fn, *args):
+    mc._kept = None
+    return fn(*args)
+
+
+def _assert_same_results(a, b):
+    a, b = (x if isinstance(x, dict) else vars(x) for x in (a, b))
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            assert _same_bits(a[key], b[key]), key
+        else:
+            assert type(a[key]) is type(b[key]) and a[key] == b[key], key
+
+
+def test_simulate_estimate_and_verify_share_one_pass(sampling_passes):
+    p = make_reference_portfolio()
+    cfg = mc.SimConfig(draws=20_000, seed=81)
+    shared = _three_estimates(p, cfg)
+    assert sampling_passes == [p]
+    fresh = (_fresh(mc.simulate, p, cfg),
+             _fresh(mc.estimate_conditional_one_default, p, "B", cfg, 200),
+             _fresh(mc.verify_fundamental_identity, p, "A", "C", 7, cfg))
+    assert len(sampling_passes) == 4
+    for a, b in zip(shared, fresh):
+        _assert_same_results(a, b)
+
+
+@pytest.mark.parametrize("other", [
+    pytest.param(lambda p, cfg: (p, mc.SimConfig(cfg.draws, cfg.seed + 1)), id="seed"),
+    pytest.param(lambda p, cfg: (p, mc.SimConfig(cfg.draws + 1, cfg.seed)), id="draws"),
+    pytest.param(lambda p, cfg: (make_reference_portfolio(), cfg), id="portfolio"),
+])
+def test_another_key_draws_afresh(monkeypatch, sampling_passes, other):
+    p = make_reference_portfolio()
+    cfg = mc.SimConfig(draws=20_000, seed=82)
+    held = []  # the record at the start of each fresh pass
+    sample = mc._sample
+    monkeypatch.setattr(mc, "_sample", lambda port, c: held.append(mc._kept) or sample(port, c))
+    mc.simulate(p, cfg)
+    q, cfg_q = other(p, cfg)
+    assert q == p
+    got = mc.simulate(q, cfg_q)
+    assert len(sampling_passes) == 2 and sampling_passes[1] is q
+    assert held == [None, None]  # the old sample is let go before the new one is drawn
+    # The new key replaced the old one: the process keeps one sample.
+    mc.simulate(p, cfg)
+    assert len(sampling_passes) == 3
+    _assert_same_results(got, _fresh(mc.simulate, q, cfg_q))
+
+
+def test_a_run_of_several_batches_is_drawn_each_time_and_not_kept(monkeypatch, sampling_passes):
+    monkeypatch.setattr(mc, "BATCH", 1000)
+    p = make_reference_portfolio()
+    cfg = mc.SimConfig(draws=2500, seed=83)
+    shared = _three_estimates(p, cfg)
+    assert len(sampling_passes) == 3 and mc._kept is None
+    for a, b in zip(shared, _three_estimates(p, cfg)):
+        _assert_same_results(a, b)
+
+
+def test_the_kept_arrays_reject_writes():
+    p = make_reference_portfolio()
+    cfg = mc.SimConfig(draws=1000, seed=84)
+    (first,) = mc._batches(p, cfg)
+    (again,) = mc._batches(p, cfg)
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+def test_the_kept_sample_goes_with_its_portfolio():
+    p = make_reference_portfolio()
+    mc.simulate(p, mc.SimConfig(draws=1000, seed=85))
+    assert mc._kept is not None and mc._kept[0]() is p
+    del p
+    gc.collect()
+    assert mc._kept is None
+
+
+def test_recorded_counts_from_the_kept_sample_are_those_of_a_fresh_run(sampling_passes):
+    p = make_reference_portfolio()
+    mc.simulate(p, mc.SimConfig(draws=5000, seed=86))
+    recorded = mc.SimConfig(draws=5000, seed=86, record_default_counts=True)
+    got = mc.simulate(p, recorded)
+    assert len(sampling_passes) == 1
+    _assert_same_results(got, _fresh(mc.simulate, p, recorded))
