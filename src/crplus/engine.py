@@ -12,9 +12,11 @@ T_k = G_k^(1/alpha_k), so a conditional, a weighted mean of stressed pmfs,
 is the base convolved with a weighted sum of kernel products (see
 ``LossEngine.mixture``).  Below ``pmf.FFT_MIN_SIZE`` points sector pmfs and
 kernels come from one batched Panjer pass and the convolutions are direct;
-from there on the engine works on one Fourier grid, sized for the heaviest
-supported stress, where the base and every mixture are one inverse FFT of
-products of cached sector spectra.  An unloaded sector (mu_k = 0) has no
+from there on the engine works on one Fourier grid, the smallest power of
+two above L that the Chernoff aliasing bound of the heaviest supported
+stress allows, where the base and every mixture (with the defaulted
+severities, when the bound leaves room for them) are one inverse FFT of
+products of cached spectra.  An unloaded sector (mu_k = 0) has no
 claims and Q_k = point mass at 0, so its pmf and kernel are exact point
 masses at 0 and its PGF is 1.
 """
@@ -135,21 +137,26 @@ class LossEngine:
     the reference portfolio matches Panjer run at alpha_k + s_k to 3e-17.
     ``mixture`` evaluates sum_c w_c (base (*) K_c) / normalizer, K_c the
     product of the kernels of the sectors component c stresses (one entry
-    per unit of stress), and holds each component's tail to the engine's
-    tail tolerance; ``loss_distribution(stress)`` is its one-component case
-    and the only method that takes an offset vector.
+    per unit of stress), convolved with the severity pmfs of the defaulted
+    obligors, and holds each component's tail to the engine's tail
+    tolerance; ``loss_distribution(stress)`` is its one-component case and
+    the only method that takes an offset vector.
 
     Two representations, by L alone.  Below ``pmf.FFT_MIN_SIZE`` points the
     first call that needs the base computes every missing sector pmf and the
     kernel of every loaded sector in one batched Panjer pass (``_fill``);
     the base is the convolution of the sector pmfs and a mixture the base
     convolved once with the weighted sum of the kernel products (direct
-    convolutions, ``pmf.convolve``).  From that size on the engine holds one
-    Fourier grid, sized once for the heaviest supported stress (``_grid``),
-    and on it the sector log-spectra log G_k, the base's PGF G =
-    exp(sum_k log G_k) and, lazily per sector, the kernel spectra T_k =
-    exp(log G_k / alpha_k): the base is one inverse FFT of G and a mixture
-    one inverse FFT of G sum_c w_c prod_{k in c} T_k.  ``written_off``
+    convolutions, ``pmf.convolve``), and so are the severity shifts.  From
+    that size on the engine holds one Fourier grid of N > L points, sized
+    once by the Chernoff need nu of the heaviest supported stress
+    (``_sizing``), and on it the sector log-spectra log G_k, the base's PGF
+    G = exp(sum_k log G_k) and, lazily per sector, the kernel spectra T_k =
+    exp(log G_k / alpha_k): the base is one inverse FFT of G and a
+    conditional one inverse FFT of G sum_c w_c prod_{k in c} T_k prod_A S_A
+    / normalizer, S_A the defaulted severities' spectra, while nu plus
+    their largest losses fits in N (else they are convolved directly after
+    it).  ``written_off``
     patches this engine into a write-off engine: only the sectors the
     written-off obligors load on are recomputed, on this engine's grid.
     Thread-safe: the caches are guarded by a lock and hold immutable
@@ -163,7 +170,7 @@ class LossEngine:
         self._lock = threading.Lock()
         # Per sector k: ("sector", k) and ("kernel", k) -> Pmf; on the Fourier
         # grid ("spectrum", k) -> log G_k and ("transform", k) -> T_k.  For the
-        # whole book: "base" -> Pmf; on the grid "grid" -> its size N, "pgf"
+        # whole book: "base" -> Pmf; on the grid "grid" -> (N, nu), "pgf"
         # -> G, "indicator" and "window" -> the factors of ``_window``.
         self._cache = {}
 
@@ -221,19 +228,28 @@ class LossEngine:
                 for key, out in zip(filled, pmfs):
                     self._cache.setdefault(key, out)
 
-    def _grid(self):
-        """From ``pmf.FFT_MIN_SIZE`` points on: the engine's grid size N.
+    def _sizing(self):
+        """From ``pmf.FFT_MIN_SIZE`` points on: the engine's grid size N and
+        the Chernoff need nu that sized it.
 
-        N is ``pmf.grid_size`` of the heaviest supported stress, every factor
-        sector at alpha_k + MAX_PUBLIC_OFFSET, so no stressed pmf or mixture
-        aliases more than ``pmf.ALIAS_FLOOR`` of mass (see ``written_off``).
+        nu is ``pmf.aliasing_need`` of the heaviest supported stress, every
+        factor sector at alpha_k + MAX_PUBLIC_OFFSET, and N is
+        ``pmf.grid_size``, the smallest power of two > L and >= nu, so no
+        stressed pmf or mixture aliases more than ``pmf.ALIAS_FLOOR`` of
+        mass (see ``mixture`` and ``written_off``).
         """
         def compute():
             system = self.system
             stressed = [(_claims(system, "stressed", k), q) for k, q in enumerate(system.q_polys)]
+            need = pm.aliasing_need(stressed)
             return pm.grid_size(stressed, system.limit, "the portfolio base under its heaviest "
-                                f"stress (alpha_k + {MAX_PUBLIC_OFFSET} in every factor sector)")
+                                f"stress (alpha_k + {MAX_PUBLIC_OFFSET} in every factor sector)",
+                                need), need
         return self._cached("grid", compute)
+
+    def _grid(self):
+        """The engine's grid size N (``_sizing``)."""
+        return self._sizing()[0]
 
     def _spectrum(self, k):
         """Sector k's log-spectrum log G_k on the engine's grid."""
@@ -301,24 +317,34 @@ class LossEngine:
                 tail_mass=tail_mass,
             )
 
-    def mixture(self, components, normalizer=1.0):
-        """sum_c w_c (base (*) K_c) / normalizer over the (w_c, sectors) pairs
-        ``components``, K_c the product of the kernels of the listed sectors
-        (one entry per unit of stress; none for the base itself).
+    def mixture(self, components, normalizer=1.0, shifts=()):
+        """sum_c w_c (base (*) K_c) / normalizer (*) S_1 (*) ... over the (w_c,
+        sectors) pairs ``components``, K_c the product of the kernels of the
+        listed sectors (one entry per unit of stress; none for the base
+        itself) and S_A the severity pmfs ``shifts``.
 
         Each component's tail beyond L is held to the engine's tail
-        tolerance.  Below ``pmf.FFT_MIN_SIZE`` points the base's own tail is
-        checked first; component c's tail is 1 - sum_j K_c[j] P[base <= L -
-        j] and the result is the base convolved with K = sum_c w_c K_c /
-        normalizer.  From there on component c's tail is 1 - Re sum_j K_j w_j
-        with K = prod_{k in c} T_k and w the ``_window`` weights (at least
-        the base's tail, which therefore needs no check of its own), and the
-        result is one inverse FFT of G sum_c w_c prod_{k in c} T_k /
-        normalizer.
+        tolerance, before the shifts.  Below ``pmf.FFT_MIN_SIZE`` points the
+        base's own tail is checked first; component c's tail is 1 - sum_j
+        K_c[j] P[base <= L - j] and the mixture is the base convolved with K
+        = sum_c w_c K_c / normalizer.  From there on component c's tail is
+        1 - Re sum_j K_j w_j with K = prod_{k in c} T_k and w the
+        ``_window`` weights (at least the base's tail, which therefore needs
+        no check of its own), and the mixture is one inverse FFT of G sum_c
+        w_c prod_{k in c} T_k / normalizer.
+
+        The shifts go on the grid, as factors S_A(w) of that one inverse
+        FFT, when nu + sum_A v_A <= N, with nu the engine's Chernoff need
+        (``_sizing``) and v_A the largest loss of S_A inside {0..L}: for
+        mixture loss Y and shift sum E, S_A(e^t) <= e^(t v_A) and the
+        mixture's G(e^t) is at most that of the heaviest stress, so at the
+        t that gave nu, P[Y + E >= N] <= G(e^t) e^(t (sum_A v_A - N)) <=
+        ALIAS_FLOOR.  Otherwise, and below ``pmf.FFT_MIN_SIZE`` points, each
+        shift is a direct ``pmf.convolve`` of the mixture.
         """
         limit = self.system.limit
         if limit + 1 >= pm.FFT_MIN_SIZE:
-            n, pgf = self._grid(), self._pgf()
+            (n, need), pgf = self._sizing(), self._pgf()
             window = None if self.tail_tol is None else self._window()
             acc = np.zeros(n // 2 + 1, dtype=complex)
             for weight, sectors in components:
@@ -326,17 +352,26 @@ class LossEngine:
                 if window is not None:
                     self.check_tail(1.0 - np.sum(kernel * window).real)
                 acc += weight * kernel
-            return pm.from_spectrum(pgf * acc / normalizer, n, limit)
-        base = self.loss_distribution()
-        base_cdf_rev = base.cdf()[::-1]
-        acc = np.zeros(limit + 1)
-        for weight, sectors in components:
-            kernel = (functools.reduce(pm.convolve, map(self.kernel, sectors)) if sectors
-                      else pm.point_mass(0, limit))
-            self.check_tail(1.0 - np.dot(kernel.probs, base_cdf_rev))
-            acc += weight * kernel.probs
-        acc /= normalizer
-        return pm.convolve(base, Pmf(acc, tail_mass=max(1.0 - acc.sum(), 0.0)))
+            spectrum = pgf * acc / normalizer
+            if need + sum(np.flatnonzero(s.probs).max(initial=0) for s in shifts) <= n:
+                for shift in shifts:
+                    spectrum *= np.fft.rfft(shift.probs, n)
+                shifts = ()
+            out = pm.from_spectrum(spectrum, n, limit)
+        else:
+            base = self.loss_distribution()
+            base_cdf_rev = base.cdf()[::-1]
+            acc = np.zeros(limit + 1)
+            for weight, sectors in components:
+                kernel = (functools.reduce(pm.convolve, map(self.kernel, sectors)) if sectors
+                          else pm.point_mass(0, limit))
+                self.check_tail(1.0 - np.dot(kernel.probs, base_cdf_rev))
+                acc += weight * kernel.probs
+            acc /= normalizer
+            out = pm.convolve(base, Pmf(acc, tail_mass=max(1.0 - acc.sum(), 0.0)))
+        for shift in shifts:
+            out = pm.convolve(out, shift)
+        return out
 
     def loss_distribution(self, stress=None):
         """Portfolio loss pmf for a stress vector of exponent offsets.
@@ -365,9 +400,11 @@ class LossEngine:
         Q_k^wo(e^t) = Q_k(e^t) - sum_A (w_Ak p_A / mu_k) (S_A(e^t) - 1) <=
         Q_k(e^t), S_A the severity PGF of A, and both closed forms increase
         in Q, so the Chernoff bound that sized N holds for the write-off too.
-        Mass beyond L, which the write-off moves to 0, can raise Q_k(e^t):
-        the grid is then the larger of the write-off system's own and N, and
-        the spectra carry over only if it is N.
+        The base's Chernoff need nu bounds the write-off's as well and is
+        kept with N.  Mass beyond L, which the write-off moves to 0, can
+        raise Q_k(e^t): the grid is then the larger of the write-off
+        system's own and N, and the spectra carry over, with the write-off's
+        own nu, only if it is N.
         """
         system, c = self.system, portfolio.columns
         rows = [portfolio.row(oid) for oid in ids]
@@ -377,10 +414,12 @@ class LossEngine:
         out = LossEngine(replace(system, q_polys=q_polys), self.tail_tol)
         kinds = {"sector", "kernel"}  # what does not depend on the grid
         if system.limit + 1 >= pm.FFT_MIN_SIZE:
-            n = self._grid()
-            if not (c.value[np.isin(c.owner, rows)] > system.limit).any() or out._grid() <= n:
+            n, need = self._sizing()
+            if (c.value[np.isin(c.owner, rows)] > system.limit).any():
+                need = out._sizing()[1] if out._grid() <= n else None
+            if need is not None:
                 kinds |= {"spectrum", "transform"}
-                out._cache.update(grid=n, indicator=self._indicator())
+                out._cache.update(grid=(n, need), indicator=self._indicator())
         with self._lock:
             out._cache.update((key, value) for key, value in self._cache.items()
                               if isinstance(key, tuple) and key[0] in kinds and kept[key[1]])
@@ -393,13 +432,22 @@ def loss_distribution(system, stress=None):
 
 
 def risk_report(loss_pmf, thetas):
-    """Mean, variance, quantile and expected shortfall at each theta."""
+    """Mean, variance, quantile and expected shortfall at each theta.
+
+    One pass: the losses x and the cdf are built once and every measure is
+    taken from them, with the arithmetic of ``pmf.mean``, ``pmf.variance``,
+    ``pmf.quantile`` and ``pmf.expected_shortfall``.
+    """
+    probs = loss_pmf.probs
+    x, cdf = np.arange(probs.size), loss_pmf.cdf()
+    m = np.dot(x, probs)
     return {
-        "mean": pm.mean(loss_pmf),
-        "variance": pm.variance(loss_pmf),
+        "mean": float(m),
+        "variance": float(np.dot(x * x, probs) - m * m),
         "tail_mass": loss_pmf.tail_mass,
-        "quantiles": {str(t): pm.quantile(loss_pmf, t) for t in thetas},
-        "expected_shortfall": {str(t): pm.expected_shortfall(loss_pmf, t) for t in thetas},
+        "quantiles": {str(t): pm.quantile(loss_pmf, t, cdf) for t in thetas},
+        "expected_shortfall": {str(t): pm.expected_shortfall(loss_pmf, t, cdf, x)
+                               for t in thetas},
     }
 
 

@@ -10,7 +10,8 @@ the default counts D_A are independent Poisson(p_A^S), p_A^S = p_A sum_k
 w_Ak S_k, and every default carries an independent severity drawn from q_A:
 exactly the factor model.  A batch of b draws holds the (b, N) factors, the
 (N+1, b) sector intensities and counts, and one (draw, obligor, severity)
-triple and one uniform per default event; nothing is b x obligors.
+triple per default event; uniforms are drawn ``CHUNK`` events at a time.
+Nothing is b x obligors.
 
 A uniform u picks its pair through a guide table (Chen & Asau 1974; Devroye
 1986, ch. III): bucket floor(u M) of the sector's M buckets names the first
@@ -43,7 +44,7 @@ import numpy as np
 from .portfolio import check_obligors
 
 BATCH = 100_000
-CHUNK = 8192  # events per guide lookup; bounds the lookup's scratch arrays
+CHUNK = 8192  # events per guide lookup; bounds its scratch arrays and uniform buffer
 
 
 class NoAcceptedDrawsError(ValueError):
@@ -244,22 +245,23 @@ def _sample(portfolio, cfg):
     Per batch the sector counts N_k ~ Poisson(S_k mu_k) come from one (N+1,
     b) call, each event takes one uniform, and the sector's guide table
     (``_pick``) maps the uniforms to (obligor, severity) pairs, ``CHUNK``
-    events at a time, written straight into the event arrays.  X is the
-    per-row sum of the event severities, taken by ``np.bincount`` over each
-    half of the events in turn: its float copies of the draw and severity
-    entries, 16 bytes per event of one half, fit in the 8 bytes per event
-    of the uniforms freed before it, and float sums of integers are exact
-    below 2^53.  Memory per batch is about (N+1) b numbers plus three int32
-    entries and one uniform per event.  The lookup's work arrays hold 25
-    bytes per event of one chunk (200 kB) and are allocated once per call,
-    not per chunk.
+    events at a time, written straight into the event arrays.  Each chunk's
+    uniforms are drawn into one ``CHUNK``-sized buffer by
+    ``Generator.random(out=...)``: Philox continues its stream across
+    calls, so they are bitwise the slices of one whole-batch draw.  X is
+    the per-row sum of the event severities, taken by ``np.bincount`` over
+    each half of the events in turn (16 bytes of float copies per event of
+    one half); float sums of integers are exact below 2^53.  Memory per
+    batch is about (N+1) b numbers plus three int32 entries per event.  The
+    lookup's work arrays and the uniform buffer hold 33 bytes per event of
+    one chunk (270 kB) and are allocated once per call, not per chunk.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     mu, tables, sev_type = _sector_tables(portfolio)
     alphas = np.array([s.alpha for s in portfolio.sectors])
     n = alphas.size
     rows = np.arange(min(BATCH, cfg.draws), dtype=np.int32)
-    scratch = _scratch(CHUNK)
+    scratch, uniforms = _scratch(CHUNK), np.empty(CHUNK)
     done = 0
     while done < cfg.draws:
         b = min(BATCH, cfg.draws - done)
@@ -274,10 +276,10 @@ def _sample(portfolio, cfg):
         counts = rng.poisson(intensity)
         del intensity
         totals = counts.sum(axis=1)
-        u = rng.random(int(totals.sum()))
-        draw = np.empty(u.size, dtype=np.int32)
-        obligor = np.empty(u.size, dtype=np.int32)
-        sev = np.empty(u.size, dtype=sev_type)
+        events = int(totals.sum())
+        draw = np.empty(events, dtype=np.int32)
+        obligor = np.empty(events, dtype=np.int32)
+        sev = np.empty(events, dtype=sev_type)
         start = 0
         for table, count, total in zip(tables, counts, totals):
             if total == 0:
@@ -286,11 +288,12 @@ def _sample(portfolio, cfg):
             draw[start:stop] = np.repeat(rows[:b], count)
             for lo in range(start, stop, CHUNK):
                 hi = min(lo + CHUNK, stop)
-                pick = _pick(table, u[lo:hi], scratch)
+                u = rng.random(out=uniforms[:hi - lo])
+                pick = _pick(table, u, scratch)
                 np.take(table.owner, pick, out=obligor[lo:hi], mode="wrap")
                 np.take(table.vals, pick, out=sev[lo:hi], mode="wrap")
             start = stop
-        del counts, u  # before the float copies below, and not held across the yield
+        del counts, count  # the loop's row view keeps counts alive; freed before the sums
         losses = np.zeros(b)
         half = sev.size // 2 + 1
         for lo in range(0, sev.size, half):

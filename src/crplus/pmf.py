@@ -407,24 +407,22 @@ def from_spectrum(spectrum, n, limit):
     return Pmf(g, tail_mass=max(1.0 - g.sum(), 0.0))
 
 
-def grid_size(terms, limit, what):
-    """Smallest power of two N >= 2(L + 1) whose aliasing bound is <= ALIAS_FLOOR.
+def aliasing_need(terms):
+    """The Chernoff need nu: P[X >= N] <= ALIAS_FLOOR for every N >= nu.
 
     ``terms`` are the (``Claims``, severity ``Pmf``) pairs of independent
-    compounds; X is their sum, with log G(z) = sum_k log G_k(Q_k(z)).  The
-    circular grid folds P[X = n + jN] onto n, so the error it adds to the
-    entries 0..L sums to at most P[X >= N] <= G(e^t) e^(-tN) for every
-    t > 0 (Chernoff; it holds for a defective Q as well).  Hence N suffices
-    once N >= phi(t) = (log G(e^t) - log ALIAS_FLOOR) / t for some t; the
-    smallest phi over 96 log-spaced t is taken.  Every t gives a valid
-    bound, so a coarse set of t can only enlarge N.  Raises AliasingError,
-    naming ``what`` and L, when that value exceeds MAX_GRID.
+    compounds; X is their sum, with log G(z) = sum_k log G_k(Q_k(z)).
+    P[X >= N] <= G(e^t) e^(-tN) for every t > 0 (Chernoff; it holds for a
+    defective Q as well), so N >= phi(t) = (log G(e^t) - log ALIAS_FLOOR) /
+    t suffices; nu is the smallest phi over 96 log-spaced t, and
+    G(e^t) e^(-t nu) = ALIAS_FLOOR at the t that gives it.  Every t gives a
+    valid bound, so a coarse set of t can only enlarge nu.  nu is 1 when G
+    is constant (all mass at 0) and inf when every t passes a pole.
     """
-    n = 1 << (2 * limit + 1).bit_length()
     terms = [(claims, _trimmed(severity.probs)) for claims, severity in terms]
     m = max((q.size for _, q in terms), default=1)
-    if m == 1:  # G is constant: all mass sits at 0
-        return n
+    if m == 1:
+        return 1.0
     # t * (m - 1) <= 700 keeps exp(t j) finite.
     t = np.geomspace(1e-9, 700.0 / (m - 1), 96)
     # Past a negative binomial's pole (delta Q(e^t) >= 1) log G is undefined
@@ -433,15 +431,29 @@ def grid_size(terms, limit, what):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.exp(np.outer(t, np.arange(m)))
         k = sum(claims.log_pgf(e[:, : q.size] @ q) for claims, q in terms)
-        need = float(np.min(np.where(k < math.inf, (k - math.log(ALIAS_FLOOR)) / t, math.inf)))
-    if need > n:
-        if need > MAX_GRID:
-            raise AliasingError(
-                f"{what} at L={limit} needs a Fourier grid of {need:.3g} points to keep "
-                f"the aliased mass below {ALIAS_FLOOR:g}, above MAX_GRID = {MAX_GRID}"
-            )
-        n = 1 << (math.ceil(need) - 1).bit_length()
-    return n
+        return float(np.min(np.where(k < math.inf, (k - math.log(ALIAS_FLOOR)) / t, math.inf)))
+
+
+def grid_size(terms, limit, what, need=None):
+    """Smallest power of two N > L with N >= ``aliasing_need(terms)``.
+
+    N > L, so that rfft takes every entry 0..L of a severity vector.  The
+    circular grid folds P[X = x + jN] onto x, so the error it adds to the
+    entries 0..L sums to at most P[X >= N] <= ALIAS_FLOOR.  The same grid
+    holds X + E, E a sum of independent shifts with largest losses v_A,
+    while nu + sum_A v_A <= N: their PGFs are at most e^(t v_A) at e^t, so
+    at the t that gave nu, P[X + E >= N] <= G(e^t) e^(t (sum_A v_A - N)) <=
+    ALIAS_FLOOR (``LossEngine.mixture``).  A caller that already has the
+    need passes it as ``need``.  Raises AliasingError,
+    naming ``what`` and L, when the need exceeds MAX_GRID.
+    """
+    need = aliasing_need(terms) if need is None else need
+    if need > MAX_GRID:
+        raise AliasingError(
+            f"{what} at L={limit} needs a Fourier grid of {need:.3g} points to keep "
+            f"the aliased mass below {ALIAS_FLOOR:g}, above MAX_GRID = {MAX_GRID}"
+        )
+    return 1 << max(limit, math.ceil(need) - 1).bit_length()
 
 
 def mean(p):
@@ -456,11 +468,12 @@ def variance(p):
     return float(np.dot(x * x, p.probs) - m * m)
 
 
-def quantile(p, theta):
-    """Smallest x with P[X <= x] >= theta."""
+def quantile(p, theta, cdf=None):
+    """Smallest x with P[X <= x] >= theta; ``cdf`` is ``p.cdf()`` when the
+    caller already has it."""
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    cdf = p.cdf()
+    cdf = p.cdf() if cdf is None else cdf
     idx = np.searchsorted(cdf, theta, side="left")
     if idx >= cdf.size:
         raise TruncationError(
@@ -471,14 +484,15 @@ def quantile(p, theta):
     return int(idx)
 
 
-def expected_shortfall(p, theta):
+def expected_shortfall(p, theta, cdf=None, x=None):
     """Discrete expected shortfall with the boundary adjustment.
 
     ES = (1/(1-theta)) * (sum_{x>q} x p[x] + q * (CDF(q) - theta)) with
-    q the theta-quantile.
+    q the theta-quantile.  ``cdf`` (``p.cdf()``) and ``x`` (the losses
+    0..L) may be passed in when the caller already has them.
     """
-    q = quantile(p, theta)
-    x = np.arange(p.probs.size)
+    q = quantile(p, theta, cdf)
+    x = np.arange(p.probs.size) if x is None else x
     tail_exp = float(np.dot(x[q + 1 :], p.probs[q + 1 :]))
     cdf_q = float(p.probs[: q + 1].sum())
     return (tail_exp + q * (cdf_q - theta)) / (1.0 - theta)

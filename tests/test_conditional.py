@@ -429,6 +429,75 @@ def test_fourier_conditionals_build_no_kernel_pmfs(reference_portfolio, monkeypa
     assert not [key for engine in engines for key in engine._cache if key[0] == "kernel"]
 
 
+def _direct_shifts(engine, portfolio, scenario):
+    """The conditional of ``scenario`` with each defaulted severity convolved
+    directly into the engine's mixture, and the largest loss of each severity."""
+    components, normalizer, _ = cd._scenario(engine, portfolio, scenario)
+    out = engine.mixture(components.values(), normalizer)
+    shifts = [pm.from_dict(portfolio.severity_of(oid), engine.system.limit)
+              for oid in scenario]
+    for shift in shifts:
+        out = pm.convolve(out, shift)
+    return out, sum(np.flatnonzero(shift.probs).max() for shift in shifts)
+
+
+def _counted_convolutions(monkeypatch):
+    calls = []
+    convolve = pm.convolve
+    monkeypatch.setattr(pm, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("limit", [600, 1000])
+def test_severity_shifts_on_the_grid_match_direct_convolution(reference_portfolio, limit,
+                                                              monkeypatch):
+    port = spread(reference_portfolio, 3)
+    engine = LossEngine(eng.assemble(port, limit), tail_tol=1e-9)
+    n, need = engine._sizing()
+    assert n == 1024 and need < n
+    calls = _counted_convolutions(monkeypatch)
+    for scenario, _ in _scenarios(port)[::2]:
+        want, reach = _direct_shifts(engine, port, scenario)
+        assert need + reach <= n
+        del calls[:]
+        out = _conditional(engine, port, scenario, False).conditional_pmf
+        assert calls == [], scenario  # one inverse FFT, no convolution
+        assert np.max(np.abs(out.probs - want.probs)) <= pm.FFT_ABS_ERROR, scenario
+        assert out.tail_mass == pytest.approx(want.tail_mass, abs=1e-12), scenario
+    # E[D_A | X = x] = p_A P[X = x | A] / P[X = x] over the resolved levels.
+    base = engine.loss_distribution().probs
+    x = np.flatnonzero(base > 1e-9)
+    for oid in port.ids:
+        want, _ = _direct_shifts(engine, port, [oid])
+        pd = port.columns.pd[port.row(oid)]
+        got = cd.cond_default_intensity(engine, port, oid, x)
+        np.testing.assert_allclose(got, pd * want.probs[x] / base[x], rtol=0,
+                                   atol=pd * pm.FFT_ABS_ERROR / base[x].min())
+
+
+def test_a_shift_beyond_the_grid_slack_is_convolved_directly(reference_portfolio, monkeypatch):
+    # Z's loss of 450 passes the slack N - nu of the engine's grid, so its
+    # scenarios are convolved directly after the mixture, bitwise; A's loss of 18
+    # fits and goes on the grid.
+    ref = spread(reference_portfolio, 3)
+    port = Portfolio(ref.sectors, ref.obligors + (
+        Obligor("Z", 1e-6, [0.5, 0.5, 0.0], SeverityDist({450: 1.0})),))
+    engine = LossEngine(eng.assemble(port, 600), tail_tol=1e-9)
+    n, need = engine._sizing()
+    calls = _counted_convolutions(monkeypatch)
+    for scenario in (["Z"], ["Z", "A"], ["A", "Z"], ["A"]):
+        want, reach = _direct_shifts(engine, port, scenario)
+        del calls[:]
+        out = _conditional(engine, port, scenario, False).conditional_pmf
+        if "Z" in scenario:
+            assert need + reach > n and len(calls) == len(scenario)
+            assert out.probs.tobytes() == want.probs.tobytes(), scenario
+            assert out.tail_mass == want.tail_mass, scenario
+        else:
+            assert need + reach <= n and calls == []
+            assert np.max(np.abs(out.probs - want.probs)) <= pm.FFT_ABS_ERROR
+
+
 @pytest.mark.parametrize("book, limit, tail_tol", [
     ("reference", 200, 1e-9), ("reference", 600, 1e-9),
     ("sixteen", None, None), ("sixteen", 600, 1e-9),

@@ -15,6 +15,7 @@ from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, Severit
 
 from conftest import (UNVALIDATED, make_reference_portfolio, panjer_negbin, panjer_poisson,
                       unvalidated_portfolio)
+from test_mc import criterion12_portfolio
 
 
 def single_sector_portfolio(pd=0.1, alpha=1.0):
@@ -307,7 +308,7 @@ def test_spectral_base_matches_panjer_fold(system):
 def spectral_book(heavy=True):
     """A book whose engine grid at L = 600 has 8192 points when H's loss on
     s1 (alpha 0.5, delta 0.73; 2.5 at the heaviest stress) is 30, and the
-    2048-point minimum when it is 1."""
+    1024-point minimum (the smallest power of two > L) when it is 1."""
     return Portfolio(
         (Sector("s1", 0.5), Sector("s2", 2.0), Sector("s3", 1.0)),
         (Obligor("H", 1.0, [0.0, 1.0, 0.0, 0.0], SeverityDist({30 if heavy else 1: 1.0})),
@@ -337,6 +338,22 @@ def _no_grid_search(monkeypatch):
     monkeypatch.setattr(pm, "grid_size", refused)
 
 
+def test_criterion12_grid_is_the_smallest_power_of_two_above_the_limit():
+    # At L = 8000 the heaviest stress needs nu of about 3600 points, so
+    # N > L alone sets the grid: 8192 points.
+    engine = LossEngine(eng.assemble(criterion12_portfolio(), 8000))
+    n, need = engine._sizing()
+    assert n == 8192 and need <= n
+    assert not (n // 2 > 8000 and need <= n // 2)
+    # The spectral book's heavy H needs more than L does.
+    n, need = LossEngine(eng.assemble(spectral_book(heavy=True), SPECTRAL_LIMIT))._sizing()
+    assert n == 8192 and n // 2 < need <= n
+    # With G constant (nu = 1) the grid is the smallest power of two > L.
+    for limit, size in [(499, 512), (511, 512), (512, 1024), (1023, 1024), (1024, 2048)]:
+        assert pm.grid_size([(pm.poisson_claims(3.0), pm.point_mass(0, limit))], limit,
+                            "the sum") == size
+
+
 def test_writeoff_engine_on_the_spectral_path_reuses_the_grid_and_unchanged_spectra(
         monkeypatch):
     # C loads on the idiosyncratic sector and s3: s1 and s2 are untouched.
@@ -350,7 +367,7 @@ def test_writeoff_engine_on_the_spectral_path_reuses_the_grid_and_unchanged_spec
     # The log-spectra of sectors 0 and 3, then one inverse FFT.
     assert calls == ["log_spectrum", "log_spectrum", "from_spectrum"]
     for k in range(4):
-        assert _grid(derived, k) == _grid(engine, k) == 2048
+        assert _grid(derived, k) == _grid(engine, k) == 1024
         reused = derived._cache[("spectrum", k)] is engine._cache[("spectrum", k)]
         assert reused == (k in (1, 2))
     monkeypatch.undo()
@@ -365,7 +382,7 @@ def test_writeoff_engine_keeps_a_larger_base_grid(monkeypatch):
     engine.loss_distribution()
     assert _grid(engine, 0) == 8192
     # Writing off H moves its mass on s1 to loss 0: the system's own grid
-    # would be 2048 points, and the base's 8192 still bounds the aliasing.
+    # would be 1024 points, and the base's 8192 still bounds the aliasing.
     _no_grid_search(monkeypatch)
     derived = engine.written_off(heavy, ("H",))
     base = derived.loss_distribution()
@@ -374,14 +391,14 @@ def test_writeoff_engine_keeps_a_larger_base_grid(monkeypatch):
     monkeypatch.undo()
     fresh = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT, written_off=("H",)))
     fresh_base = fresh.loss_distribution()
-    assert _grid(fresh, 0) == 2048
+    assert _grid(fresh, 0) == 1024
     assert np.max(np.abs(base.probs - fresh_base.probs)) <= pm.FFT_ABS_ERROR
     assert base.tail_mass == pytest.approx(fresh_base.tail_mass, abs=1e-12)
 
 
 def test_writeoff_engine_grows_its_grid_for_mass_beyond_the_limit():
     # H's loss 700 lies beyond L = 600, so Q_1 of the book leaves out 5/7 of
-    # its mass and the base's grid has the 2048-point minimum.  Written off,
+    # its mass and the base's grid has 2048 points.  Written off,
     # that mass sits at 0: Q_1(e^t) rises towards s1's pole 1 / delta_1 and
     # the write-off needs a larger grid than the base's.
     port = Portfolio((Sector("s1", 0.5),),

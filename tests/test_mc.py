@@ -342,6 +342,23 @@ def test_batches_match_the_binary_search_bitwise(book, draws, batch, chunk, monk
         assert tables[3].cum.size == 1 and tables[3].guide.tolist() == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("book, chunk", [("reference", 1), ("reference", 7), ("pd_spread", 100)])
+def test_the_kept_batch_is_that_of_one_uniform_draw_per_batch(book, chunk, monkeypatch):
+    # Each chunk's uniforms come from their own Generator.random call into
+    # one buffer; Philox continues its stream across calls, so the kept
+    # batch is bitwise the reference's, which draws all of a batch's
+    # uniforms in one call, whatever the chunk size.
+    monkeypatch.setattr(mc, "CHUNK", chunk)
+    p = LOOKUP_BOOKS[book]()
+    cfg = mc.SimConfig(draws=3000, seed=72)
+    mc.simulate(p, cfg)
+    (want,) = batches_searchsorted(p, cfg)
+    assert mc._kept[0]() is p
+    for name, a, b in zip(("factors", "draw", "obligor", "losses"), mc._kept[2], want):
+        assert _same_bits(a, b), name
+    assert want[1].size > 10 * chunk
+
+
 def _searchsorted_pick(cum, u):
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
 
