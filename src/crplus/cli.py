@@ -37,6 +37,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -246,6 +247,9 @@ def _scenario_obligors(args, port, expected=None):
             port.row(oid)
         except PortfolioError as exc:
             raise CliError(str(exc), EXIT_INPUT) from exc
+        if any(ch and ch in oid for ch in ("/", os.sep, os.altsep, "\0")):  # ids name files
+            raise CliError(f"obligor id {oid!r} holds a path separator or NUL, so it cannot "
+                           "name an output file", EXIT_INPUT)
     return ids
 
 

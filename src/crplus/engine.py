@@ -67,9 +67,9 @@ def assemble(portfolio, limit, written_off=()):
     pd-weighted mixture of the obligors' severity pmfs (``_mixtures``), or a
     point mass at 0 when mu_k = 0.  From ``portfolio.columns``, mu is a
     column sum of wp = p_A w_Ak added in obligor order.  The obligors in
-    ``written_off`` have severity 0, bitwise as ``with_severity(id,
-    ZERO_SEVERITY)`` (the write-off variant).  Raises PortfolioError as
-    ``portfolio.check_obligors`` does.
+    ``written_off`` have severity 0 (the write-off variant), bitwise as the
+    book rebuilt with ZERO_SEVERITY for them (``conftest.with_severity`` in
+    the tests).  Raises PortfolioError as ``portfolio.check_obligors`` does.
     """
     check_obligors(portfolio)
     c, n = portfolio.columns, portfolio.n_sectors

@@ -150,9 +150,8 @@ def _sector_tables(portfolio):
     Sector k's table lists the (obligor, severity value) pairs (A, v) of
     positive mass p_A w_Ak q_A(v), with the running sum of those masses, so
     a uniform u picks pair j with cum[j-1] <= u cum[-1] < cum[j].  The pairs
-    come from ``portfolio.columns``, each obligor's by ascending value (the
-    order of ``SeverityDist.values_and_probs``).  Each table carries the
-    guide of ``_table``.  Raises PortfolioError
+    come from ``portfolio.columns``, each obligor's by ascending loss.  Each
+    table carries the guide of ``_table``.  Raises PortfolioError
     (``portfolio.check_obligors``) for an obligor that ``validate`` reports.
     """
     check_obligors(portfolio)
@@ -420,7 +419,7 @@ def verify_fundamental_identity(portfolio, id1, id2, x, cfg):
     sevs = {}
     for i in [i1] if i2 is None else [i1, i2]:
         j = slice(c.start[i], c.start[i + 1])
-        ascending = np.argsort(c.value[j])  # the order of SeverityDist.values_and_probs
+        ascending = np.argsort(c.value[j])  # by ascending loss
         sevs[i] = c.value[j][ascending], c.prob[j][ascending], c.pd[i], c.W[i]
     n = cfg.draws
     sum_l = sum_l2 = 0.0

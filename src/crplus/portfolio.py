@@ -5,12 +5,13 @@ sectors (index 0 is the idiosyncratic weight) and an integer-valued loss
 severity distribution.  Portfolios are immutable after construction;
 constructors coerce types, :func:`validate` checks the invariants, and
 :func:`parse_portfolio` rejects any input with non-empty diagnostics.
-``Portfolio.columns`` holds the obligors as arrays; validation, the
-engine's sector sums, the conditionals and the Monte Carlo tables all read
-them.  :func:`parse_portfolio` decodes a file straight into the columns and
-builds ``Obligor`` objects only when asked for one.
-``Portfolio.obligor_diagnostics`` holds the obligor diagnostics, found once
-per portfolio.
+A portfolio is its columns (``Portfolio.columns``), the obligors as arrays:
+``Portfolio(sectors, obligors)`` converts its objects into them at once and
+:func:`parse_portfolio` decodes a file straight into them.  Validation,
+serialization, the engine's sector sums, the conditionals and the Monte
+Carlo tables all read them; an ``Obligor`` is only ever a view built from
+its row.  ``Portfolio.obligor_diagnostics`` holds the obligor diagnostics,
+found once per portfolio.
 """
 
 from __future__ import annotations
@@ -49,17 +50,6 @@ class SeverityDist:
         probs = {int(x): float(p) for x, p in self.probabilities.items()}
         object.__setattr__(self, "probabilities", probs)
 
-    @property
-    def deterministic(self):
-        return len(self.probabilities) == 1
-
-    def mean(self):
-        return sum(x * p for x, p in self.probabilities.items())
-
-    def values_and_probs(self):
-        items = sorted(self.probabilities.items())
-        return np.array([x for x, _ in items]), np.array([p for _, p in items])
-
 
 ZERO_SEVERITY = SeverityDist({0: 1.0})
 
@@ -76,6 +66,8 @@ class Obligor:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
+        if w.ndim != 1:
+            raise PortfolioError(f"obligor {self.id}: weights must be a vector (shape {w.shape})")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "pd", float(self.pd))
@@ -102,11 +94,18 @@ class Sector:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
-# A portfolio's obligors as arrays (see ``Portfolio.columns``).
-Columns = namedtuple("Columns", "pd W wsize owner value prob start exact row")
+# A portfolio's obligors as read-only arrays, row a for obligor a.  ``pd``
+# (n,) and ``W`` (n, N+1) hold the pds and weights; a weight vector whose
+# length is not N+1 has a NaN row in ``W`` and is kept whole in ``ragged``,
+# by row.  Entry j of the flat severity arrays gives obligor ``owner[j]`` the
+# loss ``value[j]`` with probability ``prob[j]``, each obligor's entries in
+# its dict's order; obligor a's are ``start[a]:start[a+1]``.  ``value`` clips
+# losses beyond int64, whose exact values ``exact`` maps by entry.  ``row``
+# maps an id to its first row.  A parsed book has no ragged or exact entries.
+Columns = namedtuple("Columns", "pd W ragged owner value prob start exact row")
 
 
-def _columns(ids, pd, W, wsize, sizes, values, probs):
+def _columns(ids, pd, W, ragged, sizes, values, probs):
     """Columns from the row arrays and the flat severity entries (lists or arrays).
 
     Row a owns the next ``sizes[a]`` entries of ``values`` and ``probs``.
@@ -122,25 +121,35 @@ def _columns(ids, pd, W, wsize, sizes, values, probs):
         value = np.array([min(max(x, big.min), big.max) for x in values], dtype=np.int64)
     prob = np.array(probs, dtype=float)
     start = np.searchsorted(owner, np.arange(n + 1))
-    for a in (pd, W, wsize, owner, value, prob, start):
+    for a in (pd, W, owner, value, prob, start):
         a.setflags(write=False)
-    return Columns(pd, W, wsize, owner, value, prob, start, exact,
+    return Columns(pd, W, ragged, owner, value, prob, start, exact,
                    row=dict(zip(reversed(ids), range(n - 1, -1, -1))))
 
 
 class Portfolio:
-    """Sectors and obligors, immutable.
+    """Sectors, obligor ids and ``columns``, immutable.
 
-    ``Portfolio(sectors, obligors)`` keeps the given ``Obligor`` objects and
-    derives ``columns`` from them on first use.  A parsed portfolio is built
-    from its columns: ``obligor(id)`` then builds that one obligor from its
-    row, and ``obligors`` builds the whole tuple on first access.  Equality
-    compares the sectors and the obligors; a portfolio is unhashable, as
-    its obligors are.
+    ``Portfolio(sectors, obligors)`` converts the given ``Obligor`` objects
+    into columns and keeps none of them.  ``obligor(id)`` builds that one
+    obligor from its row, and ``obligors`` builds the whole tuple on first
+    access.  Equality compares the sectors and the obligors; a portfolio is
+    unhashable, as its obligors are.
     """
 
     def __init__(self, sectors, obligors):
-        self.__dict__.update(sectors=tuple(sectors), obligors=tuple(obligors))
+        sectors, obligors = tuple(sectors), tuple(obligors)
+        n, width = len(obligors), len(sectors) + 1
+        ids = tuple(o.id for o in obligors)
+        ragged = {a: o.weights for a, o in enumerate(obligors) if o.weights.size != width}
+        fits = [a for a in range(n) if a not in ragged]
+        W = np.full((n, width), np.nan)
+        W[fits] = np.reshape([obligors[a].weights for a in fits], (-1, width))
+        severities = [o.severity.probabilities for o in obligors]
+        columns = _columns(ids, np.fromiter((o.pd for o in obligors), float, n), W, ragged,
+                           [len(s) for s in severities], list(chain.from_iterable(severities)),
+                           list(chain.from_iterable(s.values() for s in severities)))
+        self.__dict__.update(sectors=sectors, ids=ids, columns=columns)
 
     @classmethod
     def _from_columns(cls, sectors, ids, columns):
@@ -169,37 +178,8 @@ class Portfolio:
         return len(self.sectors)
 
     @cached_property
-    def ids(self):
-        """The obligor ids, row a for obligor a."""
-        return tuple(o.id for o in self.obligors)
-
-    @cached_property
     def obligors(self):
         return tuple(self._obligor_at(a) for a in range(len(self.ids)))
-
-    @cached_property
-    def columns(self):
-        """The obligors as read-only arrays, row a for obligor a, built once.
-
-        ``pd`` (n,) and ``W`` (n, N+1) hold the pds and weights; ``W`` has a
-        NaN row where the length ``wsize`` of a weight vector is not N+1.
-        Entry j of the flat severity arrays gives obligor ``owner[j]`` the
-        loss ``value[j]`` with probability ``prob[j]``, each obligor's
-        entries in its dict's order; obligor a's are ``start[a]:start[a+1]``.
-        ``value`` clips losses beyond int64, whose exact values ``exact``
-        maps by entry.  ``row`` maps an id to its first row.
-        """
-        obligors, width = self.obligors, self.n_sectors + 1
-        n = len(obligors)
-        wsize = np.fromiter((o.weights.size for o in obligors), np.intp, n)
-        fits = wsize == width
-        W = np.full((n, width), np.nan)
-        W[fits] = np.concatenate([np.zeros(0)] + [o.weights for o in obligors
-                                                  if o.weights.size == width]).reshape(-1, width)
-        severities = [o.severity.probabilities for o in obligors]
-        return _columns(self.ids, np.fromiter((o.pd for o in obligors), float, n), W, wsize,
-                        [len(s) for s in severities], list(chain.from_iterable(severities)),
-                        list(chain.from_iterable(s.values() for s in severities)))
 
     @cached_property
     def obligor_diagnostics(self):
@@ -227,14 +207,12 @@ class Portfolio:
 
     def _obligor_at(self, a):
         c = self.columns
-        return Obligor(self.ids[a], c.pd[a], c.W[a], SeverityDist(self._severity_at(a)))
+        return Obligor(self.ids[a], c.pd[a], c.ragged.get(a, c.W[a]),
+                       SeverityDist(self._severity_at(a)))
 
     def obligor(self, obligor_id):
-        """The ``Obligor`` of the id's row; a parsed portfolio builds it from the columns."""
-        a = self.row(obligor_id)
-        if "obligors" in self.__dict__:
-            return self.obligors[a]
-        return self._obligor_at(a)
+        """The ``Obligor`` of the id's row, built from the columns."""
+        return self._obligor_at(self.row(obligor_id))
 
     def severity_of(self, obligor_id):
         """The obligor's severity as a {loss: probability} dict, from the columns."""
@@ -254,15 +232,6 @@ class Portfolio:
         pd.setflags(write=False)
         return Portfolio._from_columns(self.sectors, self.ids, self.columns._replace(pd=pd))
 
-    def with_severity(self, obligor_id, severity):
-        """Copy of the portfolio with one obligor's severity replaced."""
-        self.obligor(obligor_id)
-        obligors = tuple(
-            Obligor(o.id, o.pd, o.weights, severity) if o.id == obligor_id else o
-            for o in self.obligors
-        )
-        return Portfolio(self.sectors, obligors)
-
 
 def _weight_faults(W):
     """Per row of W: whether a weight lies outside [0, 1] (NaN does), and the row sum."""
@@ -274,15 +243,15 @@ def _obligor_faults(p):
     """Yield a diagnostic for each obligor rule p breaks, in report order.
 
     Each rule is one mask over ``p.columns``; only flagged obligors are
-    visited, and no ``Obligor`` is built (a ragged weight vector, which only
-    a portfolio built from obligor objects can hold, is read from its object).
+    visited, and no ``Obligor`` is built.  A ragged weight vector, whose row
+    of ``W`` is NaN, is checked from ``columns.ragged``.
     """
     c, ids, width = p.columns, p.ids, p.n_sectors + 1
     n = len(ids)
-    ragged = c.wsize != width
+    ragged = np.isin(np.arange(n), list(c.ragged))
     bad_weights, weight_sums = _weight_faults(c.W)
-    for a in np.flatnonzero(ragged):  # their rows of W are NaN: check the vectors
-        (bad_weights[a],), (weight_sums[a],) = _weight_faults(p.obligors[a].weights[None, :])
+    for a, w in c.ragged.items():
+        (bad_weights[a],), (weight_sums[a],) = _weight_faults(w[None, :])
     duplicate = np.ones(n, dtype=bool)
     duplicate[list(c.row.values())] = False
     bad_pd = ~(np.isfinite(c.pd) & (c.pd >= 0))
@@ -299,7 +268,7 @@ def _obligor_faults(p):
         if bad_pd[a]:
             yield at + f"pd must be non-negative and finite (got {float(c.pd[a])})"
         if ragged[a]:
-            yield at + f"weight vector length {c.wsize[a]} != {width}"
+            yield at + f"weight vector length {c.ragged[a].size} != {width}"
         if bad_weights[a]:
             yield at + "weights must lie in [0, 1]"
         if bad_sum[a]:
@@ -471,8 +440,7 @@ def parse_portfolio(text, renormalize_weights=False):
         total = W.sum(axis=1)
         scaled = total > 0
         W[scaled] /= total[scaled, None]
-    columns = _columns(ids, np.array(pds, dtype=float), W, np.full(len(ids), width, np.intp),
-                       sizes, values, probs)
+    columns = _columns(ids, np.array(pds, dtype=float), W, {}, sizes, values, probs)
     portfolio = Portfolio._from_columns(sectors, ids, columns)
     diagnostics = validate(portfolio)
     if diagnostics:
@@ -481,27 +449,24 @@ def parse_portfolio(text, renormalize_weights=False):
 
 
 def serialize_portfolio(p):
-    """Inverse of parse_portfolio on valid portfolios."""
+    """Inverse of parse_portfolio, read row by row from the columns; raises
+    PortfolioError as ``check_obligors`` does (a ragged row has no weights to write)."""
+    check_obligors(p)
+    c = p.columns
+    keys = [IDIOSYNCRATIC] + [s.id for s in p.sectors]
     doc = {
         "sectors": [{"id": s.id, "alpha": s.alpha} for s in p.sectors],
         "obligors": [],
     }
-    for o in p.obligors:
-        weights = {}
-        if o.weights[0] != 0.0:
-            weights[IDIOSYNCRATIC] = float(o.weights[0])
-        for k, s in enumerate(p.sectors):
-            if o.weights[k + 1] != 0.0:
-                weights[s.id] = float(o.weights[k + 1])
-        if o.severity.deterministic:
-            (value,) = o.severity.probabilities
+    for a, oid in enumerate(p.ids):
+        weights = {key: w for key, w in zip(keys, c.W[a].tolist()) if w != 0.0}
+        probs = p._severity_at(a)
+        if len(probs) == 1:
+            (value,) = probs
             severity = {"type": "deterministic", "value": value}
         else:
-            severity = {
-                "type": "pmf",
-                "values": [[x, pr] for x, pr in sorted(o.severity.probabilities.items())],
-            }
+            severity = {"type": "pmf", "values": [[x, pr] for x, pr in sorted(probs.items())]}
         doc["obligors"].append(
-            {"id": o.id, "pd": o.pd, "weights": weights, "severity": severity}
+            {"id": oid, "pd": float(c.pd[a]), "weights": weights, "severity": severity}
         )
     return json.dumps(doc, indent=2) + "\n"

@@ -26,6 +26,19 @@ def make_reference_portfolio():
     )
 
 
+def with_severity(portfolio, obligor_id, severity):
+    """Copy of the portfolio with one obligor's severity replaced: the write-off reference."""
+    portfolio.row(obligor_id)
+    return Portfolio(portfolio.sectors, [
+        Obligor(o.id, o.pd, o.weights, severity) if o.id == obligor_id else o
+        for o in portfolio.obligors])
+
+
+def severity_mean(severity):
+    """Mean loss of a ``SeverityDist``, summed in its dict's order."""
+    return sum(x * p for x, p in severity.probabilities.items())
+
+
 @pytest.fixture(autouse=True)
 def cold_cli(monkeypatch):
     """Each test starts with no portfolio remembered by the CLI and no kept
@@ -137,13 +150,12 @@ def assemble_loop(portfolio, limit):
             raise PortfolioError(f"obligor {o.id}: severity probabilities sum to {total!r}, not 1")
         if o.pd == 0.0:
             continue
-        vals, probs = o.severity.values_and_probs()
         for k in range(n + 1):
             wp = o.weights[k] * o.pd
             if wp == 0.0:
                 continue
             mu[k] += wp
-            for v, q in zip(vals, probs):
+            for v, q in sorted(o.severity.probabilities.items()):
                 if v <= limit:
                     q_vecs[k][v] += wp * q
     alphas = np.array([s.alpha for s in portfolio.sectors])
@@ -168,7 +180,7 @@ def suggest_truncation_loop(portfolio):
         for k in range(n + 1):
             wp = o.weights[k] * o.pd
             mu[k] += wp
-            m1[k] += wp * o.severity.mean()
+            m1[k] += wp * severity_mean(o.severity)
             m2[k] += wp * sum(x * x * p for x, p in o.severity.probabilities.items())
     mean = m1.sum()
     var = m2[0]

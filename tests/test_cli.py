@@ -168,6 +168,29 @@ def test_cond_unknown_obligor(portfolio_file, tmp_path):
                 "--obligor", "nope", "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("oid", ["a/b", "a\0b"])
+@pytest.mark.parametrize("command", ["cond", "compare"])
+def test_obligor_id_that_cannot_name_a_file_is_rejected(tmp_path, monkeypatch, capsys,
+                                                        command, oid):
+    book = Portfolio((Sector("s1", 1.0),),
+                     (Obligor(oid, 0.1, [0.5, 0.5], SeverityDist({1: 1.0})),
+                      Obligor("c", 0.2, [0.0, 1.0], SeverityDist({2: 1.0}))))
+    path = tmp_path / "p.json"
+    path.write_text(serialize_portfolio(book))
+    assert run(["dist", "--portfolio", path, "--max-loss", 60, "--out", tmp_path / "d"]) == 0
+
+    def no_work(args, prepared):
+        raise AssertionError("an engine was built before the obligor id was checked")
+
+    monkeypatch.setattr(cli, "_base_for", no_work)
+    capsys.readouterr()
+    assert run([command, "--portfolio", path, "--max-loss", 60, "--obligor", oid,
+                "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(oid) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_mc_deterministic_outputs(portfolio_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):

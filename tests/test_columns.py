@@ -21,7 +21,8 @@ from crplus import mc
 from crplus import portfolio as pf
 from crplus.portfolio import ZERO_SEVERITY, Obligor, Portfolio, Sector, SeverityDist
 
-from conftest import assemble_loop, suggest_truncation_loop, validate_loop
+from conftest import (assemble_loop, severity_mean, suggest_truncation_loop, validate_loop,
+                      with_severity)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -121,7 +122,7 @@ def test_reference_system_matches_the_loop(reference_portfolio, limit):
 
 def _stripped(portfolio, ids):
     for oid in ids:
-        portfolio = portfolio.with_severity(oid, ZERO_SEVERITY)
+        portfolio = with_severity(portfolio, oid, ZERO_SEVERITY)
     return portfolio
 
 
@@ -290,10 +291,12 @@ def test_a_parsed_portfolio_is_validated_once(monkeypatch, reference_portfolio):
 # ---------------------------------------------------------------- parsing into columns
 
 def assert_same_columns(a, b):
-    for name in ("pd", "W", "wsize", "owner", "value", "prob", "start"):
+    for name in ("pd", "W", "owner", "value", "prob", "start"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
     assert a.row == b.row and a.exact == b.exact
+    assert a.ragged.keys() == b.ragged.keys()
+    assert all(np.array_equal(a.ragged[r], b.ragged[r]) for r in a.ragged)
 
 
 @settings(max_examples=150, deadline=None)
@@ -308,7 +311,7 @@ def test_parse_decodes_straight_into_the_columns(case):
     assert parsed == portfolio
     assert_same_columns(parsed.columns, Portfolio(parsed.sectors, parsed.obligors).columns)
     for p in (parsed, portfolio):  # each obligor's mean in its dict's order
-        assert p.expected_loss() == sum(o.pd * o.severity.mean() for o in p.obligors)
+        assert p.expected_loss() == sum(o.pd * severity_mean(o.severity) for o in p.obligors)
 
 
 @settings(max_examples=100, deadline=None)
@@ -342,4 +345,41 @@ def test_hot_paths_build_no_obligor(monkeypatch, reference_portfolio):
     cli._stressed_input_pmf(engine, portfolio, "E")
     assert built == [] and portfolio.expected_loss() == reference_portfolio.expected_loss()
     assert portfolio.obligor("B") == reference_portfolio.obligor("B")
-    assert built == ["B"]
+    assert built == ["B", "B"]  # each book builds B from its row
+
+
+def test_object_built_book_round_trips_through_its_rows():
+    given = (
+        Obligor("A", 0.3, [0.2, 0.3, 0.5], SeverityDist({5: 0.25, 2: 0.5, 1: 0.25})),
+        Obligor("B", 0.1, [0.5, 0.5], SeverityDist({1: 1.0})),
+        Obligor("C", 0.2, [0.25, 0.25, 0.25, 0.25], SeverityDist({3: 1.0})),
+        Obligor("D", 0.05, [0.0, 1.0, 0.0], SeverityDist({2**70: 0.5, 3: 0.5})),
+        Obligor("E", 0.4, [1.0, 0.0, 0.0], SeverityDist({})),
+    )
+    sectors = (Sector("s1", 1.5), Sector("s2", 0.8))
+    p = Portfolio(sectors, given)
+    assert sorted(p.__dict__) == ["columns", "ids", "sectors"]
+    for o in given:
+        assert p.obligor(o.id) == o and p.obligor(o.id) is not o
+    assert repr(p) == (
+        "Portfolio(sectors=(Sector(id='s1', alpha=1.5), Sector(id='s2', alpha=0.8)), "
+        "obligors=(Obligor(id='A', pd=0.3, weights=array([0.2, 0.3, 0.5]), "
+        "severity=SeverityDist(probabilities={5: 0.25, 2: 0.5, 1: 0.25})), "
+        "Obligor(id='B', pd=0.1, weights=array([0.5, 0.5]), "
+        "severity=SeverityDist(probabilities={1: 1.0})), "
+        "Obligor(id='C', pd=0.2, weights=array([0.25, 0.25, 0.25, 0.25]), "
+        "severity=SeverityDist(probabilities={3: 1.0})), "
+        "Obligor(id='D', pd=0.05, weights=array([0., 1., 0.]), "
+        "severity=SeverityDist(probabilities={1180591620717411303424: 0.5, 3: 0.5})), "
+        "Obligor(id='E', pd=0.4, weights=array([1., 0., 0.]), "
+        "severity=SeverityDist(probabilities={}))))")
+    assert pf.validate(p) == ["obligor B: weight vector length 2 != 3",
+                              "obligor C: weight vector length 4 != 3",
+                              "obligor E: severity probabilities sum to 0, not 1"]
+    with pytest.raises(pf.PortfolioError, match=r"obligor B: weight vector length 2 != 3"):
+        pf.serialize_portfolio(p)
+    valid = Portfolio(sectors, (given[0], given[3]))
+    assert pf.parse_portfolio(pf.serialize_portfolio(valid)) == valid
+    for weights in (0.5, [[0.2, 0.3, 0.5]]):  # a row holds one vector
+        with pytest.raises(pf.PortfolioError, match=r"obligor X: weights must be a vector"):
+            Obligor("X", 0.1, weights, SeverityDist({1: 1.0}))

@@ -10,7 +10,7 @@ from crplus.engine import LossEngine
 from crplus.pmf import TruncationError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
-from conftest import components_enumerated, panjer_negbin, panjer_poisson
+from conftest import components_enumerated, panjer_negbin, panjer_poisson, with_severity
 
 
 def single_sector_engine(pd=0.1, alpha=1.0, limit=60):
@@ -101,7 +101,7 @@ def test_one_default_idiosyncratic_is_pure_shift():
 def test_one_default_idiosyncratic_writeoff():
     p, engine = idio_engine()
     rep = cd.loss_given_one_default(engine, p, "A", writeoff=True)
-    zeroed = LossEngine(eng.assemble(p.with_severity("A", SeverityDist({0: 1.0})), 60))
+    zeroed = LossEngine(eng.assemble(with_severity(p, "A", SeverityDist({0: 1.0})), 60))
     np.testing.assert_allclose(
         rep.conditional_pmf.probs, zeroed.loss_distribution().probs, atol=1e-15)
 

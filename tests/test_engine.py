@@ -14,7 +14,7 @@ from crplus.pmf import AliasingError, TruncationError, UnderflowError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
 from conftest import (UNVALIDATED, make_reference_portfolio, panjer_negbin, panjer_poisson,
-                      unvalidated_portfolio)
+                      unvalidated_portfolio, with_severity)
 from test_mc import criterion12_portfolio
 
 
@@ -210,7 +210,7 @@ def test_writeoff_engine_reuses_only_unchanged_sectors(reference_portfolio):
     engine = LossEngine(eng.assemble(reference_portfolio, 200))
     engine.loss_distribution((1, 1))
     # C loads on s2 only: the idiosyncratic sector and s1 are untouched.
-    stripped = reference_portfolio.with_severity("C", SeverityDist({0: 1.0}))
+    stripped = with_severity(reference_portfolio, "C", SeverityDist({0: 1.0}))
     derived = engine.written_off(reference_portfolio, ("C",))
     assert derived.sector_loss(0) is engine.sector_loss(0)
     assert derived.sector_loss(1) is engine.sector_loss(1)
