@@ -124,7 +124,7 @@ def _scenario(engine, portfolio, ids, writeoff=False):
     if writeoff:
         engine, shifts = engine.written_off(portfolio, ids), []
     else:
-        shifts = [pm.from_dict(portfolio.severity_of(oid), system.limit) for oid in ids]
+        shifts = [portfolio.severity_of(oid) for oid in ids]
     return components, normalizer, engine.mixture(components.values(), normalizer, shifts)
 
 

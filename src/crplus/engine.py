@@ -8,17 +8,17 @@ probabilities delta_k stay at their unstressed values; this is exactly the
 family of stressed distributions needed for conditioning on defaults, and
 re-deriving delta from a larger alpha would be wrong there.  Each unit of
 stress on sector k multiplies the PGF by one compound geometric kernel
-T_k = G_k^(1/alpha_k), so a conditional, a weighted mean of stressed pmfs,
-is the base convolved with a weighted sum of kernel products (see
-``LossEngine.mixture``).  Below ``pmf.FFT_MIN_SIZE`` points sector pmfs and
-kernels come from one batched Panjer pass and the convolutions are direct;
-from there on the engine works on one Fourier grid, the smallest power of
-two above L that the Chernoff aliasing bound of the heaviest supported
-stress allows, where the base and every mixture (with the defaulted
-severities, when the bound leaves room for them) are one inverse FFT of
-products of cached spectra.  An unloaded sector (mu_k = 0) has no
-claims and Q_k = point mass at 0, so its pmf and kernel are exact point
-masses at 0 and its PGF is 1.
+T_k = G_k^(1/alpha_k) = (1 - delta_k) / (1 - delta_k Q_k), so a
+conditional, a weighted mean of stressed pmfs, is the base convolved with
+a weighted sum of kernel products (see ``LossEngine.mixture``).  Below
+``pmf.FFT_MIN_SIZE`` points sector pmfs and kernels come from one batched
+Panjer pass and the convolutions are direct; from there on the engine
+works on one Fourier grid, the smallest power of two above L that the
+Chernoff aliasing bound of the heaviest supported stress allows, where the
+base and every mixture (with the defaulted severities, when the bound
+leaves room for them) are one inverse FFT of products of cached spectra.
+An unloaded sector (mu_k = 0) has no claims and Q_k = point mass at 0, so
+its pmf and kernel are exact point masses at 0 and its PGF is 1.
 """
 
 from __future__ import annotations
@@ -152,16 +152,27 @@ class LossEngine:
     once by the Chernoff need nu of the heaviest supported stress
     (``_sizing``), and on it the sector log-spectra log G_k, the base's PGF
     G = exp(sum_k log G_k) and, lazily per sector, the kernel spectra T_k =
-    exp(log G_k / alpha_k): the base is one inverse FFT of G and a
+    (1 - delta_k) / (1 - delta_k Q_k), Q_k the severity spectrum that
+    log G_k was taken from: the base is one inverse FFT of G and a
     conditional one inverse FFT of G sum_c w_c prod_{k in c} T_k prod_A S_A
-    / normalizer, S_A the defaulted severities' spectra, while nu plus
-    their largest losses fits in N (else they are convolved directly after
-    it).  ``written_off``
+    / normalizer, S_A the defaulted severities' spectra, evaluated from
+    their few points on a table of roots of unity
+    (``pmf.points_spectrum``), while nu plus their largest losses fits in
+    N (else they are convolved directly after it).  ``written_off``
     patches this engine into a write-off engine: only the sectors the
     written-off obligors load on are recomputed, on this engine's grid.
     Thread-safe: the caches are guarded by a lock and hold immutable
     results, so concurrent evaluations return results identical to serial
     execution.
+
+    What a grid of N points caches, in complex arrays of M = N/2 + 1
+    frequencies (16 M bytes each: 65 552 bytes at N = 8192): per sector
+    log G_k; per factor sector Q_k from the base's build until T_k
+    replaces it on the sector's first stress, so one array more per
+    factor sector; for the book G, the base pmf (8 (L + 1) bytes) and,
+    with a tail tolerance, the two factors of ``_window``.  The half-length
+    root table (``pmf.unit_roots``, one more such array) is kept per grid
+    size by ``pmf``, shared by every engine on that grid.
     """
 
     def __init__(self, system, tail_tol=None):
@@ -169,9 +180,10 @@ class LossEngine:
         self.tail_tol = tail_tol
         self._lock = threading.Lock()
         # Per sector k: ("sector", k) and ("kernel", k) -> Pmf; on the Fourier
-        # grid ("spectrum", k) -> log G_k and ("transform", k) -> T_k.  For the
-        # whole book: "base" -> Pmf; on the grid "grid" -> (N, nu), "pgf"
-        # -> G, "indicator" and "window" -> the factors of ``_window``.
+        # grid ("spectrum", k) -> log G_k and either ("severity", k) -> Q_k or
+        # ("transform", k) -> T_k.  For the whole book: "base" -> Pmf; on the
+        # grid "grid" -> (N, nu), "pgf" -> G, "indicator" and "window" -> the
+        # factors of ``_window``.
         self._cache = {}
 
     def _cached(self, key, compute):
@@ -251,10 +263,22 @@ class LossEngine:
         """The engine's grid size N (``_sizing``)."""
         return self._sizing()[0]
 
+    def _severity(self, k):
+        """Sector k's severity spectrum Q_k, the rfft of Q_k on the engine's grid."""
+        return np.fft.rfft(self.system.q_polys[k].probs, self._grid())
+
     def _spectrum(self, k):
-        """Sector k's log-spectrum log G_k on the engine's grid."""
-        return self._cached(("spectrum", k), lambda: pm.log_spectrum(
-            _claims(self.system, "sector", k), self.system.q_polys[k], self._grid()))
+        """Sector k's log-spectrum log G_k on the engine's grid.  A factor
+        sector's Q_k spectrum is kept as ("severity", k) for ``_transform``
+        unless its kernel spectrum is already there."""
+        def compute():
+            q_hat = self._severity(k)
+            if k:
+                with self._lock:
+                    if ("transform", k) not in self._cache:
+                        self._cache.setdefault(("severity", k), q_hat)
+            return pm.log_spectrum(_claims(self.system, "sector", k), q_hat)
+        return self._cached(("spectrum", k), compute)
 
     def _pgf(self):
         """The base's PGF G = exp(sum_k log G_k) on the engine's grid."""
@@ -262,9 +286,18 @@ class LossEngine:
             sum(map(self._spectrum, range(self.system.n_sectors + 1)))))
 
     def _transform(self, k):
-        """Spectrum of the kernel T_k on the engine's grid: exp(log G_k / alpha_k)."""
-        return self._cached(("transform", k), lambda: np.exp(
-            self._spectrum(k) / self.system.alphas[k - 1]))
+        """Spectrum of the kernel T_k on the engine's grid, the closed form
+        (1 - delta_k) / (1 - delta_k Q_k) of the Q_k spectrum that
+        ``_spectrum`` kept, which it replaces in the cache (a fresh rfft when
+        there is none)."""
+        def compute():
+            with self._lock:
+                q_hat = self._cache.pop(("severity", k), None)
+            if q_hat is None:
+                q_hat = self._severity(k)
+            delta = self.system.delta[k - 1]
+            return (1.0 - delta) / (1.0 - delta * q_hat)
+        return self._cached(("transform", k), compute)
 
     def _indicator(self):
         """conj(h), h the spectrum of the indicator of {0..L} on the engine's grid."""
@@ -321,7 +354,7 @@ class LossEngine:
         """sum_c w_c (base (*) K_c) / normalizer (*) S_1 (*) ... over the (w_c,
         sectors) pairs ``components``, K_c the product of the kernels of the
         listed sectors (one entry per unit of stress; none for the base
-        itself) and S_A the severity pmfs ``shifts``.
+        itself) and S_A the severities ``shifts``, {loss: probability} dicts.
 
         Each component's tail beyond L is held to the engine's tail
         tolerance, before the shifts.  Below ``pmf.FFT_MIN_SIZE`` points the
@@ -334,13 +367,16 @@ class LossEngine:
         w_c prod_{k in c} T_k / normalizer.
 
         The shifts go on the grid, as factors S_A(w) of that one inverse
-        FFT, when nu + sum_A v_A <= N, with nu the engine's Chernoff need
+        FFT evaluated from their points on the grid's table of roots
+        (``pmf.points_spectrum``: no (L + 1)-point pmf and no rfft), when
+        nu + sum_A v_A <= N, with nu the engine's Chernoff need
         (``_sizing``) and v_A the largest loss of S_A inside {0..L}: for
         mixture loss Y and shift sum E, S_A(e^t) <= e^(t v_A) and the
         mixture's G(e^t) is at most that of the heaviest stress, so at the
         t that gave nu, P[Y + E >= N] <= G(e^t) e^(t (sum_A v_A - N)) <=
         ALIAS_FLOOR.  Otherwise, and below ``pmf.FFT_MIN_SIZE`` points, each
-        shift is a direct ``pmf.convolve`` of the mixture.
+        shift is a direct ``pmf.convolve`` of the mixture with its
+        ``pmf.from_dict`` pmf.
         """
         limit = self.system.limit
         if limit + 1 >= pm.FFT_MIN_SIZE:
@@ -348,14 +384,17 @@ class LossEngine:
             window = None if self.tail_tol is None else self._window()
             acc = np.zeros(n // 2 + 1, dtype=complex)
             for weight, sectors in components:
-                kernel = math.prod(map(self._transform, sectors))
+                kernels = [self._transform(k) for k in sectors]
+                kernel = math.prod(kernels[1:], start=kernels[0]) if kernels else 1
                 if window is not None:
                     self.check_tail(1.0 - np.sum(kernel * window).real)
                 acc += weight * kernel
             spectrum = pgf * acc / normalizer
-            if need + sum(np.flatnonzero(s.probs).max(initial=0) for s in shifts) <= n:
+            if need + sum(max((x for x, p in s.items() if p and x <= limit), default=0)
+                          for s in shifts) <= n:
+                roots = pm.unit_roots(n)
                 for shift in shifts:
-                    spectrum *= np.fft.rfft(shift.probs, n)
+                    spectrum *= pm.points_spectrum(shift, roots, limit)
                 shifts = ()
             out = pm.from_spectrum(spectrum, n, limit)
         else:
@@ -370,7 +409,7 @@ class LossEngine:
             acc /= normalizer
             out = pm.convolve(base, Pmf(acc, tail_mass=max(1.0 - acc.sum(), 0.0)))
         for shift in shifts:
-            out = pm.convolve(out, shift)
+            out = pm.convolve(out, pm.from_dict(shift, limit))
         return out
 
     def loss_distribution(self, stress=None):
@@ -413,16 +452,19 @@ class LossEngine:
         q_polys = tuple(q if keep else next(fresh) for q, keep in zip(system.q_polys, kept))
         out = LossEngine(replace(system, q_polys=q_polys), self.tail_tol)
         kinds = {"sector", "kernel"}  # what does not depend on the grid
+        shared = ()  # book-wide entries taken over as they are
         if system.limit + 1 >= pm.FFT_MIN_SIZE:
             n, need = self._sizing()
             if (c.value[np.isin(c.owner, rows)] > system.limit).any():
                 need = out._sizing()[1] if out._grid() <= n else None
             if need is not None:
-                kinds |= {"spectrum", "transform"}
-                out._cache.update(grid=(n, need), indicator=self._indicator())
+                kinds |= {"spectrum", "severity", "transform"}
+                shared = ("indicator",)
+                out._cache["grid"] = (n, need)
         with self._lock:
             out._cache.update((key, value) for key, value in self._cache.items()
-                              if isinstance(key, tuple) and key[0] in kinds and kept[key[1]])
+                              if key in shared
+                              or isinstance(key, tuple) and key[0] in kinds and kept[key[1]])
         return out
 
 

@@ -249,11 +249,13 @@ def _sample(portfolio, cfg):
     ``Generator.random(out=...)``: Philox continues its stream across
     calls, so they are bitwise the slices of one whole-batch draw.  X is
     the per-row sum of the event severities, taken by ``np.bincount`` over
-    each half of the events in turn (16 bytes of float copies per event of
-    one half); float sums of integers are exact below 2^53.  Memory per
-    batch is about (N+1) b numbers plus three int32 entries per event.  The
-    lookup's work arrays and the uniform buffer hold 33 bytes per event of
-    one chunk (270 kB) and are allocated once per call, not per chunk.
+    pieces of max(b, ``CHUNK``) events in turn (16 bytes of float copies per
+    event of one piece); float sums of integers are exact below 2^53.  The
+    event rows are written before the lookup, so the (N+1) x b counts are
+    freed before it.  Memory per batch is about (N+1) b numbers plus three
+    int32 entries per event.  The lookup's work arrays and the uniform
+    buffer hold 33 bytes per event of one chunk (270 kB) and are allocated
+    once per call, not per chunk.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     mu, tables, sev_type = _sector_tables(portfolio)
@@ -277,14 +279,19 @@ def _sample(portfolio, cfg):
         totals = counts.sum(axis=1)
         events = int(totals.sum())
         draw = np.empty(events, dtype=np.int32)
+        start = 0
+        for count, total in zip(counts, totals):
+            stop = start + int(total)
+            draw[start:stop] = np.repeat(rows[:b], count)
+            start = stop
+        del counts, count  # the loop's row view keeps counts alive; freed before the lookup
         obligor = np.empty(events, dtype=np.int32)
         sev = np.empty(events, dtype=sev_type)
         start = 0
-        for table, count, total in zip(tables, counts, totals):
+        for table, total in zip(tables, totals):
             if total == 0:
                 continue
             stop = start + int(total)
-            draw[start:stop] = np.repeat(rows[:b], count)
             for lo in range(start, stop, CHUNK):
                 hi = min(lo + CHUNK, stop)
                 u = rng.random(out=uniforms[:hi - lo])
@@ -292,11 +299,10 @@ def _sample(portfolio, cfg):
                 np.take(table.owner, pick, out=obligor[lo:hi], mode="wrap")
                 np.take(table.vals, pick, out=sev[lo:hi], mode="wrap")
             start = stop
-        del counts, count  # the loop's row view keeps counts alive; freed before the sums
         losses = np.zeros(b)
-        half = sev.size // 2 + 1
-        for lo in range(0, sev.size, half):
-            losses += np.bincount(draw[lo:lo + half], weights=sev[lo:lo + half], minlength=b)
+        piece = max(b, CHUNK)
+        for lo in range(0, sev.size, piece):
+            losses += np.bincount(draw[lo:lo + piece], weights=sev[lo:lo + piece], minlength=b)
         del sev
         yield factors, draw, obligor, losses.astype(np.int64)
 

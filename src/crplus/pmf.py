@@ -24,6 +24,7 @@ accurate to the absolute bound ``abs_error_bound(limit)``, not relatively.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -390,14 +391,64 @@ def fourier_sum(terms, limit, what):
     mean|G| (see ``FFT_ABS_ERROR``).
     """
     n = grid_size(terms, limit, what)
-    return from_spectrum(np.exp(sum(log_spectrum(claims, severity, n)
+    return from_spectrum(np.exp(sum(log_spectrum(claims, np.fft.rfft(severity.probs, n))
                                     for claims, severity in terms)), n, limit)
 
 
-def log_spectrum(claims, severity, n):
-    """log G(Q(w)) of a compound at the rfft frequencies w of the n-point grid
-    (n > L: rfft pads the severity vector with zeros to n points)."""
-    return claims.log_pgf(np.fft.rfft(severity.probs, n))
+def log_spectrum(claims, spectrum):
+    """log G(Q(w)) of a compound at the rfft frequencies w of an n-point grid,
+    from its severity's ``spectrum`` Q(w) = rfft(severity.probs, n) (n > L:
+    rfft pads the severity vector with zeros to n points)."""
+    return claims.log_pgf(spectrum)
+
+
+@functools.lru_cache(maxsize=4)
+def unit_roots(n):
+    """w^j = exp(-2 pi i j / n) for j = 0..n/2, the rfft of a unit impulse at 1.
+
+    These are the FFT's own twiddle factors, closer to the exact roots than
+    ``np.exp`` of the rounded angles; w^j for j > n/2 is conj(w^(n - j)),
+    which is how ``points_spectrum`` reads them.  Read-only and kept for
+    the last few grid sizes (16 (n/2 + 1) bytes each), so every engine on
+    an n-point grid shares one table.
+    """
+    impulse = np.zeros(n)
+    impulse[1] = 1.0
+    roots = np.fft.rfft(impulse)
+    roots.setflags(write=False)
+    return roots
+
+
+def points_spectrum(points, roots, limit):
+    """rfft(from_dict(points, limit).probs, n) from the {loss: probability}
+    ``points`` themselves, on the n-point grid of ``roots = unit_roots(n)``.
+
+    At frequency j it is sum_v p_v w^(j v) over the losses v <= L, with
+    w^(j v) read from ``roots`` at j v mod n (conjugated above n/2), so a
+    severity of m points costs m gathers of n/2 + 1 roots instead of an
+    (L + 1)-point pmf and an n-point rfft; the two agree to a few ulps.
+    Losses beyond L are dropped, as ``from_dict`` moves them to the tail:
+    with none left the spectrum is 0.  Raises ValueError as ``from_dict``
+    does for a loss that is not a non-negative integer.
+    """
+    half = roots.size - 1
+    out = np.zeros(half + 1, dtype=complex)
+    for x, p in points.items():
+        if x < 0 or x != int(x):
+            raise ValueError(f"support point {x} is not a non-negative integer")
+        if x > limit:
+            continue
+        if x == 0:
+            out += p  # w^0 = 1
+            continue
+        power = np.arange(0, (half + 1) * int(x), int(x))
+        power &= 2 * half - 1  # j v mod n, n a power of two
+        flip = power > half
+        np.subtract(2 * half, power, out=power, where=flip)
+        row = roots.take(power)
+        np.negative(row.imag, out=row.imag, where=flip)  # w^(n - r) = conj(w^r)
+        out += p * row
+    return out
 
 
 def from_spectrum(spectrum, n, limit):

@@ -39,15 +39,25 @@ class SeverityDist:
     """Loss severity as a finite pmf on non-negative integers.
 
     ``{v: 1.0}`` represents a deterministic severity v; severity 0 is allowed
-    (used by the write-off conditioning variant).  Unhashable, like the dict
-    it holds; equality compares the dicts.
+    (used by the write-off conditioning variant).  Losses are stored as int:
+    an integral float or numpy integer is converted, any other loss raises
+    PortfolioError.  Unhashable, like the dict it holds; equality compares
+    the dicts.
     """
 
     probabilities: dict
     __hash__ = None
 
     def __post_init__(self):
-        probs = {int(x): float(p) for x, p in self.probabilities.items()}
+        probs = {}
+        for x, p in self.probabilities.items():
+            try:
+                loss = int(x)
+            except (TypeError, ValueError, OverflowError):
+                loss = None
+            if loss is None or loss != x:
+                raise PortfolioError(f"severity loss {x!r} is not an integer")
+            probs[loss] = float(p)
         object.__setattr__(self, "probabilities", probs)
 
 

@@ -498,6 +498,40 @@ def test_a_shift_beyond_the_grid_slack_is_convolved_directly(reference_portfolio
             assert np.max(np.abs(out.probs - want.probs)) <= pm.FFT_ABS_ERROR
 
 
+def test_shifts_at_the_grid_slack_boundary_match_direct_convolution(reference_portfolio,
+                                                                   monkeypatch):
+    # The shifts go on the grid while nu + sum_A v_A <= N: at the boundary
+    # they are factors of the one inverse FFT, one loss further they are
+    # convolved directly, bitwise.
+    port = spread(reference_portfolio, 3)
+    limit = 600
+    engine = LossEngine(eng.assemble(port, limit), tail_tol=1e-9)
+    n, need = engine._sizing()
+    slack = int(n - need)
+    assert 0 < slack < limit
+    components, normalizer, _ = cd._scenario(engine, port, ["A", "C"])
+    mixture = engine.mixture(components.values(), normalizer)
+    for shifts, on_grid in [([{slack: 1.0}], True),
+                            ([{0: 0.3, slack - 5: 0.7}, {5: 1.0}], True),
+                            ([{slack - 5: 0.5, limit + 1: 0.5}, {5: 1.0}], True),
+                            ([{slack + 1: 1.0}], False),
+                            ([{0: 0.3, slack - 4: 0.7}, {5: 1.0}], False)]:
+        want = mixture
+        for shift in shifts:
+            want = pm.convolve(want, pm.from_dict(shift, limit))
+        calls = _counted_convolutions(monkeypatch)
+        got = engine.mixture(components.values(), normalizer, shifts)
+        monkeypatch.undo()
+        if on_grid:
+            assert calls == [], shifts
+            assert np.max(np.abs(got.probs - want.probs)) <= pm.FFT_ABS_ERROR, shifts
+            assert got.tail_mass == pytest.approx(want.tail_mass, abs=1e-12), shifts
+        else:
+            assert len(calls) == len(shifts), shifts
+            assert got.probs.tobytes() == want.probs.tobytes(), shifts
+            assert got.tail_mass == want.tail_mass, shifts
+
+
 @pytest.mark.parametrize("book, limit, tail_tol", [
     ("reference", 200, 1e-9), ("reference", 600, 1e-9),
     ("sixteen", None, None), ("sixteen", 600, 1e-9),

@@ -206,6 +206,28 @@ def test_stressed_distribution_matches_panjer_fold_above_fft_crossover():
     assert pm.quantile(out, 0.999) == pm.quantile(ref, 0.999)
 
 
+@pytest.mark.parametrize("limit", [500, 1000])
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 50.0])
+@pytest.mark.parametrize("delta", [1e-8, 0.5, 0.99, 0.999])
+def test_fourier_kernels_and_stressed_pmfs_at_extreme_parameters(delta, alpha, limit):
+    # One factor sector (q0 > 0) and an idiosyncratic sector without claims:
+    # the kernel is the compound NB(1, delta) and the pmf under stress s the
+    # compound NB(alpha + s, delta), both from the closed-form kernel spectrum.
+    q = pm.from_dict({0: 0.1, 1: 0.5, 4: 0.3, 9: 0.1}, limit)
+    system = eng.SectorSystem(mu=np.array([0.0, alpha * delta / (1.0 - delta)]),
+                              delta=np.array([delta]), alphas=np.array([alpha]),
+                              q_polys=(pm.point_mass(0, limit), q), limit=limit,
+                              sector_ids=("s1",))
+    engine = LossEngine(system)
+    outputs = [(engine.kernel(1), 1.0)]
+    outputs += [(engine.loss_distribution((s,)), alpha + s) for s in (1, 2)]
+    assert ("transform", 1) in engine._cache and ("severity", 1) not in engine._cache
+    for out, a in outputs:
+        ref = panjer_negbin(a, delta, q, limit)
+        assert np.max(np.abs(out.probs - ref.probs)) <= pm.FFT_ABS_ERROR, a
+        assert out.tail_mass == pytest.approx(ref.tail_mass, abs=1e-12), a
+
+
 def test_writeoff_engine_reuses_only_unchanged_sectors(reference_portfolio):
     engine = LossEngine(eng.assemble(reference_portfolio, 200))
     engine.loss_distribution((1, 1))
@@ -374,6 +396,31 @@ def test_writeoff_engine_on_the_spectral_path_reuses_the_grid_and_unchanged_spec
     fresh = LossEngine(eng.assemble(port, SPECTRAL_LIMIT, written_off=("C",))).loss_distribution()
     np.testing.assert_array_equal(base.probs, fresh.probs)
     assert base.tail_mass == fresh.tail_mass
+
+
+def test_spectral_caches_hold_severity_spectra_until_their_kernels_exist():
+    port = spectral_book(heavy=False)
+    engine = LossEngine(eng.assemble(port, SPECTRAL_LIMIT), tail_tol=1e-9)
+    engine.loss_distribution()
+    # Q_k of the factor sectors waits for T_k; no tail has been checked yet.
+    assert {key for key in engine._cache if key[0] in ("severity", "transform")} == {
+        ("severity", 1), ("severity", 2), ("severity", 3)}
+    assert "indicator" not in engine.written_off(port, ("C",))._cache
+    engine.loss_distribution((1, 0, 0))
+    assert ("severity", 1) not in engine._cache and ("transform", 1) in engine._cache
+    # The write-off engine takes the indicator once it exists, and the cached
+    # spectra of the sectors C does not load on.
+    derived = engine.written_off(port, ("C",))
+    assert derived._cache["indicator"] is engine._cache["indicator"]
+    assert derived._cache[("transform", 1)] is engine._cache[("transform", 1)]
+    assert derived._cache[("severity", 2)] is engine._cache[("severity", 2)]
+    assert ("severity", 3) not in derived._cache
+    fresh = LossEngine(eng.assemble(port, SPECTRAL_LIMIT, written_off=("C",)), tail_tol=1e-9)
+    for stress in [(1, 0, 0), (0, 1, 2)]:
+        want = fresh.loss_distribution(stress)
+        got = derived.loss_distribution(stress)
+        assert got.probs.tobytes() == want.probs.tobytes(), stress
+        assert got.tail_mass == want.tail_mass, stress
 
 
 def test_writeoff_engine_keeps_a_larger_base_grid(monkeypatch):

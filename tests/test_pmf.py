@@ -343,6 +343,29 @@ def test_fourier_grid_cap_raises():
         pm.compound_negbin(1.0, 1.0 - 1e-7, pm.point_mass(1, 600), 600)
 
 
+@pytest.mark.parametrize("n, limit", [(512, 499), (1024, 600), (8192, 8000)])
+def test_points_spectrum_is_the_rfft_of_the_severity_pmf(n, limit):
+    eps = np.finfo(float).eps
+    roots = pm.unit_roots(n)
+    # The roots against exp(-2 pi i j / n) in extended precision (x86: 64-bit mantissa).
+    angle = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.arange(n // 2 + 1) / n
+    exact = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
+    assert np.max(np.abs(roots - exact)) <= 3 * eps
+    cases = [{0: 1.0}, {limit: 1.0}, {1: 1.0}, {n // 2: 0.5, n // 2 + 1: 0.5},
+             {0: 0.2, 7: 0.3, limit: 0.5},
+             {3: 0.25, limit + 1: 0.5, 10**30: 0.25},  # losses beyond L are dropped
+             {limit + 1: 0.4, 2 * limit: 0.6},  # every loss beyond L: the spectrum is 0
+             {37.0: 0.5, np.int64(101): 0.5}]
+    for points in cases:
+        want = np.fft.rfft(pm.from_dict(points, limit).probs, n)
+        got = pm.points_spectrum(points, roots, limit)
+        assert np.max(np.abs(got - want)) <= 8 * eps, points
+    np.testing.assert_array_equal(pm.points_spectrum({limit + 1: 1.0}, roots, limit), 0.0)
+    for loss in (-1, 1.5):
+        with pytest.raises(ValueError, match="not a non-negative integer"):
+            pm.points_spectrum({loss: 1.0}, roots, limit)
+
+
 @st.composite
 def fourier_cases(draw):
     limit = draw(st.integers(pm.FFT_MIN_SIZE - 1, 4000))

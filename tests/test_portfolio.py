@@ -126,6 +126,19 @@ def test_with_severity_replaces_one_obligor():
         with_severity(p, "nope", pf.ZERO_SEVERITY)
 
 
+def test_severity_losses_must_be_integers():
+    for loss in (2.5, 1e-9, float("nan"), float("inf"), "2", None):
+        with pytest.raises(PortfolioError, match=f"severity loss {loss!r} is not an integer"):
+            SeverityDist({loss: 1.0})
+    with pytest.raises(PortfolioError, match="severity loss 1.7 "):
+        SeverityDist({1: 0.5, 1.7: 0.5})
+    # Integral floats and numpy integers are losses, stored as int.
+    for loss in (2.0, np.int64(2), np.int32(2), np.float64(2.0), 2):
+        sev = SeverityDist({loss: 1.0})
+        assert sev == SeverityDist({2: 1.0})
+        assert [type(x) for x in sev.probabilities] == [int]
+
+
 def test_zero_pd_obligor_is_allowed():
     p = Portfolio((), (Obligor("Z", 0.0, [1.0], SeverityDist({3: 1.0})),))
     assert pf.validate(p) == []
