@@ -126,6 +126,57 @@ def _claims(system, kind, k):
     return pm.negbin_claims(alpha, system.delta[k - 1])
 
 
+@dataclass(frozen=True)
+class Spectra:
+    """A sector system on an N-point grid: read-only complex arrays over the
+    N/2 + 1 rfft frequencies.  log_g[k] is log G_k (k = 0..K), kernels[k - 1]
+    T_k = (1 - delta_k) / (1 - delta_k Q_k) and pgf G = exp(sum_k log G_k);
+    with a tail tolerance indicator is conj(h), h the spectrum of the
+    indicator of {0..L}, and window w = G conj(h) c / N, c_j = 2 where
+    frequency j stands for a conjugate pair, else 1, so that Re sum_j K_j
+    w_j is the mass the pmf of G K keeps on {0..L} (else both are None).
+    """
+
+    log_g: tuple
+    kernels: tuple
+    pgf: np.ndarray
+    indicator: np.ndarray | None
+    window: np.ndarray | None
+
+    def __post_init__(self):
+        for a in (*self.log_g, *self.kernels, self.pgf, self.indicator, self.window):
+            if a is not None:
+                a.setflags(write=False)
+
+
+def spectra(system, n, tail_tol, parent=None, changed=None):
+    """The ``Spectra`` of ``system`` on an n-point grid, from one rfft of the
+    stacked severity vectors Q_k, which is not kept.  Given the ``parent``
+    record of a system on the same grid that differs only in the sectors
+    flagged in the boolean array ``changed``, only their rows are computed:
+    every other row, and the indicator, is the parent's own array.
+    """
+    size = len(system.q_polys)
+    sectors = np.flatnonzero(changed).tolist() if parent else range(size)
+    log_g = list(parent.log_g) if parent else [None] * size
+    kernels = list(parent.kernels) if parent else [None] * system.n_sectors
+    q_hat = np.fft.rfft([system.q_polys[k].probs for k in sectors], n)  # [] gives no rows
+    for k, q in zip(sectors, q_hat):
+        log_g[k] = pm.log_spectrum(_claims(system, "sector", k), q)
+        if k:
+            delta = system.delta[k - 1]
+            kernels[k - 1] = (1.0 - delta) / (1.0 - delta * q)
+    pgf = np.exp(sum(log_g))
+    indicator = window = None
+    if tail_tol is not None:
+        indicator = (parent.indicator if parent
+                     else np.conj(np.fft.rfft(np.ones(system.limit + 1), n)))
+        weights = np.full(n // 2 + 1, 2.0 / n)
+        weights[[0, -1]] = 1.0 / n
+        window = pgf * indicator * weights
+    return Spectra(tuple(log_g), tuple(kernels), pgf, indicator, window)
+
+
 class LossEngine:
     """Cached evaluator of stressed loss distributions and their mixtures.
 
@@ -150,40 +201,34 @@ class LossEngine:
     convolutions, ``pmf.convolve``), and so are the severity shifts.  From
     that size on the engine holds one Fourier grid of N > L points, sized
     once by the Chernoff need nu of the heaviest supported stress
-    (``_sizing``), and on it the sector log-spectra log G_k, the base's PGF
-    G = exp(sum_k log G_k) and, lazily per sector, the kernel spectra T_k =
-    (1 - delta_k) / (1 - delta_k Q_k), Q_k the severity spectrum that
-    log G_k was taken from: the base is one inverse FFT of G and a
-    conditional one inverse FFT of G sum_c w_c prod_{k in c} T_k prod_A S_A
-    / normalizer, S_A the defaulted severities' spectra, evaluated from
-    their few points on a table of roots of unity
-    (``pmf.points_spectrum``), while nu plus their largest losses fits in
-    N (else they are convolved directly after it).  ``written_off``
-    patches this engine into a write-off engine: only the sectors the
-    written-off obligors load on are recomputed, on this engine's grid.
-    Thread-safe: the caches are guarded by a lock and hold immutable
-    results, so concurrent evaluations return results identical to serial
-    execution.
+    (``_sizing``), and on it one ``Spectra`` record, built whole at first
+    use: the base is one inverse FFT of G and a conditional one inverse FFT
+    of G sum_c w_c prod_{k in c} T_k prod_A S_A / normalizer, S_A the
+    defaulted severities' spectra, evaluated from their few points on a
+    table of roots of unity (``pmf.points_spectrum``), while nu plus their
+    largest losses fits in N (else they are convolved directly after it).
+    ``written_off`` patches this engine into a write-off engine: only the
+    sectors the written-off obligors load on are recomputed, on this
+    engine's grid.  Thread-safe: the caches are guarded by a lock and hold
+    immutable results, so concurrent evaluations return results identical
+    to serial execution.
 
-    What a grid of N points caches, in complex arrays of M = N/2 + 1
-    frequencies (16 M bytes each: 65 552 bytes at N = 8192): per sector
-    log G_k; per factor sector Q_k from the base's build until T_k
-    replaces it on the sector's first stress, so one array more per
-    factor sector; for the book G, the base pmf (8 (L + 1) bytes) and,
-    with a tail tolerance, the two factors of ``_window``.  The half-length
-    root table (``pmf.unit_roots``, one more such array) is kept per grid
-    size by ``pmf``, shared by every engine on that grid.
+    On a grid of N points the engine holds the record, one complex array of
+    M = N/2 + 1 frequencies (65 552 bytes at N = 8192) per log G_k and T_k,
+    one for G and, with a tail tolerance, two more, and the base pmf (8 (L
+    + 1) bytes), but no Q_k.  The half-length root table
+    (``pmf.unit_roots``, one more such array) is kept per grid size by
+    ``pmf``, shared by every engine on that grid.  At N = 8192 with 10
+    factor sectors the record and the table are 23 arrays, 1 507 696 bytes.
     """
 
     def __init__(self, system, tail_tol=None):
         self.system = system
         self.tail_tol = tail_tol
         self._lock = threading.Lock()
-        # Per sector k: ("sector", k) and ("kernel", k) -> Pmf; on the Fourier
-        # grid ("spectrum", k) -> log G_k and either ("severity", k) -> Q_k or
-        # ("transform", k) -> T_k.  For the whole book: "base" -> Pmf; on the
-        # grid "grid" -> (N, nu), "pgf" -> G, "indicator" and "window" -> the
-        # factors of ``_window``.
+        # Below pmf.FFT_MIN_SIZE points, per sector k: ("sector", k) and
+        # ("kernel", k) -> Pmf.  For the whole book: "base" -> Pmf; on the
+        # Fourier grid "grid" -> (N, nu) and "spectra" -> Spectra.
         self._cache = {}
 
     def _cached(self, key, compute):
@@ -208,7 +253,7 @@ class LossEngine:
             raise ValueError(f"sector {k} has no kernel: the factor sectors are "
                              f"1..{system.n_sectors}")
         if system.limit + 1 >= pm.FFT_MIN_SIZE:
-            return pm.from_spectrum(self._transform(k), self._grid(), system.limit)
+            return pm.from_spectrum(self._spectra().kernels[k - 1], self._grid(), system.limit)
         return self._cached(("kernel", k), lambda: pm.compound_negbin(
             1.0, system.delta[k - 1], system.q_polys[k], system.limit))
 
@@ -263,66 +308,16 @@ class LossEngine:
         """The engine's grid size N (``_sizing``)."""
         return self._sizing()[0]
 
-    def _severity(self, k):
-        """Sector k's severity spectrum Q_k, the rfft of Q_k on the engine's grid."""
-        return np.fft.rfft(self.system.q_polys[k].probs, self._grid())
-
-    def _spectrum(self, k):
-        """Sector k's log-spectrum log G_k on the engine's grid.  A factor
-        sector's Q_k spectrum is kept as ("severity", k) for ``_transform``
-        unless its kernel spectrum is already there."""
-        def compute():
-            q_hat = self._severity(k)
-            if k:
-                with self._lock:
-                    if ("transform", k) not in self._cache:
-                        self._cache.setdefault(("severity", k), q_hat)
-            return pm.log_spectrum(_claims(self.system, "sector", k), q_hat)
-        return self._cached(("spectrum", k), compute)
-
-    def _pgf(self):
-        """The base's PGF G = exp(sum_k log G_k) on the engine's grid."""
-        return self._cached("pgf", lambda: np.exp(
-            sum(map(self._spectrum, range(self.system.n_sectors + 1)))))
-
-    def _transform(self, k):
-        """Spectrum of the kernel T_k on the engine's grid, the closed form
-        (1 - delta_k) / (1 - delta_k Q_k) of the Q_k spectrum that
-        ``_spectrum`` kept, which it replaces in the cache (a fresh rfft when
-        there is none)."""
-        def compute():
-            with self._lock:
-                q_hat = self._cache.pop(("severity", k), None)
-            if q_hat is None:
-                q_hat = self._severity(k)
-            delta = self.system.delta[k - 1]
-            return (1.0 - delta) / (1.0 - delta * q_hat)
-        return self._cached(("transform", k), compute)
-
-    def _indicator(self):
-        """conj(h), h the spectrum of the indicator of {0..L} on the engine's grid."""
-        return self._cached("indicator", lambda: np.conj(
-            np.fft.rfft(np.ones(self.system.limit + 1), self._grid())))
-
-    def _window(self):
-        """Weights w such that Re sum_j K_j w_j is the mass the pmf of G K
-        keeps on {0..L}, for a kernel spectrum K = prod_k T_k: w = G conj(h)
-        c / N over the rfft frequencies, with h the spectrum of the indicator
-        of {0..L} and c_j = 2 where frequency j stands for a conjugate pair,
-        else 1."""
-        def compute():
-            n = self._grid()
-            weights = np.full(n // 2 + 1, 2.0 / n)
-            weights[[0, -1]] = 1.0 / n
-            return self._pgf() * self._indicator() * weights
-        return self._cached("window", compute)
+    def _spectra(self):
+        """The engine's ``Spectra`` on its grid, built on first use."""
+        return self._cached("spectra", lambda: spectra(self.system, self._grid(), self.tail_tol))
 
     def _base(self):
         """Unstressed loss pmf: the distribution of the sum of all N+1 sectors."""
         def fold():
             limit = self.system.limit
             if limit + 1 >= pm.FFT_MIN_SIZE:
-                return pm.from_spectrum(self._pgf(), self._grid(), limit)
+                return pm.from_spectrum(self._spectra().pgf, self._grid(), limit)
             self._fill()
             out = self.sector_loss(0)
             for k in range(1, self.system.n_sectors + 1):
@@ -362,7 +357,7 @@ class LossEngine:
         K_c[j] P[base <= L - j] and the mixture is the base convolved with K
         = sum_c w_c K_c / normalizer.  From there on component c's tail is
         1 - Re sum_j K_j w_j with K = prod_{k in c} T_k and w the
-        ``_window`` weights (at least the base's tail, which therefore needs
+        ``Spectra`` window (at least the base's tail, which therefore needs
         no check of its own), and the mixture is one inverse FFT of G sum_c
         w_c prod_{k in c} T_k / normalizer.
 
@@ -380,16 +375,15 @@ class LossEngine:
         """
         limit = self.system.limit
         if limit + 1 >= pm.FFT_MIN_SIZE:
-            (n, need), pgf = self._sizing(), self._pgf()
-            window = None if self.tail_tol is None else self._window()
+            (n, need), record = self._sizing(), self._spectra()
             acc = np.zeros(n // 2 + 1, dtype=complex)
             for weight, sectors in components:
-                kernels = [self._transform(k) for k in sectors]
+                kernels = [record.kernels[k - 1] for k in sectors]
                 kernel = math.prod(kernels[1:], start=kernels[0]) if kernels else 1
-                if window is not None:
-                    self.check_tail(1.0 - np.sum(kernel * window).real)
+                if record.window is not None:
+                    self.check_tail(1.0 - np.sum(kernel * record.window).real)
                 acc += weight * kernel
-            spectrum = pgf * acc / normalizer
+            spectrum = record.pgf * acc / normalizer
             if need + sum(max((x for x, p in s.items() if p and x <= limit), default=0)
                           for s in shifts) <= n:
                 roots = pm.unit_roots(n)
@@ -433,8 +427,9 @@ class LossEngine:
 
         Only the severity mixtures Q_k of the sectors that the obligors
         ``ids`` load on change (``_mixtures``, bitwise the full assembly's);
-        every other sector keeps its Q_k and all that is cached for it.  On
-        the Fourier path the grid N is kept, with no ``pmf.grid_size``
+        every other sector keeps its Q_k and all that is cached for it (its
+        ``Spectra`` rows by identity).  On the Fourier path the grid N is
+        kept, with no ``pmf.grid_size``
         search, while every written-off severity lies in {0..L}: for t > 0,
         Q_k^wo(e^t) = Q_k(e^t) - sum_A (w_Ak p_A / mu_k) (S_A(e^t) - 1) <=
         Q_k(e^t), S_A the severity PGF of A, and both closed forms increase
@@ -442,7 +437,7 @@ class LossEngine:
         The base's Chernoff need nu bounds the write-off's as well and is
         kept with N.  Mass beyond L, which the write-off moves to 0, can
         raise Q_k(e^t): the grid is then the larger of the write-off
-        system's own and N, and the spectra carry over, with the write-off's
+        system's own and N, and the rows carry over, with the write-off's
         own nu, only if it is N.
         """
         system, c = self.system, portfolio.columns
@@ -451,20 +446,17 @@ class LossEngine:
         fresh = iter(_mixtures(portfolio, system.limit, system.mu, np.flatnonzero(~kept), ids))
         q_polys = tuple(q if keep else next(fresh) for q, keep in zip(system.q_polys, kept))
         out = LossEngine(replace(system, q_polys=q_polys), self.tail_tol)
-        kinds = {"sector", "kernel"}  # what does not depend on the grid
-        shared = ()  # book-wide entries taken over as they are
+        with self._lock:  # the unchanged sectors' pmfs and kernels
+            out._cache.update((key, value) for key, value in self._cache.items()
+                              if isinstance(key, tuple) and kept[key[1]])
         if system.limit + 1 >= pm.FFT_MIN_SIZE:
             n, need = self._sizing()
             if (c.value[np.isin(c.owner, rows)] > system.limit).any():
                 need = out._sizing()[1] if out._grid() <= n else None
             if need is not None:
-                kinds |= {"spectrum", "severity", "transform"}
-                shared = ("indicator",)
                 out._cache["grid"] = (n, need)
-        with self._lock:
-            out._cache.update((key, value) for key, value in self._cache.items()
-                              if key in shared
-                              or isinstance(key, tuple) and key[0] in kinds and kept[key[1]])
+                out._cache["spectra"] = spectra(out.system, n, self.tail_tol,
+                                                self._spectra(), ~kept)
         return out
 
 

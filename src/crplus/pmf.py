@@ -495,16 +495,20 @@ def grid_size(terms, limit, what, need=None):
     while nu + sum_A v_A <= N: their PGFs are at most e^(t v_A) at e^t, so
     at the t that gave nu, P[X + E >= N] <= G(e^t) e^(t (sum_A v_A - N)) <=
     ALIAS_FLOOR (``LossEngine.mixture``).  A caller that already has the
-    need passes it as ``need``.  Raises AliasingError,
-    naming ``what`` and L, when the need exceeds MAX_GRID.
+    need passes it as ``need``.  Raises AliasingError, naming ``what`` and
+    L, when the need or N (> L) exceeds MAX_GRID.
     """
     need = aliasing_need(terms) if need is None else need
-    if need > MAX_GRID:
+    if need > MAX_GRID:  # first: math.ceil(inf) raises
         raise AliasingError(
             f"{what} at L={limit} needs a Fourier grid of {need:.3g} points to keep "
             f"the aliased mass below {ALIAS_FLOOR:g}, above MAX_GRID = {MAX_GRID}"
         )
-    return 1 << max(limit, math.ceil(need) - 1).bit_length()
+    n = 1 << max(limit, math.ceil(need) - 1).bit_length()
+    if n > MAX_GRID:
+        raise AliasingError(f"{what} at L={limit} needs a Fourier grid of {n} points (> L), "
+                            f"above MAX_GRID = {MAX_GRID}")
+    return n
 
 
 def mean(p):

@@ -198,9 +198,8 @@ def test_stressed_distribution_matches_panjer_fold_above_fft_crossover():
     assert system.limit >= 2 * pm.FFT_MIN_SIZE
     stress = (2, 1, 0)
     out = engine.loss_distribution(stress)
-    # The Fourier path: the kernel spectra on the engine's grid, no kernel pmf.
-    assert {("transform", 1), ("transform", 2)} <= set(engine._cache)
-    assert not [key for key in engine._cache if key[0] == "kernel"]
+    # The Fourier path: the kernel spectra of the engine's record, no kernel pmf.
+    assert set(engine._cache) == {"grid", "spectra"}
     ref = panjer_fold(system, stress)
     np.testing.assert_allclose(out.probs, ref.probs, rtol=0, atol=1e-15)
     assert pm.quantile(out, 0.999) == pm.quantile(ref, 0.999)
@@ -221,7 +220,11 @@ def test_fourier_kernels_and_stressed_pmfs_at_extreme_parameters(delta, alpha, l
     engine = LossEngine(system)
     outputs = [(engine.kernel(1), 1.0)]
     outputs += [(engine.loss_distribution((s,)), alpha + s) for s in (1, 2)]
-    assert ("transform", 1) in engine._cache and ("severity", 1) not in engine._cache
+    # T_1 is the record's closed form of the severity spectrum, which is not kept.
+    assert set(engine._cache) == {"grid", "spectra"}
+    q_hat = np.fft.rfft(q.probs, engine._grid())
+    np.testing.assert_allclose(engine._cache["spectra"].kernels[0],
+                               (1.0 - delta) / (1.0 - delta * q_hat), rtol=1e-15, atol=0.0)
     for out, a in outputs:
         ref = panjer_negbin(a, delta, q, limit)
         assert np.max(np.abs(out.probs - ref.probs)) <= pm.FFT_ABS_ERROR, a
@@ -339,8 +342,17 @@ def spectral_book(heavy=True):
          Obligor("C", 0.3, [0.5, 0.0, 0.0, 0.5], SeverityDist({0: 0.2, 3: 0.8}))))
 
 
-def _grid(engine, k):
-    return 2 * (engine._cache[("spectrum", k)].size - 1)
+def _grid(engine):
+    """The number of points of the grid that ``engine``'s record lives on."""
+    return 2 * (engine._cache["spectra"].pgf.size - 1)
+
+
+def _shared_rows(derived, engine):
+    """The sectors k whose log G_k, and the factor sectors whose T_k, the
+    record of ``derived`` takes from that of ``engine`` by identity."""
+    new, old = derived._cache["spectra"], engine._cache["spectra"]
+    return ([k for k, (a, b) in enumerate(zip(new.log_g, old.log_g)) if a is b],
+            [k for k, (a, b) in enumerate(zip(new.kernels, old.kernels), start=1) if a is b])
 
 
 def _fourier_calls(monkeypatch):
@@ -388,33 +400,32 @@ def test_writeoff_engine_on_the_spectral_path_reuses_the_grid_and_unchanged_spec
     base = derived.loss_distribution()
     # The log-spectra of sectors 0 and 3, then one inverse FFT.
     assert calls == ["log_spectrum", "log_spectrum", "from_spectrum"]
-    for k in range(4):
-        assert _grid(derived, k) == _grid(engine, k) == 1024
-        reused = derived._cache[("spectrum", k)] is engine._cache[("spectrum", k)]
-        assert reused == (k in (1, 2))
+    assert _grid(derived) == _grid(engine) == 1024
+    assert _shared_rows(derived, engine) == ([1, 2], [1, 2])
     monkeypatch.undo()
     fresh = LossEngine(eng.assemble(port, SPECTRAL_LIMIT, written_off=("C",))).loss_distribution()
     np.testing.assert_array_equal(base.probs, fresh.probs)
     assert base.tail_mass == fresh.tail_mass
 
 
-def test_spectral_caches_hold_severity_spectra_until_their_kernels_exist():
+def test_spectral_record_is_whole_from_the_base_and_shared_by_a_writeoff():
     port = spectral_book(heavy=False)
     engine = LossEngine(eng.assemble(port, SPECTRAL_LIMIT), tail_tol=1e-9)
     engine.loss_distribution()
-    # Q_k of the factor sectors waits for T_k; no tail has been checked yet.
-    assert {key for key in engine._cache if key[0] in ("severity", "transform")} == {
-        ("severity", 1), ("severity", 2), ("severity", 3)}
-    assert "indicator" not in engine.written_off(port, ("C",))._cache
+    # The base builds every kernel spectrum and, with a tail tolerance, the
+    # tail check's factors; the stresses that follow reuse them.
+    record = engine._cache["spectra"]
+    assert len(record.log_g) == 4 and len(record.kernels) == 3
+    assert record.indicator is not None and record.window is not None
     engine.loss_distribution((1, 0, 0))
-    assert ("severity", 1) not in engine._cache and ("transform", 1) in engine._cache
-    # The write-off engine takes the indicator once it exists, and the cached
-    # spectra of the sectors C does not load on.
+    assert engine._cache["spectra"] is record
+    # The write-off engine shares the indicator and the rows of the sectors C
+    # does not load on (s1 and s2), and gets G and the window of its own.
     derived = engine.written_off(port, ("C",))
-    assert derived._cache["indicator"] is engine._cache["indicator"]
-    assert derived._cache[("transform", 1)] is engine._cache[("transform", 1)]
-    assert derived._cache[("severity", 2)] is engine._cache[("severity", 2)]
-    assert ("severity", 3) not in derived._cache
+    patched = derived._cache["spectra"]
+    assert patched.indicator is record.indicator
+    assert _shared_rows(derived, engine) == ([1, 2], [1, 2])
+    assert patched.pgf is not record.pgf and patched.window is not record.window
     fresh = LossEngine(eng.assemble(port, SPECTRAL_LIMIT, written_off=("C",)), tail_tol=1e-9)
     for stress in [(1, 0, 0), (0, 1, 2)]:
         want = fresh.loss_distribution(stress)
@@ -427,18 +438,19 @@ def test_writeoff_engine_keeps_a_larger_base_grid(monkeypatch):
     heavy = spectral_book(heavy=True)
     engine = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT))
     engine.loss_distribution()
-    assert _grid(engine, 0) == 8192
+    assert _grid(engine) == 8192
     # Writing off H moves its mass on s1 to loss 0: the system's own grid
     # would be 1024 points, and the base's 8192 still bounds the aliasing.
     _no_grid_search(monkeypatch)
     derived = engine.written_off(heavy, ("H",))
     base = derived.loss_distribution()
-    assert _grid(derived, 1) == 8192
-    assert derived._cache[("spectrum", 0)] is engine._cache[("spectrum", 0)]
+    assert _grid(derived) == 8192
+    # H loads on s1 only: the other sectors' rows are the base's.
+    assert _shared_rows(derived, engine) == ([0, 2, 3], [2, 3])
     monkeypatch.undo()
     fresh = LossEngine(eng.assemble(heavy, SPECTRAL_LIMIT, written_off=("H",)))
     fresh_base = fresh.loss_distribution()
-    assert _grid(fresh, 0) == 1024
+    assert _grid(fresh) == 1024
     assert np.max(np.abs(base.probs - fresh_base.probs)) <= pm.FFT_ABS_ERROR
     assert base.tail_mass == pytest.approx(fresh_base.tail_mass, abs=1e-12)
 
@@ -461,14 +473,53 @@ def test_writeoff_engine_grows_its_grid_for_mass_beyond_the_limit():
     assert engine._grid() == 2048 < own
     derived = engine.written_off(port, ("H",))
     assert derived._grid() >= own
-    # The sector pmf does not depend on the grid; no spectrum carries over.
+    # The sector pmf does not depend on the grid; no spectral row carries
+    # over: the write-off builds its own record on its own grid.
     assert derived.sector_loss(0) is sector0
-    assert ("spectrum", 0) not in derived._cache
+    assert "spectra" not in derived._cache
     fresh = LossEngine(system)
     for stress in [(0,), (1,), (2,)]:
         out, ref = derived.loss_distribution(stress), fresh.loss_distribution(stress)
         np.testing.assert_array_equal(out.probs, ref.probs)
         assert out.tail_mass == ref.tail_mass
+    assert _grid(derived) == derived._grid() > _grid(engine)
+    assert _shared_rows(derived, engine) == ([], [])
+
+
+def _record_arrays(record):
+    return record.log_g + record.kernels + (record.pgf, record.indicator, record.window)
+
+
+@pytest.mark.parametrize("tail_tol", [None, 1e-9])
+@pytest.mark.parametrize("ids", [(), ("o0",), ("o0", "o1")])
+def test_patched_writeoff_record_is_a_fresh_engines_on_a_many_sector_book(ids, tail_tol):
+    # The criterion-12 book at L = 8000: ten factor sectors on an 8192-point
+    # grid, each obligor loading on the idiosyncratic sector and two others.
+    # Writing off no obligor changes no row.
+    port = criterion12_portfolio()
+    engine = LossEngine(eng.assemble(port, 8000), tail_tol=tail_tol)
+    engine.loss_distribution()
+    derived = engine.written_off(port, ids)
+    fresh = LossEngine(eng.assemble(port, 8000, written_off=ids), tail_tol=tail_tol)
+    stresses = [None, (2,) + (0,) * 8 + (1,), (0, 1, 1) + (0,) * 7]
+    for stress in stresses:
+        got, want = derived.loss_distribution(stress), fresh.loss_distribution(stress)
+        assert got.probs.tobytes() == want.probs.tobytes(), stress
+        assert got.tail_mass == want.tail_mass, stress
+    patched, own = derived._cache["spectra"], fresh._cache["spectra"]
+    assert derived._grid() == fresh._grid() == _grid(derived) == 8192
+    for a, b in zip(_record_arrays(patched), _record_arrays(own), strict=True):
+        assert (a is b is None) or a.tobytes() == b.tobytes()
+    # The rows of the sectors no written-off obligor loads on are the base's.
+    loaded = (port.columns.W[[port.row(oid) for oid in ids]] != 0.0).any(axis=0)
+    unloaded = np.flatnonzero(~loaded).tolist()
+    assert len(unloaded) >= 6
+    assert _shared_rows(derived, engine) == (unloaded, [k for k in unloaded if k])
+    # Read-only, so no engine can write into a row another one holds.
+    for a in _record_arrays(patched):
+        assert a is None or not a.flags.writeable
+    with pytest.raises(ValueError):
+        patched.log_g[unloaded[0]][0] = 0.0
 
 
 def test_base_grid_above_max_grid_names_the_base(monkeypatch):

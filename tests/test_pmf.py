@@ -536,3 +536,17 @@ def test_pmf_rejects_large_negative_entries():
 def test_pmf_rejects_non_finite_entries(probs, tail):
     with pytest.raises(ValueError):
         Pmf(np.array(probs), tail_mass=tail)
+
+
+def test_grid_size_caps_the_grid_as_well_as_the_need():
+    # A small need but L above MAX_GRID: the power of two above L is the cap.
+    top = pm.MAX_GRID
+    assert pm.grid_size([], top - 1, "the sum", need=10.0) == top
+    message = f"the sum at L={top} needs a Fourier grid of {2 * top} points"
+    with pytest.raises(AliasingError, match=message):
+        pm.grid_size([], top, "the sum", need=10.0)
+    with pytest.raises(AliasingError, match="L=5000000 .*MAX_GRID"):
+        pm.grid_size([], 5_000_000, "x", need=10.0)
+    # An infinite need is named as such, before N is taken from it.
+    with pytest.raises(AliasingError, match="inf points"):
+        pm.grid_size([], 600, "x", need=math.inf)
