@@ -6,8 +6,8 @@ start value underflows, which can happen only below ``pmf.FFT_MIN_SIZE``
 points, where sector pmfs come from the recursion; or the engine's one
 Fourier grid, the smallest power of two above L that keeps the Chernoff
 bound on the aliased mass of the portfolio base under its heaviest
-supported stress at most ``pmf.ALIAS_FLOOR``, would need more than
-``pmf.MAX_GRID`` points).
+supported stress, shifted by two of the book's largest losses, at most
+``pmf.ALIAS_FLOOR``, would need more than ``pmf.MAX_GRID`` points).
 Every JSON output carries a metadata block (tool version, input digest,
 config echo) so runs can be reproduced byte for byte.
 

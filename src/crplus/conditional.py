@@ -4,15 +4,14 @@ Conditioning on defaults turns into a weighted mean of stressed portfolio
 loss distributions: each mixture component is the loss pmf with some sector
 exponents incremented, convolved with the severity pmf(s) of the defaulted
 obligor(s).  The engine evaluates the weighted mean of the stressed pmfs
-and the shifts (``LossEngine.mixture``: one inverse FFT on its grid from
-``pmf.FFT_MIN_SIZE`` points on, the defaulted severities included while the
-grid's aliasing bound leaves room for them; below, the base convolved once
-with the weighted kernel products and then with the severities); this
-module only names the components, their weights and the shifts.  The
-write-off variant zeroes the defaulted severities and recomposes the
-severity mixtures of the sectors they load on (``LossEngine.written_off``)
-before evaluating the components, so that occurred losses are excluded from
-the forward-looking metrics.
+and the shifts (``LossEngine.mixture``: one inverse FFT on its grid, the
+defaulted severities included, from ``pmf.FFT_MIN_SIZE`` points on; below,
+the base convolved once with the weighted kernel products and then with the
+severities); this module only names the components, their weights and the
+shifts.  The write-off variant zeroes the defaulted severities and
+recomposes the severity mixtures of the sectors they load on
+(``LossEngine.written_off``) before evaluating the components, so that
+occurred losses are excluded from the forward-looking metrics.
 
 One path builds every scenario: ``_components`` gives each mixture
 component's raw weight and the sectors it stresses, ``_scenario`` adds the
@@ -110,8 +109,7 @@ def _scenario(engine, portfolio, ids, writeoff=False):
     ``LossEngine.mixture`` gives sum_c w_c (base (*) K_c) / normalizer
     convolved with the defaulted severities, and holds every component's
     tail to the engine's tail tolerance; on its Fourier grid the severities
-    are factors of the mixture's one inverse FFT while the grid's aliasing
-    bound leaves room for them.  A write-off takes the mixture, unshifted,
+    are factors of the mixture's one inverse FFT.  A write-off takes the mixture, unshifted,
     on ``engine.written_off(portfolio, ids)``, the engine of the book with
     the scenario severities at 0: mu_k stay, the severity mixtures of the
     sectors they load on gain mass at 0, and only those sectors are

@@ -14,9 +14,9 @@ a weighted sum of kernel products (see ``LossEngine.mixture``).  Below
 ``pmf.FFT_MIN_SIZE`` points sector pmfs and kernels come from one batched
 Panjer pass and the convolutions are direct; from there on the engine
 works on one Fourier grid, the smallest power of two above L that the
-Chernoff aliasing bound of the heaviest supported stress allows, where the
-base and every mixture (with the defaulted severities, when the bound
-leaves room for them) are one inverse FFT of products of cached spectra.
+Chernoff aliasing bound of the heaviest supported stress, shifted by two of
+the book's largest losses, allows, where the base and every mixture with
+its defaulted severities are one inverse FFT of products of cached spectra.
 An unloaded sector (mu_k = 0) has no claims and Q_k = point mass at 0, so
 its pmf and kernel are exact point masses at 0 and its PGF is 1.
 """
@@ -45,7 +45,8 @@ class SectorSystem:
     mu[k] for k = 0..N are the sector default intensities, delta[k-1] and
     alphas[k-1] the negative binomial parameters of sector k >= 1, and
     q_polys[k] the severity mixture pmf of sector k (a point mass at 0 when
-    mu[k] = 0).
+    mu[k] = 0).  reach is the book's largest severity loss inside {0..L},
+    over every obligor (0 when there is none).
     """
 
     mu: np.ndarray
@@ -54,6 +55,7 @@ class SectorSystem:
     q_polys: tuple
     limit: int
     sector_ids: tuple
+    reach: int
 
     @property
     def n_sectors(self):
@@ -69,7 +71,9 @@ def assemble(portfolio, limit, written_off=()):
     column sum of wp = p_A w_Ak added in obligor order.  The obligors in
     ``written_off`` have severity 0 (the write-off variant), bitwise as the
     book rebuilt with ZERO_SEVERITY for them (``conftest.with_severity`` in
-    the tests).  Raises PortfolioError as ``portfolio.check_obligors`` does.
+    the tests); reach, the largest loss of positive probability inside
+    {0..L}, is the book's own, with or without them.  Raises PortfolioError
+    as ``portfolio.check_obligors`` does.
     """
     check_obligors(portfolio)
     c, n = portfolio.columns, portfolio.n_sectors
@@ -78,7 +82,8 @@ def assemble(portfolio, limit, written_off=()):
     alphas = np.array([s.alpha for s in portfolio.sectors])
     return SectorSystem(mu=mu, delta=mu[1:] / (mu[1:] + alphas), alphas=alphas,
                         q_polys=_mixtures(portfolio, limit, mu, np.arange(n + 1), written_off),
-                        limit=limit, sector_ids=tuple(s.id for s in portfolio.sectors))
+                        limit=limit, sector_ids=tuple(s.id for s in portfolio.sectors),
+                        reach=int(c.value[(c.value <= limit) & (c.prob > 0.0)].max(initial=0)))
 
 
 def _mixtures(portfolio, limit, mu, sectors, written_off):
@@ -150,19 +155,19 @@ class Spectra:
 
 
 def spectra(system, n, tail_tol, parent=None, changed=None):
-    """The ``Spectra`` of ``system`` on an n-point grid, from one rfft of the
-    stacked severity vectors Q_k, which is not kept.  Given the ``parent``
-    record of a system on the same grid that differs only in the sectors
-    flagged in the boolean array ``changed``, only their rows are computed:
-    every other row, and the indicator, is the parent's own array.
+    """The ``Spectra`` of ``system`` on an n-point grid, row by row from the
+    rfft of each severity vector Q_k, which is not kept.  Given the
+    ``parent`` record of a system on the same grid that differs only in the
+    sectors flagged in the boolean array ``changed``, only their rows are
+    computed: every other row, and the indicator, is the parent's own array.
     """
     size = len(system.q_polys)
     sectors = np.flatnonzero(changed).tolist() if parent else range(size)
     log_g = list(parent.log_g) if parent else [None] * size
     kernels = list(parent.kernels) if parent else [None] * system.n_sectors
-    q_hat = np.fft.rfft([system.q_polys[k].probs for k in sectors], n)  # [] gives no rows
-    for k, q in zip(sectors, q_hat):
-        log_g[k] = pm.log_spectrum(_claims(system, "sector", k), q)
+    for k in sectors:
+        q = np.fft.rfft(system.q_polys[k].probs, n)
+        log_g[k] = _claims(system, "sector", k).log_pgf(q)
         if k:
             delta = system.delta[k - 1]
             kernels[k - 1] = (1.0 - delta) / (1.0 - delta * q)
@@ -200,13 +205,12 @@ class LossEngine:
     convolved once with the weighted sum of the kernel products (direct
     convolutions, ``pmf.convolve``), and so are the severity shifts.  From
     that size on the engine holds one Fourier grid of N > L points, sized
-    once by the Chernoff need nu of the heaviest supported stress
-    (``_sizing``), and on it one ``Spectra`` record, built whole at first
-    use: the base is one inverse FFT of G and a conditional one inverse FFT
-    of G sum_c w_c prod_{k in c} T_k prod_A S_A / normalizer, S_A the
-    defaulted severities' spectra, evaluated from their few points on a
-    table of roots of unity (``pmf.points_spectrum``), while nu plus their
-    largest losses fits in N (else they are convolved directly after it).
+    once for the heaviest supported stress and two of the book's largest
+    losses (``_grid``), and on it one ``Spectra`` record, built whole at
+    first use: the base is one inverse FFT of G and a conditional one
+    inverse FFT of G sum_c w_c prod_{k in c} T_k prod_A S_A / normalizer,
+    S_A the defaulted severities' spectra, evaluated from their few points
+    on a table of roots of unity (``pmf.points_spectrum``).
     ``written_off`` patches this engine into a write-off engine: only the
     sectors the written-off obligors load on are recomputed, on this
     engine's grid.  Thread-safe: the caches are guarded by a lock and hold
@@ -228,7 +232,7 @@ class LossEngine:
         self._lock = threading.Lock()
         # Below pmf.FFT_MIN_SIZE points, per sector k: ("sector", k) and
         # ("kernel", k) -> Pmf.  For the whole book: "base" -> Pmf; on the
-        # Fourier grid "grid" -> (N, nu) and "spectra" -> Spectra.
+        # Fourier grid "grid" -> N and "spectra" -> Spectra.
         self._cache = {}
 
     def _cached(self, key, compute):
@@ -285,28 +289,30 @@ class LossEngine:
                 for key, out in zip(filled, pmfs):
                     self._cache.setdefault(key, out)
 
-    def _sizing(self):
-        """From ``pmf.FFT_MIN_SIZE`` points on: the engine's grid size N and
-        the Chernoff need nu that sized it.
+    def _grid(self):
+        """From ``pmf.FFT_MIN_SIZE`` points on: the engine's grid size N.
 
-        nu is ``pmf.aliasing_need`` of the heaviest supported stress, every
-        factor sector at alpha_k + MAX_PUBLIC_OFFSET, and N is
-        ``pmf.grid_size``, the smallest power of two > L and >= nu, so no
-        stressed pmf or mixture aliases more than ``pmf.ALIAS_FLOOR`` of
-        mass (see ``mixture`` and ``written_off``).
+        N is ``pmf.grid_size`` at the need nu + MAX_PUBLIC_OFFSET reach, nu
+        the ``pmf.aliasing_need`` of the heaviest supported stress (every
+        factor sector at alpha_k + MAX_PUBLIC_OFFSET) and reach the book's
+        largest loss inside {0..L}: the smallest power of two > L and >=
+        that need.  For a mixture loss Y and the sum E of defaulted
+        severities S_A with largest losses v_A, S_A(e^t) <= e^(t v_A) and
+        the mixture's G(e^t) is at most that of the heaviest stress, so at
+        the t that gave nu, P[Y + E >= N] <= G(e^t) e^(t (sum_A v_A - N)) <=
+        ``pmf.ALIAS_FLOOR`` while sum_A v_A <= MAX_PUBLIC_OFFSET reach (see
+        ``mixture`` and ``written_off``).
         """
         def compute():
             system = self.system
             stressed = [(_claims(system, "stressed", k), q) for k, q in enumerate(system.q_polys)]
-            need = pm.aliasing_need(stressed)
-            return pm.grid_size(stressed, system.limit, "the portfolio base under its heaviest "
-                                f"stress (alpha_k + {MAX_PUBLIC_OFFSET} in every factor sector)",
-                                need), need
+            return pm.grid_size(
+                stressed, system.limit,
+                f"the portfolio base under its heaviest stress (alpha_k + {MAX_PUBLIC_OFFSET} in "
+                f"every factor sector) shifted by {MAX_PUBLIC_OFFSET} defaulted severities of up "
+                f"to {system.reach}",
+                pm.aliasing_need(stressed) + MAX_PUBLIC_OFFSET * system.reach)
         return self._cached("grid", compute)
-
-    def _grid(self):
-        """The engine's grid size N (``_sizing``)."""
-        return self._sizing()[0]
 
     def _spectra(self):
         """The engine's ``Spectra`` on its grid, built on first use."""
@@ -354,28 +360,29 @@ class LossEngine:
         Each component's tail beyond L is held to the engine's tail
         tolerance, before the shifts.  Below ``pmf.FFT_MIN_SIZE`` points the
         base's own tail is checked first; component c's tail is 1 - sum_j
-        K_c[j] P[base <= L - j] and the mixture is the base convolved with K
-        = sum_c w_c K_c / normalizer.  From there on component c's tail is
-        1 - Re sum_j K_j w_j with K = prod_{k in c} T_k and w the
-        ``Spectra`` window (at least the base's tail, which therefore needs
-        no check of its own), and the mixture is one inverse FFT of G sum_c
-        w_c prod_{k in c} T_k / normalizer.
-
-        The shifts go on the grid, as factors S_A(w) of that one inverse
-        FFT evaluated from their points on the grid's table of roots
-        (``pmf.points_spectrum``: no (L + 1)-point pmf and no rfft), when
-        nu + sum_A v_A <= N, with nu the engine's Chernoff need
-        (``_sizing``) and v_A the largest loss of S_A inside {0..L}: for
-        mixture loss Y and shift sum E, S_A(e^t) <= e^(t v_A) and the
-        mixture's G(e^t) is at most that of the heaviest stress, so at the
-        t that gave nu, P[Y + E >= N] <= G(e^t) e^(t (sum_A v_A - N)) <=
-        ALIAS_FLOOR.  Otherwise, and below ``pmf.FFT_MIN_SIZE`` points, each
-        shift is a direct ``pmf.convolve`` of the mixture with its
-        ``pmf.from_dict`` pmf.
+        K_c[j] P[base <= L - j], the mixture is the base convolved with K =
+        sum_c w_c K_c / normalizer and each shift is a direct
+        ``pmf.convolve`` with its ``pmf.from_dict`` pmf.  From there on
+        component c's tail is 1 - Re sum_j K_j w_j with K = prod_{k in c}
+        T_k and w the ``Spectra`` window (at least the base's tail, which
+        therefore needs no check of its own), and the mixture is one inverse
+        FFT of G sum_c w_c prod_{k in c} T_k prod_A S_A / normalizer, each
+        S_A(w) evaluated from the shift's points on the grid's table of
+        roots (``pmf.points_spectrum``: no (L + 1)-point pmf and no rfft).
+        The grid holds shifts whose largest losses inside {0..L} sum to at
+        most MAX_PUBLIC_OFFSET times the book's reach (``_grid``); larger
+        ones raise ValueError.
         """
         limit = self.system.limit
         if limit + 1 >= pm.FFT_MIN_SIZE:
-            (n, need), record = self._sizing(), self._spectra()
+            reach = sum(max((x for x, p in s.items() if p and x <= limit), default=0)
+                        for s in shifts)
+            room = MAX_PUBLIC_OFFSET * self.system.reach
+            if reach > room:
+                raise ValueError(f"the shifts' largest losses sum to {reach}, above the {room} "
+                                 f"the engine's grid holds ({MAX_PUBLIC_OFFSET} x the book's "
+                                 f"largest loss {self.system.reach})")
+            n, record = self._grid(), self._spectra()
             acc = np.zeros(n // 2 + 1, dtype=complex)
             for weight, sectors in components:
                 kernels = [record.kernels[k - 1] for k in sectors]
@@ -384,24 +391,19 @@ class LossEngine:
                     self.check_tail(1.0 - np.sum(kernel * record.window).real)
                 acc += weight * kernel
             spectrum = record.pgf * acc / normalizer
-            if need + sum(max((x for x, p in s.items() if p and x <= limit), default=0)
-                          for s in shifts) <= n:
-                roots = pm.unit_roots(n)
-                for shift in shifts:
-                    spectrum *= pm.points_spectrum(shift, roots, limit)
-                shifts = ()
-            out = pm.from_spectrum(spectrum, n, limit)
-        else:
-            base = self.loss_distribution()
-            base_cdf_rev = base.cdf()[::-1]
-            acc = np.zeros(limit + 1)
-            for weight, sectors in components:
-                kernel = (functools.reduce(pm.convolve, map(self.kernel, sectors)) if sectors
-                          else pm.point_mass(0, limit))
-                self.check_tail(1.0 - np.dot(kernel.probs, base_cdf_rev))
-                acc += weight * kernel.probs
-            acc /= normalizer
-            out = pm.convolve(base, Pmf(acc, tail_mass=max(1.0 - acc.sum(), 0.0)))
+            for shift in shifts:
+                spectrum *= pm.points_spectrum(shift, pm.unit_roots(n), limit)
+            return pm.from_spectrum(spectrum, n, limit)
+        base = self.loss_distribution()
+        base_cdf_rev = base.cdf()[::-1]
+        acc = np.zeros(limit + 1)
+        for weight, sectors in components:
+            kernel = (functools.reduce(pm.convolve, map(self.kernel, sectors)) if sectors
+                      else pm.point_mass(0, limit))
+            self.check_tail(1.0 - np.dot(kernel.probs, base_cdf_rev))
+            acc += weight * kernel.probs
+        acc /= normalizer
+        out = pm.convolve(base, Pmf(acc, tail_mass=max(1.0 - acc.sum(), 0.0)))
         for shift in shifts:
             out = pm.convolve(out, pm.from_dict(shift, limit))
         return out
@@ -429,16 +431,14 @@ class LossEngine:
         ``ids`` load on change (``_mixtures``, bitwise the full assembly's);
         every other sector keeps its Q_k and all that is cached for it (its
         ``Spectra`` rows by identity).  On the Fourier path the grid N is
-        kept, with no ``pmf.grid_size``
-        search, while every written-off severity lies in {0..L}: for t > 0,
-        Q_k^wo(e^t) = Q_k(e^t) - sum_A (w_Ak p_A / mu_k) (S_A(e^t) - 1) <=
-        Q_k(e^t), S_A the severity PGF of A, and both closed forms increase
-        in Q, so the Chernoff bound that sized N holds for the write-off too.
-        The base's Chernoff need nu bounds the write-off's as well and is
-        kept with N.  Mass beyond L, which the write-off moves to 0, can
-        raise Q_k(e^t): the grid is then the larger of the write-off
-        system's own and N, and the rows carry over, with the write-off's
-        own nu, only if it is N.
+        kept, with no ``pmf.grid_size`` search, while every written-off
+        severity lies in {0..L}: for t > 0, Q_k^wo(e^t) = Q_k(e^t) - sum_A
+        (w_Ak p_A / mu_k) (S_A(e^t) - 1) <= Q_k(e^t), S_A the severity PGF
+        of A, and both closed forms increase in Q, so the Chernoff bound
+        that sized N holds for the write-off too (its reach is the book's).
+        Mass beyond L, which the write-off moves to 0, can raise Q_k(e^t):
+        the grid is then the larger of the write-off system's own and N, and
+        the rows carry over only if it is N.
         """
         system, c = self.system, portfolio.columns
         rows = [portfolio.row(oid) for oid in ids]
@@ -450,11 +450,9 @@ class LossEngine:
             out._cache.update((key, value) for key, value in self._cache.items()
                               if isinstance(key, tuple) and kept[key[1]])
         if system.limit + 1 >= pm.FFT_MIN_SIZE:
-            n, need = self._sizing()
-            if (c.value[np.isin(c.owner, rows)] > system.limit).any():
-                need = out._sizing()[1] if out._grid() <= n else None
-            if need is not None:
-                out._cache["grid"] = (n, need)
+            n = self._grid()
+            if not (c.value[np.isin(c.owner, rows)] > system.limit).any() or out._grid() <= n:
+                out._cache["grid"] = n
                 out._cache["spectra"] = spectra(out.system, n, self.tail_tol,
                                                 self._spectra(), ~kept)
         return out

@@ -15,11 +15,11 @@ of them at once, one vectorised step per loss level.
 Below ``FFT_MIN_SIZE`` points every computation is exact up to relative
 round-off: compound distributions come from the (a, b, 0) Panjer recursion
 and convolutions are direct, so impossible loss levels stay exact zeros.
-From ``FFT_MIN_SIZE`` points on, compound distributions, and sums of
-independent ones (``fourier_sum``: one inverse FFT of the product of their
-PGFs), are their closed-form probability generating functions evaluated on
-a real-FFT grid and convolutions are FFT products; entries are then
-accurate to the absolute bound ``abs_error_bound(limit)``, not relatively.
+From ``FFT_MIN_SIZE`` points on, compound distributions are their
+closed-form probability generating functions evaluated on a real-FFT grid
+(``Claims.log_pgf`` of the severity's rfft, inverted by ``from_spectrum``)
+and convolutions are FFT products; entries are then accurate to the
+absolute bound ``abs_error_bound(limit)``, not relatively.
 """
 
 from __future__ import annotations
@@ -302,14 +302,23 @@ def _compound(claims, severity, limit):
     L + 1 < ``FFT_MIN_SIZE`` the pmf is Panjer's recursion (``panjer``,
     exact up to relative round-off) from g_0 = exp(log_pgf(q_0)), and
     UnderflowError is raised when g_0 is below the smallest normal double.
-    From there on it is ``fourier_sum`` of this one term, accurate to
-    ``FFT_ABS_ERROR`` per entry with at most ``ALIAS_FLOOR`` of aliased
-    mass, which needs no start value.
+
+    From there on it is one inverse FFT of the closed-form PGF on a grid of
+    N = ``grid_size`` points, so the aliased mass on the entries 0..L is at
+    most ``ALIAS_FLOOR``: the rfft of the severity vector gives Q at the
+    N-th roots of unity, ``claims.log_pgf`` its log-spectrum log G(Q) and
+    ``from_spectrum`` inverts exp(log G).  No start value g_0 is needed, so
+    large intensities do not underflow.  Round-off to first order: Q is off
+    by about eps log2(N) per grid point and log G by mu times that (mu the
+    mean claim count; for the negative binomial |d log G/dQ| <= mu because
+    |1 - delta Q| >= 1 - delta), so an entry is off by at most eps log2(N)
+    (1 + mu) mean|G| (see ``FFT_ABS_ERROR``).
     """
     if claims.a == 0.0 and claims.b == 0.0:
         return point_mass(0, limit)
     if limit + 1 >= FFT_MIN_SIZE:
-        return fourier_sum([(claims, severity)], limit, f"the compound pmf ({claims.params})")
+        n = grid_size([(claims, severity)], limit, f"the compound pmf ({claims.params})")
+        return from_spectrum(np.exp(claims.log_pgf(np.fft.rfft(severity.probs, n))), n, limit)
     return panjer([(claims, severity)], limit)[0]
 
 
@@ -317,7 +326,7 @@ def panjer(terms, limit):
     """The pmfs on {0..L} of several compounds by one batched recursion.
 
     ``terms`` are (``Claims``, severity ``Pmf``) pairs, as for
-    ``fourier_sum``.  Raises UnderflowError, naming the first term (in
+    ``aliasing_need``.  Raises UnderflowError, naming the first term (in
     order) whose start value g_0 = exp(log_pgf(q_0)) is below the smallest
     normal double.  Shorter severity vectors are padded with zeros to the
     longest; a term's values do not depend on the other terms in the batch
@@ -369,37 +378,6 @@ def _panjer(a, b, g0, q, limit):
             np.add.accumulate(terms, axis=0, out=sums)
             g[m + level] = sums[-1]
     return np.ascontiguousarray(g[m:].T)
-
-
-def fourier_sum(terms, limit, what):
-    """Pmf of a sum of independent compounds by one inverse FFT of the product
-    of their PGFs.
-
-    ``terms`` are (``Claims``, severity ``Pmf``) pairs.  The grid size N is
-    ``grid_size`` of all terms together, so the aliased mass on the entries
-    0..L is at most ``ALIAS_FLOOR``; ``what`` names the sum in its
-    AliasingError.  One rfft of each severity vector gives Q_k at the
-    N-th roots of unity and the closed form its log-spectrum log G_k(Q_k)
-    (``log_spectrum``); the exponential of their sum is the PGF of the sum
-    there, and ``from_spectrum`` inverts it.  No start value g_0 is needed,
-    so large intensities do not underflow.
-
-    Round-off to first order: Q_k is off by about eps log2(N) per grid
-    point and log G_k by mu_k times that (mu_k the mean claim count; for
-    the negative binomial |d log G/dQ| <= mu because |1 - delta Q| >=
-    1 - delta), so an entry is off by at most eps log2(N) (1 + sum_k mu_k)
-    mean|G| (see ``FFT_ABS_ERROR``).
-    """
-    n = grid_size(terms, limit, what)
-    return from_spectrum(np.exp(sum(log_spectrum(claims, np.fft.rfft(severity.probs, n))
-                                    for claims, severity in terms)), n, limit)
-
-
-def log_spectrum(claims, spectrum):
-    """log G(Q(w)) of a compound at the rfft frequencies w of an n-point grid,
-    from its severity's ``spectrum`` Q(w) = rfft(severity.probs, n) (n > L:
-    rfft pads the severity vector with zeros to n points)."""
-    return claims.log_pgf(spectrum)
 
 
 @functools.lru_cache(maxsize=4)
@@ -490,13 +468,10 @@ def grid_size(terms, limit, what, need=None):
 
     N > L, so that rfft takes every entry 0..L of a severity vector.  The
     circular grid folds P[X = x + jN] onto x, so the error it adds to the
-    entries 0..L sums to at most P[X >= N] <= ALIAS_FLOOR.  The same grid
-    holds X + E, E a sum of independent shifts with largest losses v_A,
-    while nu + sum_A v_A <= N: their PGFs are at most e^(t v_A) at e^t, so
-    at the t that gave nu, P[X + E >= N] <= G(e^t) e^(t (sum_A v_A - N)) <=
-    ALIAS_FLOOR (``LossEngine.mixture``).  A caller that already has the
-    need passes it as ``need``.  Raises AliasingError, naming ``what`` and
-    L, when the need or N (> L) exceeds MAX_GRID.
+    entries 0..L sums to at most P[X >= N] <= ALIAS_FLOOR.  A caller that
+    sizes for more than ``terms`` (``LossEngine._grid``) passes its own
+    ``need``.  Raises AliasingError, naming ``what`` and L, when the need or
+    N (> L) exceeds MAX_GRID.
     """
     need = aliasing_need(terms) if need is None else need
     if need > MAX_GRID:  # first: math.ceil(inf) raises

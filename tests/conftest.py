@@ -5,6 +5,7 @@ import pytest
 
 from crplus import LossEngine, Obligor, Portfolio, Sector, SectorSystem, SeverityDist, assemble
 from crplus import cli, mc
+from crplus import engine as eng
 from crplus import pmf as pm
 from crplus.pmf import Pmf
 from crplus.portfolio import IDIOSYNCRATIC, SEVERITY_SUM_TOL, WEIGHT_SUM_TOL, PortfolioError
@@ -144,10 +145,12 @@ def assemble_loop(portfolio, limit):
     n = portfolio.n_sectors
     mu = np.zeros(n + 1)
     q_vecs = [np.zeros(limit + 1) for _ in range(n + 1)]
+    reach = 0
     for o in portfolio.obligors:
         total = sum(o.severity.probabilities.values())
         if abs(total - 1.0) > SEVERITY_SUM_TOL:
             raise PortfolioError(f"obligor {o.id}: severity probabilities sum to {total!r}, not 1")
+        reach = max([reach] + [v for v, q in o.severity.probabilities.items() if q and v <= limit])
         if o.pd == 0.0:
             continue
         for k in range(n + 1):
@@ -167,7 +170,14 @@ def assemble_loop(portfolio, limit):
         for k in range(n + 1)
     )
     return SectorSystem(mu=mu, delta=delta, alphas=alphas, q_polys=q_polys, limit=limit,
-                        sector_ids=tuple(s.id for s in portfolio.sectors))
+                        sector_ids=tuple(s.id for s in portfolio.sectors), reach=reach)
+
+
+def stressed_need(system):
+    """The Chernoff need nu (``pmf.aliasing_need``) of ``system`` under its
+    heaviest supported stress, every factor sector at alpha_k + 2."""
+    return pm.aliasing_need([(eng._claims(system, "stressed", k), q)
+                             for k, q in enumerate(system.q_polys)])
 
 
 def suggest_truncation_loop(portfolio):

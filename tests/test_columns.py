@@ -99,6 +99,7 @@ def test_losses_beyond_int64_lie_beyond_the_limit():
                    Obligor("B", 0.2, [0.5, 0.5], SeverityDist({3: 1.0}))))
     assert p.columns.value[0] == np.iinfo(np.int64).max
     assert_same_system(eng.assemble(p, 20), assemble_loop(p, 20))
+    assert eng.assemble(p, 20).reach == assemble_loop(p, 20).reach == 3
     # v * v overflows int64 from v ~ 3e9 on; the moments stay those of the loop.
     q = Portfolio((Sector("s1", 1.0),),
                   (Obligor("A", 0.1, [0.0, 1.0], SeverityDist({5 * 10**9: 1.0})),))
@@ -109,7 +110,9 @@ def test_losses_beyond_int64_lie_beyond_the_limit():
 @given(books())
 def test_assemble_and_truncation_match_the_loops(case):
     portfolio, limit = case
-    assert_same_system(eng.assemble(portfolio, limit), assemble_loop(portfolio, limit))
+    system, ref = eng.assemble(portfolio, limit), assemble_loop(portfolio, limit)
+    assert_same_system(system, ref)
+    assert system.reach == ref.reach
     assert eng.suggest_truncation(portfolio) == suggest_truncation_loop(portfolio)
 
 
@@ -139,8 +142,10 @@ def test_writeoff_system_matches_on_random_books(case, data):
     portfolio, limit = case
     ids = [o.id for o in portfolio.obligors]
     chosen = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2, unique=True))
-    assert_same_system(eng.assemble(portfolio, limit, written_off=chosen),
-                       assemble_loop(_stripped(portfolio, chosen), limit))
+    system = eng.assemble(portfolio, limit, written_off=chosen)
+    assert_same_system(system, assemble_loop(_stripped(portfolio, chosen), limit))
+    # The reach is the book's own: the written-off severities still count.
+    assert system.reach == assemble_loop(portfolio, limit).reach
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,7 +159,8 @@ def test_patched_writeoff_system_is_the_full_assembly(case, data):
     full = eng.assemble(portfolio, limit, written_off=chosen)
     assert_same_system(patched, full)
     assert patched.alphas.tobytes() == full.alphas.tobytes()
-    assert (patched.limit, patched.sector_ids) == (full.limit, full.sector_ids)
+    assert (patched.limit, patched.sector_ids, patched.reach) == (full.limit, full.sector_ids,
+                                                                  full.reach)
     # Shared with the base: the intensities and the untouched sectors' mixtures.
     assert patched.mu is base.mu and patched.delta is base.delta
     loaded = (portfolio.columns.W[[portfolio.row(oid) for oid in chosen]] != 0.0).any(axis=0)

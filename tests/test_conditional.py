@@ -10,7 +10,8 @@ from crplus.engine import LossEngine
 from crplus.pmf import TruncationError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
-from conftest import components_enumerated, panjer_negbin, panjer_poisson, with_severity
+from conftest import (components_enumerated, panjer_negbin, panjer_poisson, stressed_need,
+                      with_severity)
 
 
 def single_sector_engine(pd=0.1, alpha=1.0, limit=60):
@@ -442,9 +443,13 @@ def _direct_shifts(engine, portfolio, scenario):
 
 
 def _counted_convolutions(monkeypatch):
+    """The ``pmf.convolve`` and ``pmf.from_dict`` calls of the test, by name."""
     calls = []
-    convolve = pm.convolve
-    monkeypatch.setattr(pm, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    for name in ("convolve", "from_dict"):
+        def recorded(*args, _name=name, _fn=getattr(pm, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(pm, name, recorded)
     return calls
 
 
@@ -453,7 +458,7 @@ def test_severity_shifts_on_the_grid_match_direct_convolution(reference_portfoli
                                                               monkeypatch):
     port = spread(reference_portfolio, 3)
     engine = LossEngine(eng.assemble(port, limit), tail_tol=1e-9)
-    n, need = engine._sizing()
+    n, need = engine._grid(), stressed_need(engine.system)
     assert n == 1024 and need < n
     calls = _counted_convolutions(monkeypatch)
     for scenario, _ in _scenarios(port)[::2]:
@@ -475,61 +480,53 @@ def test_severity_shifts_on_the_grid_match_direct_convolution(reference_portfoli
                                    atol=pd * pm.FFT_ABS_ERROR / base[x].min())
 
 
-def test_a_shift_beyond_the_grid_slack_is_convolved_directly(reference_portfolio, monkeypatch):
-    # Z's loss of 450 passes the slack N - nu of the engine's grid, so its
-    # scenarios are convolved directly after the mixture, bitwise; A's loss of 18
-    # fits and goes on the grid.
+def test_the_grid_holds_every_shift_of_a_large_severity(reference_portfolio, monkeypatch):
+    # Z's loss of 450 sets the book's reach: the grid is sized for nu plus
+    # two of it, 4096 points where the heaviest stress alone fits 2048, and
+    # every scenario, Z's included, is one inverse FFT with its shifts on
+    # the grid.
     ref = spread(reference_portfolio, 3)
     port = Portfolio(ref.sectors, ref.obligors + (
         Obligor("Z", 1e-6, [0.5, 0.5, 0.0], SeverityDist({450: 1.0})),))
     engine = LossEngine(eng.assemble(port, 600), tail_tol=1e-9)
-    n, need = engine._sizing()
+    n, need = engine._grid(), stressed_need(engine.system)
+    assert engine.system.reach == 450
+    assert n == 4096 and need <= 2048 < need + 2 * 450 <= n
     calls = _counted_convolutions(monkeypatch)
     for scenario in (["Z"], ["Z", "A"], ["A", "Z"], ["A"]):
         want, reach = _direct_shifts(engine, port, scenario)
         del calls[:]
         out = _conditional(engine, port, scenario, False).conditional_pmf
-        if "Z" in scenario:
-            assert need + reach > n and len(calls) == len(scenario)
-            assert out.probs.tobytes() == want.probs.tobytes(), scenario
-            assert out.tail_mass == want.tail_mass, scenario
-        else:
-            assert need + reach <= n and calls == []
-            assert np.max(np.abs(out.probs - want.probs)) <= pm.FFT_ABS_ERROR
+        assert need + reach <= n and calls == [], scenario
+        assert np.max(np.abs(out.probs - want.probs)) <= pm.FFT_ABS_ERROR, scenario
+        assert out.tail_mass == pytest.approx(want.tail_mass, abs=1e-12), scenario
 
 
-def test_shifts_at_the_grid_slack_boundary_match_direct_convolution(reference_portfolio,
-                                                                   monkeypatch):
-    # The shifts go on the grid while nu + sum_A v_A <= N: at the boundary
-    # they are factors of the one inverse FFT, one loss further they are
-    # convolved directly, bitwise.
+def test_shifts_up_to_twice_the_reach_go_on_the_grid(reference_portfolio, monkeypatch):
+    # The grid holds shifts whose largest losses inside {0..L} sum to at
+    # most 2 x the book's reach: at that sum they are factors of the one
+    # inverse FFT, one loss further the mixture refuses them.
     port = spread(reference_portfolio, 3)
     limit = 600
     engine = LossEngine(eng.assemble(port, limit), tail_tol=1e-9)
-    n, need = engine._sizing()
-    slack = int(n - need)
-    assert 0 < slack < limit
+    room = 2 * engine.system.reach
+    assert room == 30
     components, normalizer, _ = cd._scenario(engine, port, ["A", "C"])
     mixture = engine.mixture(components.values(), normalizer)
-    for shifts, on_grid in [([{slack: 1.0}], True),
-                            ([{0: 0.3, slack - 5: 0.7}, {5: 1.0}], True),
-                            ([{slack - 5: 0.5, limit + 1: 0.5}, {5: 1.0}], True),
-                            ([{slack + 1: 1.0}], False),
-                            ([{0: 0.3, slack - 4: 0.7}, {5: 1.0}], False)]:
+    for shifts in ([{room: 1.0}], [{0: 0.3, room - 5: 0.7}, {5: 1.0}],
+                   [{room - 5: 0.5, limit + 1: 0.5}, {5: 1.0}]):
         want = mixture
         for shift in shifts:
             want = pm.convolve(want, pm.from_dict(shift, limit))
         calls = _counted_convolutions(monkeypatch)
         got = engine.mixture(components.values(), normalizer, shifts)
         monkeypatch.undo()
-        if on_grid:
-            assert calls == [], shifts
-            assert np.max(np.abs(got.probs - want.probs)) <= pm.FFT_ABS_ERROR, shifts
-            assert got.tail_mass == pytest.approx(want.tail_mass, abs=1e-12), shifts
-        else:
-            assert len(calls) == len(shifts), shifts
-            assert got.probs.tobytes() == want.probs.tobytes(), shifts
-            assert got.tail_mass == want.tail_mass, shifts
+        assert calls == [], shifts
+        assert np.max(np.abs(got.probs - want.probs)) <= pm.FFT_ABS_ERROR, shifts
+        assert got.tail_mass == pytest.approx(want.tail_mass, abs=1e-12), shifts
+    for shifts in ([{room + 1: 1.0}], [{0: 0.3, room - 4: 0.7}, {5: 1.0}]):
+        with pytest.raises(ValueError, match=f"sum to {room + 1}, above the {room} "):
+            engine.mixture(components.values(), normalizer, shifts)
 
 
 @pytest.mark.parametrize("book, limit, tail_tol", [

@@ -14,7 +14,7 @@ from crplus.pmf import AliasingError, TruncationError, UnderflowError
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
 from conftest import (UNVALIDATED, make_reference_portfolio, panjer_negbin, panjer_poisson,
-                      unvalidated_portfolio, with_severity)
+                      stressed_need, unvalidated_portfolio, with_severity)
 from test_mc import criterion12_portfolio
 
 
@@ -216,7 +216,7 @@ def test_fourier_kernels_and_stressed_pmfs_at_extreme_parameters(delta, alpha, l
     system = eng.SectorSystem(mu=np.array([0.0, alpha * delta / (1.0 - delta)]),
                               delta=np.array([delta]), alphas=np.array([alpha]),
                               q_polys=(pm.point_mass(0, limit), q), limit=limit,
-                              sector_ids=("s1",))
+                              sector_ids=("s1",), reach=9)
     engine = LossEngine(system)
     outputs = [(engine.kernel(1), 1.0)]
     outputs += [(engine.loss_distribution((s,)), alpha + s) for s in (1, 2)]
@@ -312,12 +312,12 @@ def spectral_systems(draw):
     q_polys = tuple(severity() for _ in range(n + 1)) + (pm.point_mass(0, limit),)
     system = eng.SectorSystem(mu=np.array(mu), delta=np.array(delta), alphas=np.array(alphas),
                               q_polys=q_polys, limit=limit,
-                              sector_ids=tuple(f"s{k}" for k in range(1, n + 2)))
+                              sector_ids=tuple(f"s{k}" for k in range(1, n + 2)),
+                              reach=max(int(np.flatnonzero(q.probs)[-1]) for q in q_polys))
     # delta near 1 with large severities needs grids of millions of points:
-    # an engine grid (sized for the heaviest stress) up to 2**18 keeps each
-    # example small.
-    terms = [(eng._claims(system, "stressed", k), q) for k, q in enumerate(q_polys)]
-    assume(pm.grid_size(terms, limit, "the base") <= 1 << 18)
+    # an engine grid (sized for the heaviest stress and two shifts) up to
+    # 2**18 keeps each example small.
+    assume(LossEngine(system)._grid() <= 1 << 18)
     return system
 
 
@@ -356,14 +356,20 @@ def _shared_rows(derived, engine):
 
 
 def _fourier_calls(monkeypatch):
-    """The ``pmf.log_spectrum`` and ``pmf.from_spectrum`` calls of the test, by name."""
+    """The ``np.fft.rfft`` and ``pmf.from_spectrum`` calls of the test, by name."""
     calls = []
-    for name in ("log_spectrum", "from_spectrum"):
-        def recorded(*args, _name=name, _fn=getattr(pm, name)):
+    for owner, name in ((np.fft, "rfft"), (pm, "from_spectrum")):
+        def recorded(*args, _name=name, _fn=getattr(owner, name)):
             calls.append(_name)
             return _fn(*args)
-        monkeypatch.setattr(pm, name, recorded)
+        monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+def _need(engine):
+    """The need that sizes ``engine``'s grid: the Chernoff need nu of its
+    heaviest stress plus two of the book's largest losses."""
+    return stressed_need(engine.system) + eng.MAX_PUBLIC_OFFSET * engine.system.reach
 
 
 def _no_grid_search(monkeypatch):
@@ -373,14 +379,16 @@ def _no_grid_search(monkeypatch):
 
 
 def test_criterion12_grid_is_the_smallest_power_of_two_above_the_limit():
-    # At L = 8000 the heaviest stress needs nu of about 3600 points, so
-    # N > L alone sets the grid: 8192 points.
+    # At L = 8000 the heaviest stress needs nu of about 3600 points, and
+    # two shifts of the largest loss 100 more, so N > L alone sets the grid:
+    # 8192 points.
     engine = LossEngine(eng.assemble(criterion12_portfolio(), 8000))
-    n, need = engine._sizing()
+    n, need = engine._grid(), _need(engine)
     assert n == 8192 and need <= n
     assert not (n // 2 > 8000 and need <= n // 2)
     # The spectral book's heavy H needs more than L does.
-    n, need = LossEngine(eng.assemble(spectral_book(heavy=True), SPECTRAL_LIMIT))._sizing()
+    engine = LossEngine(eng.assemble(spectral_book(heavy=True), SPECTRAL_LIMIT))
+    n, need = engine._grid(), _need(engine)
     assert n == 8192 and n // 2 < need <= n
     # With G constant (nu = 1) the grid is the smallest power of two > L.
     for limit, size in [(499, 512), (511, 512), (512, 1024), (1023, 1024), (1024, 2048)]:
@@ -398,8 +406,8 @@ def test_writeoff_engine_on_the_spectral_path_reuses_the_grid_and_unchanged_spec
     _no_grid_search(monkeypatch)
     derived = engine.written_off(port, ("C",))
     base = derived.loss_distribution()
-    # The log-spectra of sectors 0 and 3, then one inverse FFT.
-    assert calls == ["log_spectrum", "log_spectrum", "from_spectrum"]
+    # The severity spectra of sectors 0 and 3, then one inverse FFT.
+    assert calls == ["rfft", "rfft", "from_spectrum"]
     assert _grid(derived) == _grid(engine) == 1024
     assert _shared_rows(derived, engine) == ([1, 2], [1, 2])
     monkeypatch.undo()
@@ -524,7 +532,8 @@ def test_patched_writeoff_record_is_a_fresh_engines_on_a_many_sector_book(ids, t
 
 def test_base_grid_above_max_grid_names_the_base(monkeypatch):
     # Each sector alone fits a 2048-point grid at L = 600; their sum at the
-    # heaviest stress, which sizes the engine's one grid, needs 4096.
+    # heaviest stress, shifted by two losses of 25, which sizes the engine's
+    # one grid, needs 4096.
     p = Portfolio((Sector("s1", 1.0), Sector("s2", 1.0)),
                   (Obligor("A", 1.0, [0.0, 1.0, 0.0], SeverityDist({25: 1.0})),
                    Obligor("B", 1.0, [0.0, 0.0, 1.0], SeverityDist({25: 1.0}))))
@@ -533,7 +542,8 @@ def test_base_grid_above_max_grid_names_the_base(monkeypatch):
     for k in (1, 2):
         assert engine.sector_loss(k).truncation_limit == SPECTRAL_LIMIT
     message = (r"^the portfolio base under its heaviest stress \(alpha_k \+ 2 in every factor "
-               r"sector\) at L=600 needs a Fourier grid")
+               r"sector\) shifted by 2 defaulted severities of up to 25 at L=600 needs a "
+               r"Fourier grid")
     for call in (engine.loss_distribution, lambda: engine.kernel(1)):
         with pytest.raises(AliasingError, match=message):
             call()
