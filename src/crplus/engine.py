@@ -220,10 +220,11 @@ class LossEngine:
     On a grid of N points the engine holds the record, one complex array of
     M = N/2 + 1 frequencies (65 552 bytes at N = 8192) per log G_k and T_k,
     one for G and, with a tail tolerance, two more, and the base pmf (8 (L
-    + 1) bytes), but no Q_k.  The half-length root table
-    (``pmf.unit_roots``, one more such array) is kept per grid size by
-    ``pmf``, shared by every engine on that grid.  At N = 8192 with 10
-    factor sectors the record and the table are 23 arrays, 1 507 696 bytes.
+    + 1) bytes), but no Q_k.  The table of all N roots of unity
+    (``pmf.unit_roots``, 16 N bytes) is kept per grid size by ``pmf``,
+    shared by every engine on that grid.  At N = 8192 with 10 factor
+    sectors the record is 22 arrays, 1 442 144 bytes, and with the table
+    (131 072 bytes) 1 573 216 bytes.
     """
 
     def __init__(self, system, tail_tol=None):
@@ -369,6 +370,9 @@ class LossEngine:
         FFT of G sum_c w_c prod_{k in c} T_k prod_A S_A / normalizer, each
         S_A(w) evaluated from the shift's points on the grid's table of
         roots (``pmf.points_spectrum``: no (L + 1)-point pmf and no rfft).
+        The kernel products are summed through one work array, the base
+        component (K = 1) adds its weight as a scalar, and a normalizer of
+        1.0 (every one-default scenario) divides nothing.
         The grid holds shifts whose largest losses inside {0..L} sum to at
         most MAX_PUBLIC_OFFSET times the book's reach (``_grid``); larger
         ones raise ValueError.
@@ -384,13 +388,17 @@ class LossEngine:
                                  f"largest loss {self.system.reach})")
             n, record = self._grid(), self._spectra()
             acc = np.zeros(n // 2 + 1, dtype=complex)
+            work = np.empty_like(acc)
             for weight, sectors in components:
-                kernels = [record.kernels[k - 1] for k in sectors]
-                kernel = math.prod(kernels[1:], start=kernels[0]) if kernels else 1
+                kernel = record.kernels[sectors[0] - 1] if sectors else 1
+                for k in sectors[1:]:
+                    kernel = np.multiply(kernel, record.kernels[k - 1], out=work)
                 if record.window is not None:
                     self.check_tail(1.0 - np.sum(kernel * record.window).real)
-                acc += weight * kernel
-            spectrum = record.pgf * acc / normalizer
+                acc += np.multiply(weight, kernel, out=work) if sectors else weight
+            spectrum = np.multiply(record.pgf, acc, out=acc)
+            if normalizer != 1.0:
+                spectrum /= normalizer
             for shift in shifts:
                 spectrum *= pm.points_spectrum(shift, pm.unit_roots(n), limit)
             return pm.from_spectrum(spectrum, n, limit)
@@ -466,20 +474,23 @@ def loss_distribution(system, stress=None):
 def risk_report(loss_pmf, thetas):
     """Mean, variance, quantile and expected shortfall at each theta.
 
-    One pass: the losses x and the cdf are built once and every measure is
-    taken from them, with the arithmetic of ``pmf.mean``, ``pmf.variance``,
-    ``pmf.quantile`` and ``pmf.expected_shortfall``.
+    One pass: the losses x, as floats, and the cdf are built once and every
+    measure is taken from them, with the arithmetic of ``pmf.mean``,
+    ``pmf.variance``, ``pmf.quantile`` and ``pmf.expected_shortfall``.  Each
+    theta's quantile is found once and handed to ``pmf.shortfall``, the
+    formula ``pmf.expected_shortfall`` uses.  Raises ``pmf.quantile``'s
+    TruncationError for the first unreachable theta.
     """
     probs = loss_pmf.probs
-    x, cdf = np.arange(probs.size), loss_pmf.cdf()
+    x, cdf = np.arange(probs.size, dtype=float), loss_pmf.cdf()
     m = np.dot(x, probs)
+    levels = [(t, pm.quantile(loss_pmf, t, cdf)) for t in thetas]
     return {
         "mean": float(m),
         "variance": float(np.dot(x * x, probs) - m * m),
         "tail_mass": loss_pmf.tail_mass,
-        "quantiles": {str(t): pm.quantile(loss_pmf, t, cdf) for t in thetas},
-        "expected_shortfall": {str(t): pm.expected_shortfall(loss_pmf, t, cdf, x)
-                               for t in thetas},
+        "quantiles": {str(t): q for t, q in levels},
+        "expected_shortfall": {str(t): pm.shortfall(probs, t, q, x) for t, q in levels},
     }
 
 

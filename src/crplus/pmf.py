@@ -382,17 +382,19 @@ def _panjer(a, b, g0, q, limit):
 
 @functools.lru_cache(maxsize=4)
 def unit_roots(n):
-    """w^j = exp(-2 pi i j / n) for j = 0..n/2, the rfft of a unit impulse at 1.
+    """w^j = exp(-2 pi i j / n) for j = 0..n - 1, n a power of two.
 
-    These are the FFT's own twiddle factors, closer to the exact roots than
-    ``np.exp`` of the rounded angles; w^j for j > n/2 is conj(w^(n - j)),
-    which is how ``points_spectrum`` reads them.  Read-only and kept for
-    the last few grid sizes (16 (n/2 + 1) bytes each), so every engine on
-    an n-point grid shares one table.
+    Entries 0..n/2 are the rfft of a unit impulse at 1, the FFT's own
+    twiddle factors, closer to the exact roots than ``np.exp`` of the
+    rounded angles; entry n - j is their conjugate conj(w^j), so
+    ``points_spectrum`` reads w^r for any r mod n directly.  Read-only and
+    kept for the last few grid sizes (16 n bytes each, 131 072 at n =
+    8192), so every engine on an n-point grid shares one table.
     """
     impulse = np.zeros(n)
     impulse[1] = 1.0
-    roots = np.fft.rfft(impulse)
+    half = np.fft.rfft(impulse)
+    roots = np.concatenate([half, np.conj(half[-2:0:-1])])
     roots.setflags(write=False)
     return roots
 
@@ -401,16 +403,18 @@ def points_spectrum(points, roots, limit):
     """rfft(from_dict(points, limit).probs, n) from the {loss: probability}
     ``points`` themselves, on the n-point grid of ``roots = unit_roots(n)``.
 
-    At frequency j it is sum_v p_v w^(j v) over the losses v <= L, with
-    w^(j v) read from ``roots`` at j v mod n (conjugated above n/2), so a
-    severity of m points costs m gathers of n/2 + 1 roots instead of an
+    At frequency j = 0..n/2 it is sum_v p_v w^(j v) over the losses v <= L,
+    w^(j v) read from ``roots`` at (j v) mod n through one index buffer, so
+    a severity of m points costs m gathers of n/2 + 1 roots instead of an
     (L + 1)-point pmf and an n-point rfft; the two agree to a few ulps.
     Losses beyond L are dropped, as ``from_dict`` moves them to the tail:
     with none left the spectrum is 0.  Raises ValueError as ``from_dict``
     does for a loss that is not a non-negative integer.
     """
-    half = roots.size - 1
-    out = np.zeros(half + 1, dtype=complex)
+    n = roots.size
+    out = np.zeros(n // 2 + 1, dtype=complex)
+    freq = np.arange(n // 2 + 1)
+    power = np.empty_like(freq)
     for x, p in points.items():
         if x < 0 or x != int(x):
             raise ValueError(f"support point {x} is not a non-negative integer")
@@ -419,13 +423,9 @@ def points_spectrum(points, roots, limit):
         if x == 0:
             out += p  # w^0 = 1
             continue
-        power = np.arange(0, (half + 1) * int(x), int(x))
-        power &= 2 * half - 1  # j v mod n, n a power of two
-        flip = power > half
-        np.subtract(2 * half, power, out=power, where=flip)
-        row = roots.take(power)
-        np.negative(row.imag, out=row.imag, where=flip)  # w^(n - r) = conj(w^r)
-        out += p * row
+        np.multiply(freq, int(x), out=power)
+        power &= n - 1  # j v mod n, n a power of two
+        out += p * roots.take(power)
     return out
 
 
@@ -514,17 +514,20 @@ def quantile(p, theta, cdf=None):
     return int(idx)
 
 
-def expected_shortfall(p, theta, cdf=None, x=None):
+def expected_shortfall(p, theta):
     """Discrete expected shortfall with the boundary adjustment.
 
     ES = (1/(1-theta)) * (sum_{x>q} x p[x] + q * (CDF(q) - theta)) with
-    q the theta-quantile.  ``cdf`` (``p.cdf()``) and ``x`` (the losses
-    0..L) may be passed in when the caller already has them.
+    q the theta-quantile (``shortfall``).
     """
-    q = quantile(p, theta, cdf)
-    x = np.arange(p.probs.size) if x is None else x
-    tail_exp = float(np.dot(x[q + 1 :], p.probs[q + 1 :]))
-    cdf_q = float(p.probs[: q + 1].sum())
+    return shortfall(p.probs, theta, quantile(p, theta), np.arange(p.probs.size, dtype=float))
+
+
+def shortfall(probs, theta, q, x):
+    """``expected_shortfall`` of the pmf ``probs`` at theta, given its
+    theta-quantile q and the losses x = 0..L as floats."""
+    tail_exp = float(np.dot(x[q + 1 :], probs[q + 1 :]))
+    cdf_q = float(probs[: q + 1].sum())
     return (tail_exp + q * (cdf_q - theta)) / (1.0 - theta)
 
 
@@ -534,27 +537,3 @@ def to_csv(p):
     lines.extend(map("{},{:.17g}".format, range(p.probs.size), p.probs.tolist()))
     lines.append(f"# tail_mass={p.tail_mass:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def from_csv(text):
-    """Parse the CSV layout written by :func:`to_csv`."""
-    probs = {}
-    tail = 0.0
-    limit = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line == "x,probability":
-            continue
-        if line.startswith("#"):
-            key, _, val = line.lstrip("# ").partition("=")
-            if key.strip() == "tail_mass":
-                tail = float(val)
-            continue
-        xs, _, ps = line.partition(",")
-        x = int(xs)
-        probs[x] = float(ps)
-        limit = max(limit, x)
-    out = np.zeros(limit + 1)
-    for x, v in probs.items():
-        out[x] = v
-    return Pmf(out, tail_mass=tail)

@@ -1,7 +1,10 @@
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.special import roots_genlaguerre
 
 from crplus import LossEngine, Obligor, Portfolio, Sector, SectorSystem, SeverityDist, assemble
 from crplus import cli, mc
@@ -56,6 +59,23 @@ def reference_portfolio():
 @pytest.fixture(scope="session")
 def reference_engine(reference_portfolio):
     return LossEngine(assemble(reference_portfolio, REFERENCE_LIMIT))
+
+
+# The scenarios the quadrature gates, and the limit of its Fourier-path gate.
+QUADRATURE_SCENARIOS = [(), ("A",), ("B",), ("C",), ("D",), ("E",), ("A", "B"), ("C", "E")]
+QUADRATURE_FOURIER_LIMIT = 600
+
+
+@pytest.fixture(scope="session")
+def quadrature_references(reference_portfolio):
+    """L -> defaulted obligors -> ``quadrature_reference`` pmf on the reference
+    portfolio, for L = 200 (the Panjer path) and 600 (the Fourier path)."""
+    out = {}
+    for limit in (REFERENCE_LIMIT, QUADRATURE_FOURIER_LIMIT):
+        nodes = quadrature_nodes(reference_portfolio, limit)
+        out[limit] = {ids: quadrature_reference(reference_portfolio, limit, ids, nodes)
+                      for ids in QUADRATURE_SCENARIOS}
+    return out
 
 
 @pytest.fixture
@@ -310,3 +330,126 @@ def components_enumerated(loadings, alphas):
     terms += [(f"+e_{i}+e_{j}", w1[i] * w2[j] + w1[j] * w2[i], [i, j])
               for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return {key: (weight, sectors) for key, weight, sectors in terms if weight > 0.0}
+
+
+def from_csv(text):
+    """Parse the CSV layout written by ``pmf.to_csv``: the tests' reader of CLI output."""
+    probs = {}
+    tail = 0.0
+    limit = 0
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line == "x,probability":
+            continue
+        if line.startswith("#"):
+            key, _, val = line.lstrip("# ").partition("=")
+            if key.strip() == "tail_mass":
+                tail = float(val)
+            continue
+        xs, _, ps = line.partition(",")
+        x = int(xs)
+        probs[x] = float(ps)
+        limit = max(limit, x)
+    out = np.zeros(limit + 1)
+    for x, v in probs.items():
+        out[x] = v
+    return Pmf(out, tail_mass=tail)
+
+
+def half_table_spectrum(points, roots, limit):
+    """``pmf.points_spectrum`` on the half table of roots w^0..w^(n/2), the
+    rfft of a unit impulse at 1: the tests' reference for the gather.
+
+    Each loss v's row reads w^r at r = j v mod n, and above n/2 the
+    conjugate of w^(n - r).
+    """
+    half = roots.size - 1
+    out = np.zeros(half + 1, dtype=complex)
+    for x, p in points.items():
+        if x > limit:
+            continue
+        if x == 0:
+            out += p
+            continue
+        power = np.arange(0, (half + 1) * int(x), int(x))
+        power &= 2 * half - 1
+        flip = power > half
+        np.subtract(2 * half, power, out=power, where=flip)
+        row = roots.take(power)
+        np.negative(row.imag, out=row.imag, where=flip)
+        out += p * row
+    return out
+
+
+# Gauss-Laguerre nodes per factor sector of the quadrature reference.
+QUADRATURE_NODES = 48
+# Nodes per pmf.panjer pass of the quadrature reference.
+QUADRATURE_BLOCK = 384
+
+
+class Quadrature(NamedTuple):
+    """The node pass of ``quadrature_reference``: per node i, its weight,
+    every obligor's intensity p_A(s_i) and the book's pmf given S = s_i."""
+
+    weight: np.ndarray  # (R,), summing to 1 up to round-off
+    intensity: np.ndarray  # (R, obligors)
+    rows: np.ndarray  # (R, L + 1)
+    severity: np.ndarray  # (obligors, L + 1), mass inside {0..L}
+
+
+def quadrature_nodes(portfolio, limit, nodes=QUADRATURE_NODES):
+    """The tensor Gauss-Laguerre grid of the gamma factors and batched
+    ``pmf.panjer`` passes over its nodes, ``QUADRATURE_BLOCK`` at a time: a
+    reference that shares no code with the engine's sector assembly,
+    kernels, mixture weights or Fourier path.
+
+    S_k ~ Gamma(alpha_k, rate alpha_k), so with u = alpha_k s_k the density
+    is u^(alpha_k - 1) e^(-u) / Gamma(alpha_k): generalized Gauss-Laguerre
+    (``scipy.special.roots_genlaguerre`` with parameter alpha_k - 1; Golub &
+    Welsch 1969, "Calculation of Gauss quadrature rules", Math. Comp. 23),
+    weights normalized to sum to 1.  Given S = s the book is one compound
+    Poisson, intensity lambda(s) = sum_A p_A(s), p_A(s) = p_A (w_A0 +
+    sum_k w_Ak s_k), and severity sum_A p_A(s) S_A / lambda(s).  The grid
+    has nodes^K points, so keep K <= 2.
+    """
+    c = portfolio.columns
+    axes = [roots_genlaguerre(nodes, sector.alpha - 1.0) for sector in portfolio.sectors]
+    factors = [u / sector.alpha for (u, _), sector in zip(axes, portfolio.sectors)]
+    weight = np.prod(list(itertools.product(*(w / w.sum() for _, w in axes))), axis=1)
+    loads = np.ones((weight.size, len(axes) + 1))  # (1, s_1, ..., s_K) per node
+    loads[:, 1:] = list(itertools.product(*factors))
+    intensity = c.pd * (loads @ c.W.T)
+    inside = c.value <= limit
+    severity = np.zeros((c.pd.size, limit + 1))
+    np.add.at(severity, (c.owner[inside], c.value[inside]), c.prob[inside])
+    rows = np.empty((weight.size, limit + 1))
+    # pmf.panjer's coefficients take 8 L m bytes per row: blocks of nodes
+    # keep the pass to tens of MB.
+    for i in range(0, weight.size, QUADRATURE_BLOCK):
+        block = intensity[i : i + QUADRATURE_BLOCK]
+        lam = block.sum(axis=1)
+        q = block @ severity / lam[:, None]
+        terms = [(pm.poisson_claims(l), Pmf(row, tail_mass=max(1.0 - row.sum(), 0.0)))
+                 for l, row in zip(lam.tolist(), q)]
+        rows[i : i + lam.size] = [g.probs for g in pm.panjer(terms, limit)]
+    return Quadrature(weight, intensity, rows, severity)
+
+
+def quadrature_reference(portfolio, limit, defaulted=(), quadrature=None):
+    """The loss pmf on {0..L} given the default of the obligors ``defaulted``
+    (none: the base), by quadrature over the gamma factors.
+
+    P[X = x | D] = E[prod_{A in D} p_A(S) P[X + sum_A E_A = x | S]] /
+    E[prod_A p_A(S)] (E_A the severity of A): each node's pmf is weighted by
+    prod_A p_A(s), and the mean is then convolved with the defaulted
+    severities.  ``quadrature`` is the ``quadrature_nodes`` pass of
+    (portfolio, L), computed when not given.
+    """
+    q = quadrature_nodes(portfolio, limit) if quadrature is None else quadrature
+    weight = q.weight
+    for oid in defaulted:
+        weight = weight * q.intensity[:, portfolio.row(oid)]
+    probs = weight @ q.rows / weight.sum()
+    for oid in defaulted:
+        probs = np.convolve(probs, q.severity[portfolio.row(oid)])[: limit + 1]
+    return Pmf(probs, tail_mass=max(1.0 - probs.sum(), 0.0))

@@ -10,7 +10,7 @@ from crplus import Obligor, Portfolio, Sector, SeverityDist, parse_portfolio, se
 from crplus import cli, conditional, engine as eng, mc
 from crplus.cli import main
 
-from conftest import make_reference_portfolio
+from conftest import from_csv, make_reference_portfolio
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def test_dist_writes_outputs(portfolio_file, tmp_path):
     code = run(["dist", "--portfolio", portfolio_file, "--max-loss", 200,
                 "--theta", 0.99, "--out", out])
     assert code == 0
-    p = pm.from_csv((out / "pmf.csv").read_text())
+    p = from_csv((out / "pmf.csv").read_text())
     assert abs(p.probs.sum() + p.tail_mass - 1.0) < 1e-10
     report = json.loads((out / "report.json").read_text())
     assert report["risk"]["quantiles"]["0.99"] >= 0
@@ -64,7 +64,7 @@ def test_dist_large_intensity_on_fourier_path(tmp_path):
     path = _write_idiosyncratic_book(tmp_path)
     out = tmp_path / "o"
     assert run(["dist", "--portfolio", path, "--max-loss", "auto", "--out", out]) == 0
-    p = pm.from_csv((out / "pmf.csv").read_text())
+    p = from_csv((out / "pmf.csv").read_text())
     assert p.truncation_limit == 1140
     x = np.arange(p.truncation_limit + 1)
     np.testing.assert_allclose(p.probs, stats.poisson.pmf(x, 800), rtol=0, atol=1e-13)

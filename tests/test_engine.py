@@ -674,6 +674,39 @@ def test_risk_report_geometric_median():
     assert eng.risk_report(out, [0.5])["quantiles"]["0.5"] == 0
 
 
+def crowded_book(limit):
+    """L / 4 obligors of pd 0.5 and loss 8, half on one factor sector: the
+    mean loss is L, so the last level holds mass of its own."""
+    return Portfolio((Sector("s1", 200.0),), tuple(
+        Obligor(f"o{i}", 0.5, [0.5, 0.5], SeverityDist({8: 1.0})) for i in range(limit // 4)))
+
+
+@pytest.mark.parametrize("limit", [200, 1600, 8000])  # Panjer, then the Fourier path
+@pytest.mark.parametrize("book", ["reference", "crowded"])
+def test_risk_report_is_quantile_and_shortfall_level_by_level(reference_portfolio, book, limit):
+    port = reference_portfolio if book == "reference" else crowded_book(limit)
+    p = LossEngine(eng.assemble(port, limit)).loss_distribution()
+    last = float(p.cdf()[-1])
+    if book == "reference":
+        thetas = [0.5, 0.95, 0.99, 0.999]
+    else:  # cdf[L] is about 0.55: its quantile is L, and the next double above is unreachable
+        thetas = [0.1, 0.25, 0.5, last]
+        unreachable = float(np.nextafter(last, 1.0))
+        with pytest.raises(TruncationError) as want:
+            pm.quantile(p, unreachable)
+        with pytest.raises(TruncationError) as got:
+            eng.risk_report(p, [0.5, unreachable])
+        assert str(got.value) == str(want.value) and got.value.tail_mass == p.tail_mass
+    rep = eng.risk_report(p, thetas)
+    assert repr(rep["mean"]) == repr(pm.mean(p))
+    assert repr(rep["variance"]) == repr(pm.variance(p))
+    for t in thetas:
+        assert rep["quantiles"][str(t)] == pm.quantile(p, t)
+        assert repr(rep["expected_shortfall"][str(t)]) == repr(pm.expected_shortfall(p, t))
+    if book == "crowded":
+        assert rep["quantiles"][str(last)] == limit
+
+
 # -------------------------------------------------------- suggest_truncation
 
 def test_suggest_truncation_is_a_sane_starting_point(reference_portfolio):

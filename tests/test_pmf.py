@@ -9,7 +9,7 @@ from scipy import stats
 from crplus import pmf as pm
 from crplus.pmf import AliasingError, Pmf, TruncationError, UnderflowError
 
-from conftest import panjer_negbin, panjer_poisson
+from conftest import from_csv, half_table_spectrum, panjer_negbin, panjer_poisson
 
 
 def pmf_of(d, limit):
@@ -347,10 +347,13 @@ def test_fourier_grid_cap_raises():
 def test_points_spectrum_is_the_rfft_of_the_severity_pmf(n, limit):
     eps = np.finfo(float).eps
     roots = pm.unit_roots(n)
-    # The roots against exp(-2 pi i j / n) in extended precision (x86: 64-bit mantissa).
-    angle = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.arange(n // 2 + 1) / n
+    # All n roots against exp(-2 pi i j / n) in extended precision (x86: 64-bit mantissa).
+    angle = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.arange(n) / n
     exact = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
+    assert roots.shape == (n,) and not roots.flags.writeable
     assert np.max(np.abs(roots - exact)) <= 3 * eps
+    # The upper half is bitwise the conjugate of the lower: w^(n - j) = conj(w^j).
+    assert roots[: n // 2 : -1].tobytes() == np.conj(roots[1 : n // 2]).tobytes()
     cases = [{0: 1.0}, {limit: 1.0}, {1: 1.0}, {n // 2: 0.5, n // 2 + 1: 0.5},
              {0: 0.2, 7: 0.3, limit: 0.5},
              {3: 0.25, limit + 1: 0.5, 10**30: 0.25},  # losses beyond L are dropped
@@ -364,6 +367,30 @@ def test_points_spectrum_is_the_rfft_of_the_severity_pmf(n, limit):
     for loss in (-1, 1.5):
         with pytest.raises(ValueError, match="not a non-negative integer"):
             pm.points_spectrum({loss: 1.0}, roots, limit)
+
+
+@st.composite
+def severity_points(draw):
+    """(points, n, L): 1-5 losses, among them the edges 0, L, L + 1, n/2,
+    n/2 + 1 and multiples of n, on grids of 512 to 16384 points."""
+    n = 1 << draw(st.integers(9, 14))
+    limit = draw(st.integers(n // 2, n - 1))
+    edges = st.sampled_from([0, limit, limit + 1, n // 2, n // 2 + 1])
+    losses = draw(st.lists(st.one_of(edges, st.integers(1, 4).map(lambda k: k * n),
+                                     st.integers(0, limit)),
+                           min_size=1, max_size=5, unique=True))
+    probs = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(losses), max_size=len(losses)))
+    total = sum(probs)
+    return {x: p / total for x, p in zip(losses, probs)}, n, limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(severity_points())
+def test_points_spectrum_is_bitwise_the_half_table_gather(case):
+    points, n, limit = case
+    half = np.fft.rfft(np.eye(1, n, 1)[0])  # w^0..w^(n/2): the rfft of a unit impulse at 1
+    want = half_table_spectrum(points, half, limit)
+    assert pm.points_spectrum(points, pm.unit_roots(n), limit).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -498,7 +525,7 @@ def test_expected_shortfall_examples():
 
 def test_csv_round_trip():
     p = pm.compound_poisson(0.7, pmf_of({1: 0.4, 3: 0.6}, 9), 9)
-    back = pm.from_csv(pm.to_csv(p))
+    back = from_csv(pm.to_csv(p))
     np.testing.assert_array_equal(back.probs, p.probs)
     assert back.tail_mass == p.tail_mass
 
