@@ -85,15 +85,15 @@ def _components(loadings, alphas):
     base, +e_j, +2e_j and +e_i+e_j with weight > 0, summing to the normalizer,
     in that order with j and (i, j) ascending.  A term of a sector neither
     obligor loads on has weight 0, so only the loaded sectors are visited.
+    The weights are Python floats, from ``tolist()`` (the same double arithmetic).
     """
-    n = alphas.size
     if len(loadings) == 1:
-        (w,) = loadings
-        out = {"base": (float(w[0]), [])}
-        out.update((f"+e_{j}", (float(w[j]), [j])) for j in range(1, n + 1) if w[j] > 0.0)
+        w = loadings[0].tolist()
+        out = {"base": (w[0], [])}
+        out.update((f"+e_{j}", (w[j], [j])) for j in range(1, len(w)) if w[j] > 0.0)
         return out
-    w1, w2 = loadings
-    loaded = (np.flatnonzero((w1[1:] > 0.0) | (w2[1:] > 0.0)) + 1).tolist()
+    loaded = (np.flatnonzero((loadings[0][1:] > 0.0) | (loadings[1][1:] > 0.0)) + 1).tolist()
+    (w1, w2), alphas = (w.tolist() for w in loadings), alphas.tolist()
     terms = [("base", w1[0] * w2[0], [])]
     for j in loaded:
         terms.append((f"+e_{j}", w1[0] * w2[j] + w1[j] * w2[0], [j]))

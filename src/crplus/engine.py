@@ -11,8 +11,8 @@ stress on sector k multiplies the PGF by one compound geometric kernel
 T_k = G_k^(1/alpha_k) = (1 - delta_k) / (1 - delta_k Q_k), so a
 conditional, a weighted mean of stressed pmfs, is the base convolved with
 a weighted sum of kernel products (see ``LossEngine.mixture``).  Below
-``pmf.FFT_MIN_SIZE`` points sector pmfs and kernels come from one batched
-Panjer pass and the convolutions are direct; from there on the engine
+``pmf.FFT_MIN_SIZE`` points sector pmfs and kernels are the ``Rows`` of one
+batched Panjer pass and the convolutions are direct; from there on the engine
 works on one Fourier grid, the smallest power of two above L that the
 Chernoff aliasing bound of the heaviest supported stress, shifted by two of
 the book's largest losses, allows, where the base and every mixture with
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,6 +181,44 @@ def spectra(system, n, tail_tol, parent=None, changed=None):
     return Spectra(tuple(log_g), tuple(kernels), pgf, indicator, window)
 
 
+@dataclass(frozen=True)
+class Rows:
+    """A sector system's Panjer rows below ``pmf.FFT_MIN_SIZE`` points, pmfs
+    on {0..L}: sectors[k] the loss of sector k (k = 0..K) and kernels[k - 1]
+    the kernel T_k, the compound NB(1, delta_k) of severity Q_k."""
+
+    sectors: tuple
+    kernels: tuple
+
+
+def rows(system, parent=None, changed=None):
+    """The ``Rows`` of ``system`` from one ``pmf.panjer`` pass, checked as
+    sectors 0..K, then kernels 1..K, so the first row that underflows names
+    the error.  A kernel's start value (1 - delta_k) / (1 - delta_k q_0) is
+    at least 1 - delta_k >= 2**-53 and its parameters are its sector's with
+    alpha = 1, so a kernel row never fails where its sector row passes.  A
+    row without claims (mu_k = 0) is an exact point mass at 0, with no
+    recursion.  Given the ``parent`` record of a system that differs only in
+    the sectors flagged in the boolean array ``changed``, only their rows
+    are computed: every other row is the parent's own pmf.
+    """
+    n = system.n_sectors
+    slots = list(parent.sectors + parent.kernels) if parent else [None] * (2 * n + 1)
+    todo = np.flatnonzero(changed).tolist() if parent else range(n + 1)
+    keys = [(k, "sector", k) for k in todo] + [(n + k, "kernel", k) for k in todo if k]
+    filled, terms = [], []
+    for slot, kind, k in keys:
+        claims = _claims(system, kind, k)
+        if claims.a or claims.b:
+            filled.append(slot)
+            terms.append((claims, system.q_polys[k]))
+        else:
+            slots[slot] = pm.point_mass(0, system.limit)
+    for slot, out in zip(filled, pm.panjer(terms, system.limit) if terms else ()):
+        slots[slot] = out
+    return Rows(tuple(slots[: n + 1]), tuple(slots[n + 1 :]))
+
+
 class LossEngine:
     """Cached evaluator of stressed loss distributions and their mixtures.
 
@@ -198,24 +235,22 @@ class LossEngine:
     tolerance; ``loss_distribution(stress)`` is its one-component case and
     the only method that takes an offset vector.
 
-    Two representations, by L alone.  Below ``pmf.FFT_MIN_SIZE`` points the
-    first call that needs the base computes every missing sector pmf and the
-    kernel of every loaded sector in one batched Panjer pass (``_fill``);
-    the base is the convolution of the sector pmfs and a mixture the base
-    convolved once with the weighted sum of the kernel products (direct
-    convolutions, ``pmf.convolve``), and so are the severity shifts.  From
-    that size on the engine holds one Fourier grid of N > L points, sized
-    once for the heaviest supported stress and two of the book's largest
-    losses (``_grid``), and on it one ``Spectra`` record, built whole at
-    first use: the base is one inverse FFT of G and a conditional one
-    inverse FFT of G sum_c w_c prod_{k in c} T_k prod_A S_A / normalizer,
-    S_A the defaulted severities' spectra, evaluated from their few points
-    on a table of roots of unity (``pmf.points_spectrum``).
-    ``written_off`` patches this engine into a write-off engine: only the
-    sectors the written-off obligors load on are recomputed, on this
-    engine's grid.  Thread-safe: the caches are guarded by a lock and hold
-    immutable results, so concurrent evaluations return results identical
-    to serial execution.
+    Two representations, by L alone, each one frozen record per engine,
+    built whole at first use.  Below ``pmf.FFT_MIN_SIZE`` points it is the
+    ``Rows`` of one batched Panjer pass; the base is the convolution of the
+    sector pmfs and a mixture the base convolved once with the weighted sum
+    of the kernel products (direct convolutions, ``pmf.convolve``), and so
+    are the severity shifts.  From that size on the engine holds one Fourier
+    grid of N > L points, sized once for the heaviest supported stress and
+    two of the book's largest losses (``_grid``), and on it one ``Spectra``
+    record: the base is one inverse FFT of G and a conditional one inverse
+    FFT of G sum_c w_c prod_{k in c} T_k prod_A S_A / normalizer, S_A the
+    defaulted severities' spectra, evaluated from their few points on a
+    table of roots of unity (``pmf.points_spectrum``).  ``written_off``
+    patches this engine into a write-off engine that recomputes only the
+    rows of the sectors the written-off obligors load on.  Thread-safe
+    without a lock: the cache holds whole immutable values, each stored by
+    ``dict.setdefault``, which keeps the first of two racing builds.
 
     On a grid of N points the engine holds the record, one complex array of
     M = N/2 + 1 frequencies (65 552 bytes at N = 8192) per log G_k and T_k,
@@ -230,24 +265,20 @@ class LossEngine:
     def __init__(self, system, tail_tol=None):
         self.system = system
         self.tail_tol = tail_tol
-        self._lock = threading.Lock()
-        # Below pmf.FFT_MIN_SIZE points, per sector k: ("sector", k) and
-        # ("kernel", k) -> Pmf.  For the whole book: "base" -> Pmf; on the
-        # Fourier grid "grid" -> N and "spectra" -> Spectra.
+        # "base" -> Pmf; below pmf.FFT_MIN_SIZE points "rows" -> Rows, from
+        # there on "grid" -> N and "spectra" -> Spectra.
         self._cache = {}
 
     def _cached(self, key, compute):
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = compute()
-        with self._lock:
-            return self._cache.setdefault(key, out)
+        hit = self._cache.get(key)
+        return self._cache.setdefault(key, compute()) if hit is None else hit
 
     def sector_loss(self, k):
-        """Sector k's unstressed loss pmf (cached); stresses go through ``mixture``."""
-        return self._cached(("sector", k), lambda: sector_loss(self.system, k))
+        """Sector k's unstressed loss pmf: its ``Rows`` entry below ``pmf.FFT_MIN_SIZE``
+        points, else the module-level ``sector_loss``, uncached (no mixture reads it)."""
+        if self.system.limit + 1 >= pm.FFT_MIN_SIZE:
+            return sector_loss(self.system, k)
+        return self._rows().sectors[k]
 
     def kernel(self, k):
         """Compound geometric kernel T_k that raises sector k's exponent by one:
@@ -259,36 +290,11 @@ class LossEngine:
                              f"1..{system.n_sectors}")
         if system.limit + 1 >= pm.FFT_MIN_SIZE:
             return pm.from_spectrum(self._spectra().kernels[k - 1], self._grid(), system.limit)
-        return self._cached(("kernel", k), lambda: pm.compound_negbin(
-            1.0, system.delta[k - 1], system.q_polys[k], system.limit))
+        return self._rows().kernels[k - 1]
 
-    def _fill(self):
-        """Below ``pmf.FFT_MIN_SIZE`` points: every missing sector pmf and the
-        kernel of every loaded sector by one ``pmf.panjer`` pass.
-
-        Rows are checked in the order a lazy engine meets them (sectors 0..N),
-        so the same sector raises the same error.  A kernel's start value
-        (1 - delta_k) / (1 - delta_k q_0) is at least 1 - delta_k >= 2**-53
-        and its parameters are its sector's with alpha = 1, so a kernel row
-        never fails where its sector row passes.  Sectors with no claims are
-        point masses and stay with ``sector_loss``.
-        """
-        system = self.system
-        n = system.n_sectors
-        keys = [("sector", k) for k in range(n + 1)] + [("kernel", k) for k in range(1, n + 1)]
-        with self._lock:
-            keys = [key for key in keys if key not in self._cache]
-        filled, terms = [], []
-        for key in keys:
-            claims = _claims(system, *key)
-            if claims.a or claims.b:
-                filled.append(key)
-                terms.append((claims, system.q_polys[key[1]]))
-        if terms:
-            pmfs = pm.panjer(terms, system.limit)
-            with self._lock:
-                for key, out in zip(filled, pmfs):
-                    self._cache.setdefault(key, out)
+    def _rows(self):
+        """Below ``pmf.FFT_MIN_SIZE`` points: the engine's ``Rows``."""
+        return self._cached("rows", lambda: rows(self.system))
 
     def _grid(self):
         """From ``pmf.FFT_MIN_SIZE`` points on: the engine's grid size N.
@@ -316,20 +322,15 @@ class LossEngine:
         return self._cached("grid", compute)
 
     def _spectra(self):
-        """The engine's ``Spectra`` on its grid, built on first use."""
+        """From ``pmf.FFT_MIN_SIZE`` points on: the engine's ``Spectra`` on its grid."""
         return self._cached("spectra", lambda: spectra(self.system, self._grid(), self.tail_tol))
 
     def _base(self):
         """Unstressed loss pmf: the distribution of the sum of all N+1 sectors."""
         def fold():
-            limit = self.system.limit
-            if limit + 1 >= pm.FFT_MIN_SIZE:
-                return pm.from_spectrum(self._spectra().pgf, self._grid(), limit)
-            self._fill()
-            out = self.sector_loss(0)
-            for k in range(1, self.system.n_sectors + 1):
-                out = pm.convolve(out, self.sector_loss(k))
-            return out
+            if self.system.limit + 1 < pm.FFT_MIN_SIZE:
+                return functools.reduce(pm.convolve, self._rows().sectors)
+            return pm.from_spectrum(self._spectra().pgf, self._grid(), self.system.limit)
         return self._cached("base", fold)
 
     def _checked(self, stress):
@@ -437,8 +438,8 @@ class LossEngine:
 
         Only the severity mixtures Q_k of the sectors that the obligors
         ``ids`` load on change (``_mixtures``, bitwise the full assembly's);
-        every other sector keeps its Q_k and all that is cached for it (its
-        ``Spectra`` rows by identity).  On the Fourier path the grid N is
+        every other sector keeps its Q_k and its rows of the ``Rows`` or
+        ``Spectra`` record, by identity.  On the Fourier path the grid N is
         kept, with no ``pmf.grid_size`` search, while every written-off
         severity lies in {0..L}: for t > 0, Q_k^wo(e^t) = Q_k(e^t) - sum_A
         (w_Ak p_A / mu_k) (S_A(e^t) - 1) <= Q_k(e^t), S_A the severity PGF
@@ -449,20 +450,18 @@ class LossEngine:
         the rows carry over only if it is N.
         """
         system, c = self.system, portfolio.columns
-        rows = [portfolio.row(oid) for oid in ids]
-        kept = (c.W[rows] == 0.0).all(axis=0)  # the sectors no written-off obligor loads on
+        obligors = [portfolio.row(oid) for oid in ids]
+        kept = (c.W[obligors] == 0.0).all(axis=0)  # the sectors no written-off obligor loads on
         fresh = iter(_mixtures(portfolio, system.limit, system.mu, np.flatnonzero(~kept), ids))
         q_polys = tuple(q if keep else next(fresh) for q, keep in zip(system.q_polys, kept))
         out = LossEngine(replace(system, q_polys=q_polys), self.tail_tol)
-        with self._lock:  # the unchanged sectors' pmfs and kernels
-            out._cache.update((key, value) for key, value in self._cache.items()
-                              if isinstance(key, tuple) and kept[key[1]])
-        if system.limit + 1 >= pm.FFT_MIN_SIZE:
-            n = self._grid()
-            if not (c.value[np.isin(c.owner, rows)] > system.limit).any() or out._grid() <= n:
-                out._cache["grid"] = n
-                out._cache["spectra"] = spectra(out.system, n, self.tail_tol,
-                                                self._spectra(), ~kept)
+        if system.limit + 1 < pm.FFT_MIN_SIZE:
+            out._cache["rows"] = rows(out.system, self._rows(), ~kept)
+            return out
+        n = self._grid()
+        if not (c.value[np.isin(c.owner, obligors)] > system.limit).any() or out._grid() <= n:
+            out._cache["grid"] = n
+            out._cache["spectra"] = spectra(out.system, n, self.tail_tol, self._spectra(), ~kept)
         return out
 
 

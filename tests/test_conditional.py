@@ -427,7 +427,7 @@ def test_fourier_conditionals_build_no_kernel_pmfs(reference_portfolio, monkeypa
         _conditional(engines[0], reference_portfolio, scenario, writeoff)
     assert len(engines) == 1 + 15
     assert negbins == [] and long_convolutions == []
-    assert not [key for engine in engines for key in engine._cache if key[0] == "kernel"]
+    assert all(set(engine._cache) <= {"base", "grid", "spectra"} for engine in engines)
 
 
 def _direct_shifts(engine, portfolio, scenario):
@@ -578,6 +578,7 @@ def test_components_match_their_descriptors():
             assert total == pytest.approx(normalizer, rel=1e-14)
             assert list(components)[0] == "base" or len(scenario) == 2
             for key, (weight, sectors) in components.items():
+                assert type(weight) is float, (key, type(weight))
                 assert weight > 0.0 or key == "base"
                 # One entry per unit of stress, in sector order.
                 assert sectors == sorted(sectors) and len(sectors) <= len(scenario)
