@@ -113,6 +113,8 @@ def _mixtures(portfolio, limit, mu, sectors, written_off):
 def sector_loss(system, k):
     """Unstressed loss pmf of sector k: compound Poisson for the idiosyncratic
     sector k = 0, compound negative binomial for k >= 1."""
+    if not 0 <= k <= system.n_sectors:
+        raise ValueError(f"sector {k} does not exist: the sectors are 0..{system.n_sectors}")
     if k == 0:
         return pm.compound_poisson(system.mu[0], system.q_polys[0], system.limit)
     return pm.compound_negbin(
@@ -276,9 +278,9 @@ class LossEngine:
     def sector_loss(self, k):
         """Sector k's unstressed loss pmf: its ``Rows`` entry below ``pmf.FFT_MIN_SIZE``
         points, else the module-level ``sector_loss``, uncached (no mixture reads it)."""
-        if self.system.limit + 1 >= pm.FFT_MIN_SIZE:
-            return sector_loss(self.system, k)
-        return self._rows().sectors[k]
+        if self.system.limit + 1 < pm.FFT_MIN_SIZE and 0 <= k <= self.system.n_sectors:
+            return self._rows().sectors[k]
+        return sector_loss(self.system, k)  # which rejects an unknown k
 
     def kernel(self, k):
         """Compound geometric kernel T_k that raises sector k's exponent by one:

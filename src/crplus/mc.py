@@ -23,6 +23,10 @@ A counter-based Philox stream drives everything, in a fixed call order per
 batch (gamma, poisson, uniform), so a given (seed, config) pair reproduces
 tallies byte for byte.
 
+Both estimators weight every draw instead of waiting for a rare event
+(E[D_1 D_2 I(X = x)] = E[p_1^S p_2^S I(X + E_1 + E_2 = x)]): one pass of
+``_tally`` sums w, w^2, w I(y = x) and w^2 I(y = x) over their (w, y) pairs.
+
 ``simulate``, ``estimate_conditional_one_default`` and
 ``verify_fundamental_identity`` share one sample: the process keeps the
 read-only batch of its last run of at most ``BATCH`` draws, keyed by the
@@ -55,7 +59,6 @@ class NoAcceptedDrawsError(ValueError):
 class SimConfig:
     draws: int
     seed: int
-    record_default_counts: bool = False
 
     def __post_init__(self):
         if self.draws < 1:
@@ -72,7 +75,6 @@ class SimResult:
     default_totals: dict  # obligor id -> sum of default counts D_A
     factor_sums: np.ndarray  # per sector: sum of S_k
     factor_sumsq: np.ndarray  # per sector: sum of S_k^2
-    default_counts: np.ndarray | None = None  # (draws, n_obligors) if recorded
 
     def loss_mean(self):
         """Sample mean of the loss and its standard error."""
@@ -97,12 +99,6 @@ class SimResult:
             "loss_mean": mean,
             "loss_mean_se": se,
         }
-
-
-def _sample_severities(rng, vals, probs, size):
-    if vals.size == 1:
-        return np.full(size, vals[0])
-    return rng.choice(vals, size=size, p=probs)
 
 
 @dataclass(frozen=True)
@@ -217,9 +213,8 @@ def _batches(portfolio, cfg):
     docstring): the process holds the read-only tuple of its last such
     run, keyed by the portfolio object (weakly referenced), ``cfg.seed``
     and ``cfg.draws``, and a pass with that key yields it again after
-    ``check_obligors``.  ``record_default_counts`` does not change the
-    stream and is not part of the key.  Longer runs stream from
-    ``_sample`` every time and keep nothing.
+    ``check_obligors``.  Longer runs stream from ``_sample`` every time
+    and keep nothing.
     """
     global _kept
     if cfg.draws > BATCH:
@@ -307,12 +302,6 @@ def _sample(portfolio, cfg):
         yield factors, draw, obligor, losses.astype(np.int64)
 
 
-def _dense_counts(draw, obligor, b, n_obligors):
-    """(b, n_obligors) default counts D_A per draw from the event arrays."""
-    cell = draw.astype(np.int64) * n_obligors + obligor
-    return np.bincount(cell, minlength=b * n_obligors).reshape(b, n_obligors)
-
-
 def simulate(portfolio, cfg):
     """Run the simulation and tally losses and default counts."""
     n = portfolio.n_sectors
@@ -321,7 +310,6 @@ def simulate(portfolio, cfg):
     default_totals = np.zeros(len(ids), dtype=np.int64)
     factor_sums = np.zeros(n)
     factor_sumsq = np.zeros(n)
-    recorded = [] if cfg.record_default_counts else None
     for factors, draw, obligor, losses in _batches(portfolio, cfg):
         top = int(losses.max()) + 1 if losses.size else 1
         if top > loss_counts.size:
@@ -332,8 +320,6 @@ def simulate(portfolio, cfg):
         default_totals += np.bincount(obligor, minlength=len(ids))
         factor_sums += factors.sum(axis=0)
         factor_sumsq += (factors**2).sum(axis=0)
-        if recorded is not None:
-            recorded.append(_dense_counts(draw, obligor, losses.size, len(ids)))
     return SimResult(
         draws=cfg.draws,
         seed=cfg.seed,
@@ -341,8 +327,34 @@ def simulate(portfolio, cfg):
         default_totals=dict(zip(ids, default_totals)),
         factor_sums=factor_sums,
         factor_sumsq=factor_sumsq,
-        default_counts=np.concatenate(recorded) if recorded is not None else None,
     )
+
+
+def _tally(portfolio, cfg, limit, observe):
+    """One pass over ``_batches``: [sum w, sum w^2, sum w I(y = x), sum w^2
+    I(y = x)], x = 0..limit, for each (w, y) pair that ``observe(factors,
+    draw, obligor, losses)`` returns per batch, a weight (float, or bool for
+    an indicator, 1 byte per draw) and an integer loss level per draw.  A
+    level above ``limit`` counts in the first two only."""
+    sums = None
+    for batch in _batches(portfolio, cfg):
+        pairs = observe(*batch)
+        if sums is None:
+            sums = [[0.0, 0.0, np.zeros(limit + 1), np.zeros(limit + 1)] for _ in pairs]
+        for s, (w, y) in zip(sums, pairs):
+            inside = y <= limit
+            for j, v in enumerate((w, w * w)):
+                s[j] += v.sum()
+                s[j + 2] += np.bincount(y[inside], weights=v[inside], minlength=limit + 1)
+    return sums
+
+
+def _ratio(sums, n):
+    """sum w I(y = x) / sum w of a ``_tally`` over n draws and its delta-method SE."""
+    w, w2, wx, w2x = sums
+    ratio = wx / w
+    var_term = w2x / n - 2 * ratio * (w2x / n) + ratio**2 * (w2 / n)
+    return ratio, np.sqrt(np.maximum(var_term, 0.0) / n) / (w / n)
 
 
 @dataclass
@@ -366,46 +378,27 @@ class ConditionalEstimate:
 
 
 def estimate_conditional_one_default(portfolio, obligor_id, cfg, limit):
-    """Estimate the single-default conditional loss pmf on {0..limit}."""
+    """Estimate the single-default conditional loss pmf on {0..limit}.
+
+    ``weighted`` and ``rejection`` are the ``_ratio`` of the pairs (D_A, X)
+    and (I(D_A >= 1), X); for the 0/1 weight the delta-method SE is the
+    binomial sqrt(R (1 - R) / accepted).
+    """
     idx = portfolio.row(obligor_id)
     if portfolio.columns.pd[idx] == 0.0:
         raise ValueError(f"obligor {obligor_id}: pd is 0, no defaults to condition on")
-    size = limit + 1
-    sum_w = 0.0  # sum D_A
-    sum_w2 = 0.0  # sum D_A^2
-    sum_wx = np.zeros(size)  # sum D_A I(X = x)
-    sum_w2x = np.zeros(size)  # sum D_A^2 I(X = x)
-    acc_counts = np.zeros(size)
-    accepted = 0
-    for _, draw, obligor, losses in _batches(portfolio, cfg):
+
+    def observe(factors, draw, obligor, losses):
         d = np.bincount(draw[obligor == idx], minlength=losses.size).astype(float)
-        inside = losses <= limit
-        sum_w += d.sum()
-        sum_w2 += (d * d).sum()
-        sum_wx += np.bincount(losses[inside], weights=d[inside], minlength=size)
-        sum_w2x += np.bincount(losses[inside], weights=(d * d)[inside], minlength=size)
-        hit = d >= 1
-        accepted += int(hit.sum())
-        acc_counts += np.bincount(losses[inside & hit], minlength=size)
-    if accepted == 0 or sum_w == 0:
+        return (d, losses), (d >= 1, losses)
+
+    counts, hits = _tally(portfolio, cfg, limit, observe)
+    accepted = int(hits[0])  # sum I(D_A >= 1)
+    if accepted == 0:
         raise NoAcceptedDrawsError(f"obligor {obligor_id}: zero accepted draws")
     n = cfg.draws
-    ratio = sum_wx / sum_w
-    # Delta-method SE of the ratio estimator sum(D I)/sum(D).
-    var_term = sum_w2x / n - 2 * ratio * (sum_w2x / n) + ratio**2 * (sum_w2 / n)
-    weighted_se = np.sqrt(np.maximum(var_term, 0.0) / n) / (sum_w / n)
-    rej = acc_counts / accepted
-    rej_se = np.sqrt(rej * (1.0 - rej) / accepted)
-    return ConditionalEstimate(
-        obligor=obligor_id,
-        draws=n,
-        weighted=ratio,
-        weighted_se=weighted_se,
-        rejection=rej,
-        rejection_se=rej_se,
-        accepted=accepted,
-        weight_total=sum_w,
-    )
+    return ConditionalEstimate(obligor_id, n, *_ratio(counts, n), *_ratio(hits, n),
+                               accepted=accepted, weight_total=counts[0])
 
 
 def verify_fundamental_identity(portfolio, id1, id2, x, cfg):
@@ -415,7 +408,8 @@ def verify_fundamental_identity(portfolio, id1, id2, x, cfg):
     prod_i p^S_{A(i)}] with fresh independent severity draws E_i.  Both
     sides use the same factor and loss draws (common random numbers); they
     agree in expectation, so the estimates should match within Monte Carlo
-    error.  ``id2`` may be None for the one-obligor case.
+    error.  One ``_tally`` of the pairs (prod_i D, X) and (prod_i p^S, X +
+    sum_i E_i) gives both.  ``id2`` may be None for the one-obligor case.
     """
     i1 = portfolio.row(id1)
     i2 = None if id2 is None else portfolio.row(id2)
@@ -427,28 +421,27 @@ def verify_fundamental_identity(portfolio, id1, id2, x, cfg):
         j = slice(c.start[i], c.start[i + 1])
         ascending = np.argsort(c.value[j])  # by ascending loss
         sevs[i] = c.value[j][ascending], c.prob[j][ascending], c.pd[i], c.W[i]
-    n = cfg.draws
-    sum_l = sum_l2 = 0.0
-    sum_r = sum_r2 = 0.0
     # Independent severity stream for the right-hand side's fresh draws.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, 977])))
-    for factors, draw, obligor, losses in _batches(portfolio, cfg):
-        left = (losses == x).astype(float)
+
+    def observe(factors, draw, obligor, losses):
+        defaults = np.ones(losses.size)
         prod_ps = np.ones(losses.size)
-        shift = np.zeros(losses.size)
+        shift = np.zeros(losses.size, dtype=np.int64)
         for i, (vals, probs, pd, w) in sevs.items():
-            left *= np.bincount(draw[obligor == i], minlength=losses.size)
+            defaults *= np.bincount(draw[obligor == i], minlength=losses.size)
             # p_A^S = p_A (w_A0 + sum_k w_Ak S_k); S_0 = 1
             prod_ps *= pd * (w[0] + factors @ w[1:])
-            shift += _sample_severities(rng, vals, probs, losses.size)
-        right = prod_ps * (losses == x - shift)
-        sum_l += left.sum()
-        sum_l2 += (left**2).sum()
-        sum_r += right.sum()
-        sum_r2 += (right**2).sum()
-    left_mean, right_mean = sum_l / n, sum_r / n
-    left_se = np.sqrt(max(sum_l2 / n - left_mean**2, 0.0) / n)
-    right_se = np.sqrt(max(sum_r2 / n - right_mean**2, 0.0) / n)
+            shift += vals[0] if vals.size == 1 else rng.choice(vals, size=losses.size, p=probs)
+        return (defaults, losses), (prod_ps, losses + shift)
+
+    n = cfg.draws
+    sides = []
+    for _, _, wx, w2x in _tally(portfolio, cfg, max(x, 0), observe):
+        hits, squares = (wx[x], w2x[x]) if x >= 0 else (0.0, 0.0)  # losses are never negative
+        mean = hits / n
+        sides += [mean, np.sqrt(max(squares / n - mean**2, 0.0) / n)]
+    left_mean, left_se, right_mean, right_se = sides
     combined_se = float(np.hypot(left_se, right_se))
     return {
         "x": x,

@@ -310,6 +310,110 @@ def batches_searchsorted(portfolio, cfg):
         yield factors, draw, obligor, losses
 
 
+def dense_counts(portfolio, cfg):
+    """(draws, obligors) default counts D_A per draw from the event arrays of ``mc._batches``."""
+    n = len(portfolio.obligors)
+    out = []
+    for _, draw, obligor, losses in mc._batches(portfolio, cfg):
+        cell = draw.astype(np.int64) * n + obligor
+        out.append(np.bincount(cell, minlength=losses.size * n).reshape(losses.size, n))
+    return np.concatenate(out)
+
+
+def one_default_loop(portfolio, obligor_id, cfg, limit):
+    """``mc.estimate_conditional_one_default`` with its own weighted and
+    accepted histograms per batch: the tests' reference for ``mc._tally``.
+
+    ``rejection_se`` is the binomial sqrt(R (1 - R) / accepted).
+    """
+    idx = portfolio.row(obligor_id)
+    if portfolio.columns.pd[idx] == 0.0:
+        raise ValueError(f"obligor {obligor_id}: pd is 0, no defaults to condition on")
+    size = limit + 1
+    sum_w = 0.0  # sum D_A
+    sum_w2 = 0.0  # sum D_A^2
+    sum_wx = np.zeros(size)  # sum D_A I(X = x)
+    sum_w2x = np.zeros(size)  # sum D_A^2 I(X = x)
+    acc_counts = np.zeros(size)
+    accepted = 0
+    for _, draw, obligor, losses in mc._batches(portfolio, cfg):
+        d = np.bincount(draw[obligor == idx], minlength=losses.size).astype(float)
+        inside = losses <= limit
+        sum_w += d.sum()
+        sum_w2 += (d * d).sum()
+        sum_wx += np.bincount(losses[inside], weights=d[inside], minlength=size)
+        sum_w2x += np.bincount(losses[inside], weights=(d * d)[inside], minlength=size)
+        hit = d >= 1
+        accepted += int(hit.sum())
+        acc_counts += np.bincount(losses[inside & hit], minlength=size)
+    if accepted == 0 or sum_w == 0:
+        raise mc.NoAcceptedDrawsError(f"obligor {obligor_id}: zero accepted draws")
+    n = cfg.draws
+    ratio = sum_wx / sum_w
+    # Delta-method SE of the ratio estimator sum(D I)/sum(D).
+    var_term = sum_w2x / n - 2 * ratio * (sum_w2x / n) + ratio**2 * (sum_w2 / n)
+    weighted_se = np.sqrt(np.maximum(var_term, 0.0) / n) / (sum_w / n)
+    rej = acc_counts / accepted
+    rej_se = np.sqrt(rej * (1.0 - rej) / accepted)
+    return mc.ConditionalEstimate(obligor=obligor_id, draws=n, weighted=ratio,
+                                  weighted_se=weighted_se, rejection=rej, rejection_se=rej_se,
+                                  accepted=accepted, weight_total=sum_w)
+
+
+def identity_loop(portfolio, id1, id2, x, cfg):
+    """``mc.verify_fundamental_identity`` with both sides summed per batch
+    over every draw: the tests' reference for ``mc._tally``.
+
+    The right side's sums are pairwise over each batch's draws.
+    """
+    i1 = portfolio.row(id1)
+    i2 = None if id2 is None else portfolio.row(id2)
+    if i2 is not None and i1 == i2:
+        raise ValueError("obligors must differ")
+    c = portfolio.columns
+    sevs = {}
+    for i in [i1] if i2 is None else [i1, i2]:
+        j = slice(c.start[i], c.start[i + 1])
+        ascending = np.argsort(c.value[j])  # by ascending loss
+        sevs[i] = c.value[j][ascending], c.prob[j][ascending], c.pd[i], c.W[i]
+    n = cfg.draws
+    sum_l = sum_l2 = 0.0
+    sum_r = sum_r2 = 0.0
+    # Independent severity stream for the right-hand side's fresh draws.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, 977])))
+    for factors, draw, obligor, losses in mc._batches(portfolio, cfg):
+        left = (losses == x).astype(float)
+        prod_ps = np.ones(losses.size)
+        shift = np.zeros(losses.size)
+        for i, (vals, probs, pd, w) in sevs.items():
+            left *= np.bincount(draw[obligor == i], minlength=losses.size)
+            # p_A^S = p_A (w_A0 + sum_k w_Ak S_k); S_0 = 1
+            prod_ps *= pd * (w[0] + factors @ w[1:])
+            if vals.size == 1:
+                shift += np.full(losses.size, vals[0])
+            else:
+                shift += rng.choice(vals, size=losses.size, p=probs)
+        right = prod_ps * (losses == x - shift)
+        sum_l += left.sum()
+        sum_l2 += (left**2).sum()
+        sum_r += right.sum()
+        sum_r2 += (right**2).sum()
+    left_mean, right_mean = sum_l / n, sum_r / n
+    left_se = np.sqrt(max(sum_l2 / n - left_mean**2, 0.0) / n)
+    right_se = np.sqrt(max(sum_r2 / n - right_mean**2, 0.0) / n)
+    combined_se = float(np.hypot(left_se, right_se))
+    return {
+        "x": x,
+        "obligors": [id1] if id2 is None else [id1, id2],
+        "left": left_mean,
+        "left_se": left_se,
+        "right": right_mean,
+        "right_se": right_se,
+        "combined_se": combined_se,
+        "consistent_3se": bool(abs(left_mean - right_mean) <= 3.0 * max(combined_se, 1e-300)),
+    }
+
+
 def components_enumerated(loadings, alphas):
     """``conditional._components`` by enumerating every candidate term: the tests' reference.
 

@@ -594,6 +594,18 @@ def test_kernel_exists_for_factor_sectors_only(reference_portfolio, limit):
             engine.kernel(k)
 
 
+@pytest.mark.parametrize("limit", [200, 600])
+def test_sector_loss_exists_for_sectors_0_to_k_only(reference_portfolio, limit):
+    # Index -1 would read the last sector's row, or mix two sectors' parameters.
+    engine = LossEngine(eng.assemble(reference_portfolio, limit))
+    for k in (-1, 3):
+        message = rf"sector {k} does not exist: the sectors are 0\.\.2"
+        with pytest.raises(ValueError, match=message):
+            engine.sector_loss(k)
+        with pytest.raises(ValueError, match=message):
+            eng.sector_loss(engine.system, k)
+
+
 def test_stress_vector_validation(reference_engine):
     with pytest.raises(ValueError, match="length"):
         reference_engine.loss_distribution((1,))

@@ -11,8 +11,8 @@ from crplus import mc
 from crplus.engine import LossEngine
 from crplus.portfolio import Obligor, Portfolio, PortfolioError, Sector, SeverityDist
 
-from conftest import (UNVALIDATED, batches_searchsorted, make_reference_portfolio,
-                      unvalidated_portfolio)
+from conftest import (UNVALIDATED, batches_searchsorted, dense_counts, identity_loop,
+                      make_reference_portfolio, one_default_loop, unvalidated_portfolio)
 
 DRAWS = 200_000
 
@@ -150,18 +150,45 @@ def test_fundamental_identity_two_obligors(reference_portfolio, reference_engine
     assert abs(report["right"] - target) < 4 * max(report["right_se"], 1e-12)
 
 
-def test_fundamental_identity_unreachable_loss_level(reference_portfolio):
+@pytest.mark.parametrize("draws", [20_000, mc.BATCH + 7], ids=["kept", "two_batches"])
+def test_estimators_match_their_per_batch_loops(reference_portfolio, draws):
+    # Bitwise except where the arithmetic's order differs: the loop's
+    # rejection SE is the binomial formula and the tally's the delta-method
+    # one; the loop sums the right side pairwise and the tally by bincount.
+    cfg = mc.SimConfig(draws=draws, seed=44)
+    for oid in ("A", "C"):
+        got = mc.estimate_conditional_one_default(reference_portfolio, oid, cfg, 200)
+        ref = one_default_loop(reference_portfolio, oid, cfg, 200)
+        for key in ("weighted", "weighted_se", "rejection"):
+            assert _same_bits(getattr(got, key), getattr(ref, key)), (oid, key)
+        for key in ("obligor", "draws", "accepted", "weight_total"):
+            a, b = getattr(got, key), getattr(ref, key)
+            assert type(a) is type(b) and a == b, (oid, key)
+        np.testing.assert_allclose(got.rejection_se, ref.rejection_se, rtol=1e-14, atol=0)
+    for id1, id2, x in [("A", "B", 3), ("C", None, 7), ("A", "E", 12)]:
+        got = mc.verify_fundamental_identity(reference_portfolio, id1, id2, x, cfg)
+        ref = identity_loop(reference_portfolio, id1, id2, x, cfg)
+        assert got.keys() == ref.keys()
+        for key in ("x", "obligors", "left", "left_se", "consistent_3se"):
+            assert type(got[key]) is type(ref[key]) and got[key] == ref[key], (x, key)
+        for key in ("right", "right_se", "combined_se"):
+            assert got[key] == pytest.approx(ref[key], rel=1e-14, abs=0), (x, key)
+
+
+@pytest.mark.parametrize("x", [-1, 5000])
+def test_fundamental_identity_unreachable_loss_level(reference_portfolio, x):
     report = mc.verify_fundamental_identity(
-        reference_portfolio, "A", "B", 5000, mc.SimConfig(draws=20_000, seed=43))
+        reference_portfolio, "A", "B", x, mc.SimConfig(draws=20_000, seed=43))
     assert report["left"] == 0.0 and report["right"] == 0.0
     assert report["consistent_3se"]
 
 
 def test_record_default_counts(reference_portfolio):
-    res = mc.simulate(reference_portfolio, mc.SimConfig(draws=1000, seed=3,
-                                                        record_default_counts=True))
-    assert res.default_counts.shape == (1000, 5)
-    assert res.default_counts.sum(axis=0).tolist() == [
+    cfg = mc.SimConfig(draws=1000, seed=3)
+    counts = dense_counts(reference_portfolio, cfg)
+    res = mc.simulate(reference_portfolio, cfg)
+    assert counts.shape == (1000, 5)
+    assert counts.sum(axis=0).tolist() == [
         res.default_totals[o.id] for o in reference_portfolio.obligors]
 
 
@@ -176,12 +203,11 @@ def _moment_z(samples, target):
 def test_default_count_variances_and_covariances(reference_portfolio):
     # Var D_A = p_A + p_A^2 sum_k w_Ak^2 / alpha_k and
     # Cov(D_A, D_B) = p_A p_B sum_k w_Ak w_Bk / alpha_k (0 without shared sectors).
-    res = mc.simulate(reference_portfolio, mc.SimConfig(draws=DRAWS, seed=51,
-                                                        record_default_counts=True))
+    counts = dense_counts(reference_portfolio, mc.SimConfig(draws=DRAWS, seed=51))
     obligors = reference_portfolio.obligors
     inv_alpha = np.array([1.0 / s.alpha for s in reference_portfolio.sectors])
     pds = np.array([o.pd for o in obligors])
-    centred = res.default_counts - pds  # the means are known exactly
+    centred = counts - pds  # the means are known exactly
     for a, oa in enumerate(obligors):
         for b, ob in enumerate(obligors[a:], start=a):
             cov = oa.pd * ob.pd * float(np.sum(oa.weights[1:] * ob.weights[1:] * inv_alpha))
@@ -212,17 +238,16 @@ def test_batch_boundary_determinism_and_recorded_counts(reference_portfolio):
     p = Portfolio(reference_portfolio.sectors,
                   tuple(Obligor(o.id, o.pd, o.weights, SeverityDist({sev[o.id]: 1.0}))
                         for o in reference_portfolio.obligors))
-    cfg = mc.SimConfig(draws=mc.BATCH + 7, seed=53, record_default_counts=True)
+    cfg = mc.SimConfig(draws=mc.BATCH + 7, seed=53)
     a, b = mc.simulate(p, cfg), mc.simulate(p, cfg)
     np.testing.assert_array_equal(a.loss_counts, b.loss_counts)
-    np.testing.assert_array_equal(a.default_counts, b.default_counts)
     assert a.default_totals == b.default_totals
-    assert a.default_counts.shape == (mc.BATCH + 7, 5)
-    assert a.default_counts.sum(axis=0).tolist() == [a.default_totals[o.id] for o in p.obligors]
-    losses = a.default_counts @ np.array([sev[o.id] for o in p.obligors])
+    counts = dense_counts(p, cfg)
+    np.testing.assert_array_equal(counts, dense_counts(p, cfg))
+    assert counts.shape == (mc.BATCH + 7, 5)
+    assert counts.sum(axis=0).tolist() == [a.default_totals[o.id] for o in p.obligors]
+    losses = counts @ np.array([sev[o.id] for o in p.obligors])
     np.testing.assert_array_equal(np.bincount(losses), a.loss_counts)
-    plain = mc.simulate(p, mc.SimConfig(draws=mc.BATCH + 7, seed=53))
-    np.testing.assert_array_equal(plain.loss_counts, a.loss_counts)
 
 
 def test_simulated_loss_pmf_chi_square(reference_portfolio, reference_engine):
@@ -496,12 +521,3 @@ def test_the_kept_sample_goes_with_its_portfolio():
     del p
     gc.collect()
     assert mc._kept is None
-
-
-def test_recorded_counts_from_the_kept_sample_are_those_of_a_fresh_run(sampling_passes):
-    p = make_reference_portfolio()
-    mc.simulate(p, mc.SimConfig(draws=5000, seed=86))
-    recorded = mc.SimConfig(draws=5000, seed=86, record_default_counts=True)
-    got = mc.simulate(p, recorded)
-    assert len(sampling_passes) == 1
-    _assert_same_results(got, _fresh(mc.simulate, p, recorded))
